@@ -80,5 +80,6 @@ from .oracle import (
     finite_difference,
     grid_maximize,
     iterate_open_access,
+    pivot_open_access,
 )
 from .sampling import sample_scenario

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -245,7 +246,14 @@ def execute(config: RunConfig) -> int:
         if config.command == "sweep":
             header, rows = _sweep_rows(bundle, config.sweep_axis)
             if config.output_format == "json":
-                payload = [dict(zip(header, row)) for row in rows]
+                # Strict JSON has no NaN or Infinity: failed cells become null.
+                payload = [
+                    {
+                        name: None if isinstance(v, float) and not math.isfinite(v) else v
+                        for name, v in zip(header, row)
+                    }
+                    for row in rows
+                ]
                 _emit(json.dumps(payload, indent=2), config.out)
             else:
                 _emit(rows_to_csv(header, rows), config.out)

@@ -26,7 +26,7 @@ class SingularSystemError(OrbitUseError):
 
 
 class NoValidEquilibriumError(OrbitUseError):
-    """Sector deactivation cycled without reaching a complementary solution."""
+    """The oracle's pivoting solve cycled without a complementary solution."""
 
 
 class PhysicallyInvalidError(OrbitUseError):

@@ -1,17 +1,22 @@
-"""Global open-access equilibrium: dense solve, reduction, comparative statics.
+"""Global open-access equilibrium: closed-form solve, reduction, statics.
 
 Under open access each sector launches until its marginal profit is zero,
 which makes the equilibrium fleet vector the solution of a small linear
-system: ``fleets = intercepts + interaction_matrix @ fleets``. This module
-assembles that system, solves it with nonnegativity handling (sectors that
-would hold negative fleets are pinned to zero and the reduced system is
-re-solved), collapses any number of sectors to an exact two-player game,
-splits fleets into the abatement-sensitive and abatement-free factors, and
-differentiates everything with respect to taxes and abatement.
+system: ``(diag(1+s) - s 1^T) f = phi r`` with ``r_i = rev_i/(kd rev_i +
+m_i)``, ``s = -kd r`` and ``phi = 1 + k(Q - D0)``. The matrix is diagonal
+plus rank one, so Sherman-Morrison solves it exactly: with
+``v = sum s/(1+s)``, ``f = phi r/((1+s)(1-v))``. Every sector with
+``r > 0`` therefore shares the sign of ``phi``, and no active-set search
+is needed. This module solves that system, collapses any number of
+sectors to an exact two-player game, splits fleets into the
+abatement-sensitive and abatement-free factors, and differentiates
+everything with respect to taxes and abatement. The dense pivoting solve
+lives in :mod:`orbituse.oracle` as the independent reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +25,10 @@ from .errors import (
     ActiveSetChangeError,
     NoConvergenceError,
     NonDecreasingDebrisError,
-    NoValidEquilibriumError,
     PhysicallyInvalidError,
     SingularSystemError,
 )
+from .oracle import pivot_open_access
 from .scenario import (
     DebrisState,
     Scenario,
@@ -33,7 +38,6 @@ from .scenario import (
 )
 
 SINGULARITY_THRESHOLD = 1e-12
-REENTRY_TOLERANCE = 1e-12
 FD_RELATIVE_STEP = 1e-6
 
 ANALYTIC = "analytic"
@@ -50,10 +54,7 @@ class LinearSystem:
 
     def interaction_matrix(self) -> np.ndarray:
         """Row i holds copies of slope i with a zero diagonal."""
-        slopes = np.array(self.slopes, dtype=float)
-        matrix = np.tile(slopes[:, None], (1, slopes.size))
-        np.fill_diagonal(matrix, 0.0)
-        return matrix
+        return _interaction_matrix(np.array(self.slopes, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -117,86 +118,91 @@ def _interaction_matrix(slopes: np.ndarray) -> np.ndarray:
     return matrix
 
 
+def _determinant(slopes: list[float]) -> float:
+    """det(diag(1+s) - s 1^T) = prod(1+s) (1 - sum s/(1+s))."""
+    return float(
+        math.prod(1.0 + s for s in slopes) * (1.0 - sum(s / (1.0 + s) for s in slopes))
+    )
+
+
+def _rank_one_inverse(slopes: np.ndarray) -> np.ndarray:
+    """Inverse of diag(1+s) - s 1^T by Sherman-Morrison.
+
+    With D = diag(1+s): D^-1 + (D^-1 s)(1^T D^-1)/(1 - 1^T D^-1 s).
+    """
+    scale = 1.0 / (1.0 + slopes)
+    weighted = scale * slopes
+    return np.diag(scale) + np.outer(weighted, scale) / (1.0 - weighted.sum())
+
+
 def assemble_system(
     scenario: Scenario, taxes: TaxSchedule, abatement: float
 ) -> LinearSystem:
     """Intercepts, slopes, and determinant of the stacked best-response system."""
     _, _, _, _, intercepts, slopes = _system_arrays(scenario, taxes, abatement)
-    matrix = np.eye(scenario.n_sectors) - _interaction_matrix(slopes)
     return LinearSystem(
-        intercepts=tuple(float(a) for a in intercepts),
-        slopes=tuple(float(b) for b in slopes),
-        determinant=float(np.linalg.det(matrix)),
+        intercepts=tuple(intercepts.tolist()),
+        slopes=tuple(slopes.tolist()),
+        determinant=_determinant(slopes.tolist()),
     )
 
 
 def solve_equilibrium(
     scenario: Scenario, taxes: TaxSchedule, abatement: float = 0.0
 ) -> OpenAccessEquilibrium:
-    """Solve the global open-access equilibrium.
+    """Solve the global open-access equilibrium in closed form.
 
-    Starts from the dense solve over all sectors. Any sector whose
-    unconstrained fleet comes out negative is pinned to zero (most negative
-    first) and the reduced system is re-solved; pinned sectors whose best
-    response turns positive re-enter. Raises on singular systems, on a
-    pinning loop that cycles, and on solutions with survival outside [0, 1].
+    Sectors with ``r <= 0`` (revenue wiped out by taxes at or above 1) are
+    pinned at zero. If ``phi > 0`` every other sector is active with
+    ``f = phi r/((1+s)(1-v))``, ``v`` summed over the active sectors;
+    otherwise every sector is pinned. The reported determinant is that of
+    the active system, ``prod(1+s)(1-v)``, or of the full system when
+    ``phi == 0`` and every fleet is zero at full rank. Raises
+    SingularSystemError when it is at most 1e-12 in magnitude and
+    PhysicallyInvalidError when survival falls outside [0, 1].
     """
     n = scenario.n_sectors
-    revenue, _, r, _, intercepts, slopes = _system_arrays(scenario, taxes, abatement)
-    full_matrix = _interaction_matrix(slopes)
-
-    active = np.ones(n, dtype=bool)
-    fleets = np.zeros(n)
-    determinant = 1.0
-    for _ in range(4 * n + 4):
-        idx = np.flatnonzero(active)
-        if idx.size:
-            reduced = np.eye(idx.size) - full_matrix[np.ix_(idx, idx)]
-            determinant = float(np.linalg.det(reduced))
-            if abs(determinant) <= SINGULARITY_THRESHOLD:
-                raise SingularSystemError(
-                    f"|det|={abs(determinant):.3e} at active set {idx.tolist()}"
-                )
-            solution = np.linalg.solve(reduced, intercepts[idx])
-            if np.any(solution < 0.0):
-                worst = idx[int(np.argmin(solution))]
-                active[worst] = False
-                continue
-            fleets = np.zeros(n)
-            fleets[idx] = solution
-        else:
-            fleets = np.zeros(n)
-            determinant = 1.0
-        # A pinned sector stays out only if re-entering is unprofitable.
-        rest = fleets.sum() - fleets
-        best_response = intercepts + slopes * rest
-        entrants = (~active) & (best_response > REENTRY_TOLERANCE)
-        if entrants.any():
-            active[int(np.argmax(np.where(entrants, best_response, -np.inf)))] = True
-            continue
-        break
-    else:
-        raise NoValidEquilibriumError(
-            "sector pinning cycled without reaching a complementary solution"
+    revenue, _, r, phi, _, slopes = _system_arrays(scenario, taxes, abatement)
+    # Python floats: on vectors this short numpy's per-call overhead dominates.
+    r_list, s_list = r.tolist(), slopes.tolist()
+    active = [phi > 0.0 and x > 0.0 for x in r_list]
+    # At phi == 0 the full system solves to all-zero fleets with no pinning.
+    pivot = active if phi != 0.0 else [True] * n
+    determinant = _determinant([s for s, on in zip(s_list, pivot) if on])
+    if abs(determinant) <= SINGULARITY_THRESHOLD:
+        raise SingularSystemError(
+            f"|det|={abs(determinant):.3e} at active set "
+            f"{[i for i, on in enumerate(pivot) if on]}"
         )
+    v = sum(s / (1.0 + s) for s, on in zip(s_list, active) if on)
+    fleets = [
+        phi * x / ((1.0 + s) * (1.0 - v)) if on else 0.0
+        for x, s, on in zip(r_list, s_list, active)
+    ]
 
-    debris = debris_stock(scenario, float(fleets.sum()), abatement)
+    debris = debris_stock(scenario, sum(fleets), abatement)
     if not debris.physically_valid:
         raise PhysicallyInvalidError(
             f"survival probability {debris.survival:.6f} outside [0, 1] "
             f"at debris stock {debris.stock:.6f}",
             debris=debris,
         )
-    residuals = debris.survival * revenue * fleets - scenario.cost_array * fleets**2
-    sigma = np.divide(fleets, r, out=np.zeros_like(fleets), where=r > 0.0)
+    survival = debris.survival
+    residual = max(
+        (
+            abs(survival * w * f - m * (f * f))
+            for w, m, f in zip(revenue.tolist(), scenario.costs, fleets)
+        ),
+        default=0.0,
+    )
     return OpenAccessEquilibrium(
-        fleets=tuple(float(f) for f in fleets),
-        sigma=tuple(float(s) for s in sigma),
-        r=tuple(float(x) for x in r),
+        fleets=tuple(fleets),
+        sigma=tuple(f / x if x > 0.0 else 0.0 for f, x in zip(fleets, r_list)),
+        r=tuple(r_list),
         debris=debris,
-        active=tuple(bool(f > 0.0) for f in fleets),
+        active=tuple(f > 0.0 for f in fleets),
         determinant=determinant,
-        max_profit_residual=float(np.max(np.abs(residuals))) if n else 0.0,
+        max_profit_residual=residual,
     )
 
 
@@ -305,8 +311,7 @@ def _analytic_sensitivities(
     n, n_markets = scenario.n_sectors, scenario.n_markets
     kd = scenario.collision_coeff * scenario.debris_per_sat
 
-    matrix = np.eye(n) - _interaction_matrix(slopes)
-    inverse = np.linalg.inv(matrix)
+    inverse = _rank_one_inverse(slopes)
 
     fleets = equilibrium.fleet_array
     rest = fleets.sum() - fleets
@@ -337,8 +342,10 @@ def _fd_step(value: float) -> float:
 def _fd_sensitivities(
     scenario: Scenario, taxes: TaxSchedule, abatement: float
 ) -> SensitivityReport:
-    base = solve_equilibrium(scenario, taxes, abatement)
-    if not all(base.active):
+    # Stencils re-solve with the oracle's dense solver, so this path audits
+    # the closed-form kernel instead of sharing it.
+    active = pivot_open_access(scenario, taxes, abatement) > 0.0
+    if not active.all():
         raise ActiveSetChangeError(
             "finite-difference sensitivities need every sector interior"
         )
@@ -348,20 +355,23 @@ def _fd_sensitivities(
         for j in range(n_markets):
             rate = taxes.rate(i, j)
             h = _fd_step(rate)
-            hi = solve_equilibrium(scenario, taxes.with_rate(i, j, rate + h), abatement)
-            lo = solve_equilibrium(scenario, taxes.with_rate(i, j, rate - h), abatement)
-            if hi.active != base.active or lo.active != base.active:
+            hi = pivot_open_access(scenario, taxes.with_rate(i, j, rate + h), abatement)
+            lo = pivot_open_access(scenario, taxes.with_rate(i, j, rate - h), abatement)
+            if not (np.array_equal(hi > 0.0, active) and np.array_equal(lo > 0.0, active)):
                 raise ActiveSetChangeError(
                     f"active set changed inside the stencil for tax [{i}][{j}]"
                 )
-            dfleet_dtax[:, i, j] = (hi.fleet_array - lo.fleet_array) / (2.0 * h)
+            dfleet_dtax[:, i, j] = (hi - lo) / (2.0 * h)
     h = _fd_step(abatement)
-    hi = solve_equilibrium(scenario, taxes, abatement + h)
-    lo = solve_equilibrium(scenario, taxes, abatement - h)
-    if hi.active != base.active or lo.active != base.active:
+    hi = pivot_open_access(scenario, taxes, abatement + h)
+    lo = pivot_open_access(scenario, taxes, abatement - h)
+    if not (np.array_equal(hi > 0.0, active) and np.array_equal(lo > 0.0, active)):
         raise ActiveSetChangeError("active set changed inside the abatement stencil")
-    dfleet_dabatement = (hi.fleet_array - lo.fleet_array) / (2.0 * h)
-    ddebris = (hi.debris.stock - lo.debris.stock) / (2.0 * h)
+    dfleet_dabatement = (hi - lo) / (2.0 * h)
+    ddebris = (
+        debris_stock(scenario, float(hi.sum()), abatement + h).stock
+        - debris_stock(scenario, float(lo.sum()), abatement - h).stock
+    ) / (2.0 * h)
     drequired = scenario.debris_per_sat * dfleet_dtax.sum(axis=0)
     return SensitivityReport(
         dfleet_dtax=dfleet_dtax,
@@ -380,9 +390,9 @@ def sensitivities(
 ) -> SensitivityReport:
     """Equilibrium responses to every tax rate and to abatement.
 
-    The analytic path differentiates the linear system in place (one
-    factorization, one back-solve per perturbed row); the finite-difference
-    path re-solves on central stencils and exists to audit the analytic one.
+    The analytic path differentiates the linear system in place through its
+    rank-one inverse; the finite-difference path re-solves central stencils
+    with the oracle's dense solver and exists to audit the analytic one.
     """
     if method == ANALYTIC:
         return _analytic_sensitivities(scenario, taxes, abatement)

@@ -1,8 +1,9 @@
 """Independent brute-force verifiers for the solvers.
 
 Everything here deliberately avoids the code paths it audits: the fleet
-iteration applies the raw best-response formula instead of the dense
-solve, the grid maximizer enumerates instead of calling the local
+iteration applies the raw best-response formula and the pivot solver
+factorizes the dense fleet system instead of using the closed-form
+kernel, the grid maximizer enumerates instead of calling the local
 optimizer, and the deviation search spells out the abatement payoff
 inline. A passing grid report certifies optimality on the grid only,
 which is weaker than continuous optimality; tests state the radius they
@@ -16,11 +17,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, NoConvergenceError
-from .scenario import AbatementProfile, Scenario, TaxSchedule
+from .errors import (
+    BudgetExceededError,
+    NoConvergenceError,
+    NoValidEquilibriumError,
+    PhysicallyInvalidError,
+    SingularSystemError,
+)
+from .scenario import (
+    AbatementProfile,
+    Scenario,
+    TaxSchedule,
+    debris_stock,
+    effective_prices,
+)
 
 GRID_BUDGET = 10**8
 IMPROVEMENT_TOLERANCE = 1e-9
+SINGULARITY_THRESHOLD = 1e-12
+REENTRY_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -74,6 +89,72 @@ def iterate_open_access(
         last_iterate=fleets,
         update_norm=delta,
     )
+
+
+def pivot_open_access(
+    scenario: Scenario, taxes: TaxSchedule, abatement: float = 0.0
+) -> np.ndarray:
+    """Open-access fleets from the dense system with active-set pivoting.
+
+    Solves ``(I - M) f = phi r`` with LU over all sectors, where row i of
+    M holds ``-kd r_i`` off the diagonal. Any sector whose fleet comes out
+    negative is pinned to zero (most negative first) and the reduced system
+    is re-solved; pinned sectors whose best response turns positive re-enter.
+    Raises SingularSystemError on a numerically singular active set,
+    NoValidEquilibriumError when pinning cycles, and PhysicallyInvalidError
+    when survival leaves [0, 1].
+    """
+    n = scenario.n_sectors
+    k = scenario.collision_coeff
+    kd = k * scenario.debris_per_sat
+    revenue = effective_prices(scenario, taxes)
+    r = revenue / (kd * revenue + scenario.cost_array)
+    phi = 1.0 + k * (abatement - scenario.legacy_debris)
+    intercepts = phi * r
+    slopes = -kd * r
+    interaction = np.tile(slopes[:, None], (1, n))
+    np.fill_diagonal(interaction, 0.0)
+
+    active = np.ones(n, dtype=bool)
+    fleets = np.zeros(n)
+    for _ in range(4 * n + 4):
+        idx = np.flatnonzero(active)
+        if idx.size:
+            reduced = np.eye(idx.size) - interaction[np.ix_(idx, idx)]
+            determinant = float(np.linalg.det(reduced))
+            if abs(determinant) <= SINGULARITY_THRESHOLD:
+                raise SingularSystemError(
+                    f"|det|={abs(determinant):.3e} at active set {idx.tolist()}"
+                )
+            solution = np.linalg.solve(reduced, intercepts[idx])
+            if np.any(solution < 0.0):
+                active[idx[int(np.argmin(solution))]] = False
+                continue
+            fleets = np.zeros(n)
+            fleets[idx] = solution
+        else:
+            fleets = np.zeros(n)
+        # A pinned sector stays out only if re-entering is unprofitable.
+        rest = fleets.sum() - fleets
+        best_response = intercepts + slopes * rest
+        entrants = (~active) & (best_response > REENTRY_TOLERANCE)
+        if entrants.any():
+            active[int(np.argmax(np.where(entrants, best_response, -np.inf)))] = True
+            continue
+        break
+    else:
+        raise NoValidEquilibriumError(
+            "sector pinning cycled without reaching a complementary solution"
+        )
+
+    debris = debris_stock(scenario, float(fleets.sum()), abatement)
+    if not debris.physically_valid:
+        raise PhysicallyInvalidError(
+            f"survival probability {debris.survival:.6f} outside [0, 1] "
+            f"at debris stock {debris.stock:.6f}",
+            debris=debris,
+        )
+    return fleets
 
 
 def _grid_axis(step: float, lower: float, upper: float) -> np.ndarray:

@@ -14,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import PhysicallyInvalidError, SolverFailureError
 from .open_access import (
     OpenAccessEquilibrium,
-    _interaction_matrix,
+    _rank_one_inverse,
     _system_arrays,
     sensitivities,
     solve_equilibrium,
@@ -132,8 +131,7 @@ def _column_value_and_gradient(
     idx = np.flatnonzero(active)
     if idx.size:
         _, denom, _, phi, _, slopes = _system_arrays(scenario, taxes, abatement)
-        sub = np.eye(idx.size) - _interaction_matrix(slopes)[np.ix_(idx, idx)]
-        inverse = np.linalg.inv(sub)
+        inverse = _rank_one_inverse(slopes[idx])
         rest = fleets.sum() - fleets
         row_gain = (scenario.cost_array / denom**2) * (phi - kd * rest)
         keep = 1.0 - rates[:, market]
@@ -210,6 +208,10 @@ def best_response_taxes(
     probe. Ties within 1e-10 of the best value break toward the
     lexicographically smallest column.
     """
+    # Imported here: scipy.optimize costs more to import than the rest of
+    # the package, and only this function needs it.
+    from scipy.optimize import minimize
+
     n = scenario.n_sectors
     incoming = taxes.as_array[:, market].copy()
 

@@ -11,6 +11,7 @@ with 1-based indices, and ``abatement``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -154,6 +155,8 @@ def bundle_from_data(data: dict, overrides: list[str] | None = None) -> LoadedBu
         raise ScenarioValidationError(tax_violations)
 
     abatement = float(data.get("abatement", 0.0))
+    if not math.isfinite(abatement):
+        raise ScenarioValidationError([f"abatement must be finite, got {abatement}"])
     return LoadedBundle(scenario=scenario, taxes=taxes, abatement=abatement)
 
 

@@ -9,6 +9,7 @@ live in :mod:`orbituse.open_access` and above.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -153,6 +154,19 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             f"costs must have length n_sectors={scenario.n_sectors}, "
             f"got {len(scenario.costs)}"
         )
+    numbers = {
+        "prices": scenario.prices,
+        "costs": scenario.costs,
+        "collision_coeff": (scenario.collision_coeff,),
+        "debris_per_sat": (scenario.debris_per_sat,),
+        "legacy_debris": (scenario.legacy_debris,),
+        "catastrophe_threshold": (scenario.catastrophe_threshold,),
+        "catastrophe_damages": (scenario.catastrophe_damages,),
+        "abatement_cost": (scenario.abatement_cost,),
+    }
+    for name, values in numbers.items():
+        if not all(math.isfinite(x) for x in values):
+            report.append(f"{name} must be finite")
     if any(p <= 0 for p in scenario.prices):
         report.append("prices must be > 0")
     if any(m <= 0 for m in scenario.costs):
@@ -186,6 +200,7 @@ def validate_taxes(scenario: Scenario, taxes: TaxSchedule) -> list[str]:
         return report
     for i, row in enumerate(taxes.rates):
         for j, rate in enumerate(row):
+            # The chained comparison is false for NaN, so NaN is reported too.
             if not 0.0 <= rate <= 1.0:
                 report.append(f"tax rate [{i}][{j}]={rate} outside [0, 1]")
     return report

@@ -90,6 +90,24 @@ class TestCommands:
         assert payload["error"] == "ScenarioValidationError"
         assert any("costs" in v for v in payload["violations"])
 
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ("scenario.k=NaN", "collision_coeff"),
+            ("scenario.p=[1,NaN]", "prices"),
+            ("scenario.D0=Infinity", "legacy_debris"),
+            ("abatement=NaN", "abatement"),
+        ],
+    )
+    def test_non_finite_input_exits_2(self, capsys, override, field):
+        code, _, err = run_cli(
+            capsys, "solve", "--scenario", str(FIXTURE), "--set", override
+        )
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "ScenarioValidationError"
+        assert any(field in v for v in payload["violations"])
+
     def test_strict_assumption_violation_exits_4(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -154,6 +172,26 @@ class TestCommands:
         rows = json.loads(out)
         assert [row["scenario.D0"] for row in rows] == [0.0, 1.0, 2.0, 3.0, 4.0]
         assert rows[0]["qbar_responsive"] == pytest.approx(1.2, abs=1e-9)
+
+    def test_sweep_json_is_strict_with_failed_rows(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "sweep",
+            "--scenario",
+            str(FIXTURE),
+            "--sweep",
+            "scenario.D0:0:20:3",
+        )
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        rows = json.loads(out, parse_constant=reject)
+        failed = [row for row in rows if row["error"]]
+        assert failed
+        assert all(row["fleet_0"] is None for row in failed)
+        assert rows[0]["error"] == ""
 
     def test_verify_passes_on_reference_fixture(self, capsys):
         code, out, _ = run_cli(

@@ -17,7 +17,13 @@ from orbituse import (
     sensitivities,
     solve_equilibrium,
 )
-from orbituse.open_access import FINITE_DIFFERENCE, STATIC
+from orbituse.open_access import (
+    FINITE_DIFFERENCE,
+    STATIC,
+    _interaction_matrix,
+    _rank_one_inverse,
+    _system_arrays,
+)
 from orbituse.sampling import sample_scenario
 
 ZERO2 = TaxSchedule.zeros(2, 2)
@@ -56,6 +62,17 @@ class TestAssembleSystem:
         matrix = system.interaction_matrix()
         assert np.all(np.diag(matrix) == 0.0)
         assert matrix[0, 1] == matrix[0, 2] == system.slopes[0]
+
+
+class TestRankOneInverse:
+    def test_matches_dense_inverse(self, rng):
+        for _ in range(50):
+            scenario, taxes = sample_scenario(rng, with_taxes=True, require_interior=False)
+            slopes = _system_arrays(scenario, taxes, 0.0)[5]
+            dense = np.linalg.inv(np.eye(slopes.size) - _interaction_matrix(slopes))
+            np.testing.assert_allclose(
+                _rank_one_inverse(slopes), dense, rtol=0.0, atol=1e-12
+            )
 
 
 class TestSolveEquilibrium:

@@ -15,7 +15,8 @@ from orbituse import (
     solve_equilibrium,
     treaty_response,
 )
-from orbituse.oracle import iterate_open_access
+from orbituse.open_access import _interaction_matrix, _system_arrays
+from orbituse.oracle import iterate_open_access, pivot_open_access
 from orbituse.treaty import BenefitCoefficients, abatement_payoff
 
 
@@ -177,3 +178,79 @@ def test_treaty_response_bounded_and_indifferent(beta, qbar, damages, cost):
             + damages
         )
         assert abs(residual) < 1e-9
+
+
+# Near-boundary tax rates: exact 0 and 1, FD-stencil probes just outside
+# [0, 1], and rates just above 1 that turn a sector's revenue negative.
+EDGE_RATES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 1.0, -1e-6, 1.0 - 1e-6, 1.0 + 1e-6]),
+    st.floats(-1e-3, 0.0),
+    st.floats(1.0, 1.0 + 1e-3),
+)
+
+
+@st.composite
+def kernel_cases(draw):
+    n_s = draw(st.integers(1, 6))
+    n_m = n_s + draw(st.integers(0, 1))
+    unit = st.floats(0.5, 5.0)
+    # Dyadic k with D0 = 1/k makes phi = 1 - k D0 exactly zero.
+    k, legacy = draw(
+        st.one_of(
+            st.tuples(st.just(0.0), st.floats(0.0, 2.0)),
+            st.tuples(st.floats(0.0, 0.2), st.floats(0.0, 12.0)),
+            st.sampled_from([(0.125, 8.0), (0.25, 4.0), (0.5, 2.0)]),
+        )
+    )
+    scenario = Scenario(
+        n_markets=n_m,
+        n_sectors=n_s,
+        prices=tuple(draw(unit) for _ in range(n_m)),
+        costs=tuple(draw(unit) for _ in range(n_s)),
+        collision_coeff=k,
+        debris_per_sat=draw(st.floats(0.5, 1.5)),
+        legacy_debris=legacy,
+        catastrophe_threshold=2.0,
+        catastrophe_damages=1.0,
+        abatement_cost=1.0,
+    )
+    rows = []
+    for _ in range(n_s):
+        mode = draw(st.sampled_from(["free", "denied", "negative"]))
+        if mode == "denied":
+            rows.append((1.0,) * n_m)
+        elif mode == "negative":
+            rows.append((1.0 + draw(st.floats(1e-9, 1e-3)),) * n_m)
+        else:
+            rows.append(tuple(draw(EDGE_RATES) for _ in range(n_m)))
+    return scenario, TaxSchedule(tuple(rows))
+
+
+def _outcome(solver, scenario, taxes):
+    try:
+        return solver(scenario, taxes, 0.0), None
+    except OrbitUseError as error:
+        return None, type(error)
+
+
+@given(kernel_cases())
+@settings(max_examples=300, deadline=None)
+def test_closed_form_kernel_matches_dense_pivot_solve(case):
+    scenario, taxes = case
+    kernel, kernel_error = _outcome(solve_equilibrium, scenario, taxes)
+    dense, dense_error = _outcome(pivot_open_access, scenario, taxes)
+    assert kernel_error is dense_error
+    if dense is None:
+        return
+    fleets = np.array(kernel.fleets)
+    scale = max(1.0, float(np.max(np.abs(dense))))
+    assert np.max(np.abs(fleets - dense)) <= 1e-12 * scale
+    assert kernel.active == tuple(bool(f > 0.0) for f in dense)
+    # Determinant of the system the dense solve ended on: its active
+    # sectors, or every sector when phi == 0 leaves all fleets at zero.
+    phi = 1.0 - scenario.collision_coeff * scenario.legacy_debris
+    idx = np.arange(scenario.n_sectors) if phi == 0.0 else np.flatnonzero(dense > 0.0)
+    slopes = _system_arrays(scenario, taxes, 0.0)[5]
+    reduced = np.eye(idx.size) - _interaction_matrix(slopes)[np.ix_(idx, idx)]
+    assert abs(kernel.determinant - np.linalg.det(reduced)) <= 1e-12 * abs(kernel.determinant)
