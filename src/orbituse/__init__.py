@@ -12,6 +12,7 @@ from .errors import (
     OverrideError,
     PhysicallyInvalidError,
     ScenarioParseError,
+    ScenarioShapeError,
     ScenarioValidationError,
     SingularSystemError,
     SolverFailureError,
@@ -69,8 +70,6 @@ from .treaty import (
     benefit_coefficients,
     beta_sensitivity,
     coefficient_divergence,
-    nash_abatement,
-    self_enforcing_check,
     treaty_response,
     treaty_support_check,
 )

@@ -13,6 +13,16 @@ class ScenarioValidationError(OrbitUseError):
         super().__init__("; ".join(self.violations))
 
 
+class ScenarioShapeError(OrbitUseError, ValueError):
+    """Tax matrix shape does not match the scenario dimensions."""
+
+    def __init__(self, scenario, shape):
+        super().__init__(
+            f"tax matrix shape {shape} does not match scenario "
+            f"({scenario.n_sectors} sectors x {scenario.n_markets} markets)"
+        )
+
+
 class ScenarioParseError(OrbitUseError):
     """A scenario file could not be read or decoded."""
 

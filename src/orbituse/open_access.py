@@ -441,7 +441,9 @@ def required_abatement(
     candidate = solve_equilibrium(scenario, taxes, root)
     if abs(candidate.debris.stock - scenario.catastrophe_threshold) <= tolerance:
         return float(root)
-    # Piecewise-affine debris (an inactive sector re-entered): bisect.
+    # Debris is affine in abatement, so the root above is exact up to
+    # round-off; only at huge stocks can that round-off exceed the
+    # tolerance. Bisection then pins the root to the threshold directly.
     lo, hi = 0.0, root
     while solve_equilibrium(scenario, taxes, hi).debris.stock > scenario.catastrophe_threshold:
         hi *= 2.0

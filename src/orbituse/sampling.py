@@ -57,8 +57,9 @@ def sample_scenario(
 
     ``require_kessler_risk`` places the catastrophe threshold strictly
     below the zero-abatement debris stock, keeps enough debris headroom
-    for the abatement stencils used by the treaty analyses, and is meant
-    for treaty-facing batches. Strict-sign suites pass a ``collision_range``
+    for the stencil of ``verification.check_welfare_quadratic``, which
+    probes welfare up to abatement 2, and is meant for treaty-facing
+    batches. Strict-sign suites pass a ``collision_range``
     bounded away from zero, since every collision-mediated effect vanishes
     identically at k = 0.
     """
@@ -115,9 +116,10 @@ def sample_scenario(
 
         stock = equilibrium.debris.stock
         if require_kessler_risk:
-            # Threshold strictly below today's debris, with room to probe
-            # welfare at abatement levels up to 2 without the stock (and
-            # with it the survival bound) leaving the valid range.
+            # Threshold strictly below today's debris, with room for
+            # check_welfare_quadratic's stencil to probe welfare at
+            # abatement levels up to 2 without the stock (and with it the
+            # survival bound) leaving the valid range.
             if stock <= 2.2:
                 continue
             threshold = float(rng.uniform(0.35, 0.85) * stock)

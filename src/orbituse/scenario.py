@@ -15,6 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import ScenarioShapeError
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -204,16 +206,6 @@ def validate_taxes(scenario: Scenario, taxes: TaxSchedule) -> list[str]:
             if not 0.0 <= rate <= 1.0:
                 report.append(f"tax rate [{i}][{j}]={rate} outside [0, 1]")
     return report
-
-
-class ScenarioShapeError(ValueError):
-    """Tax matrix shape does not match the scenario dimensions."""
-
-    def __init__(self, scenario: Scenario, shape):
-        super().__init__(
-            f"tax matrix shape {shape} does not match scenario "
-            f"({scenario.n_sectors} sectors x {scenario.n_markets} markets)"
-        )
 
 
 def effective_prices(scenario: Scenario, taxes: TaxSchedule) -> np.ndarray:

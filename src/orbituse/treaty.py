@@ -84,36 +84,34 @@ class TreatyAnalysis:
     payoff_prefers_treaty: tuple[bool, ...]
 
 
-def _market_welfare(scenario: Scenario, taxes: TaxSchedule, abatement: float, market: int):
-    report = national_welfare(scenario, taxes, abatement)
-    return report.welfare[market]
-
-
 def _model_coefficients(
     scenario: Scenario, taxes: TaxSchedule, party: int
 ) -> BenefitCoefficients:
+    """Read the coefficients off the exact quadratic W(Q) = W(0) (phi(Q)/phi0)^2.
+
+    Fleets are ``phi(Q) g`` and survival is ``phi(Q) (1 - kd sum g)`` with
+    ``phi(Q) = phi0 + kQ``, so one solve at Q = 0 fixes the whole curve.
+    ``fit_residual`` checks it against a direct welfare solve at Q = 0.5.
+    """
     if party >= scenario.n_markets:
         return BenefitCoefficients(0.0, 0.0, MODEL_DERIVED, 0.0)
-    stencil = (0.0, 1.0, 2.0)
-    masks = []
-    values = []
-    for q in stencil:
-        equilibrium = solve_equilibrium(scenario, taxes, q)
-        masks.append(equilibrium.active)
-        kept = (1.0 - taxes.as_array[:, party]) @ equilibrium.fleet_array
-        values.append(
-            equilibrium.debris.survival * scenario.prices[party] * kept
-        )
-    if len(set(masks)) != 1:
+    base = solve_equilibrium(scenario, taxes, 0.0)
+    k = scenario.collision_coeff
+    phi0 = 1.0 - k * scenario.legacy_debris
+    if phi0 == 0.0 and any(x > 0.0 for x in base.r):
         raise ActiveSetChangeError(
-            "sector activity changed across the abatement stencil; "
-            "the welfare curve is only piecewise quadratic there"
+            "sectors pinned at zero abatement (phi0 == 0) enter once abatement "
+            "is positive; the welfare curve is only piecewise quadratic there"
         )
-    w0, w1, w2 = values
-    beta = 2.0 * w1 - w0 - w2                  # minus the curvature
-    alpha = (-3.0 * w0 + 4.0 * w1 - w2) / 2.0  # slope at zero abatement
+    kept = (1.0 - taxes.as_array[:, party]) @ base.fleet_array
+    w0 = base.debris.survival * scenario.prices[party] * kept
+    if k == 0.0 or w0 == 0.0:
+        alpha = beta = 0.0  # flat curve; also keeps -0.0 out of the reports
+    else:
+        alpha = 2.0 * k * w0 / phi0
+        beta = -2.0 * k * k * w0 / phi0**2
     predicted = w0 + alpha * 0.5 - beta * 0.125
-    residual = abs(_market_welfare(scenario, taxes, 0.5, party) - predicted)
+    residual = abs(national_welfare(scenario, taxes, 0.5).welfare[party] - predicted)
     return BenefitCoefficients(float(alpha), float(beta), MODEL_DERIVED, float(residual))
 
 
@@ -157,8 +155,8 @@ def benefit_coefficients(
 ) -> BenefitCoefficients:
     """Linear marginal-benefit coefficients for one party.
 
-    The model-derived variant fits the exact quadratic through welfare at
-    abatement levels {0, 1, 2}; the closed-form variant evaluates the
+    The model-derived variant reads the exact welfare quadratic off one
+    equilibrium at zero abatement; the closed-form variant evaluates the
     closed two-player expressions with the rest of the world aggregated.
     """
     if variant == MODEL_DERIVED:
@@ -287,11 +285,13 @@ def analyze_treaty(
         qbar = required_abatement(scenario, taxes)
     burden = qbar / parties
 
-    coefficients = tuple(
-        benefit_coefficients(scenario, taxes, p, variant) for p in range(parties)
-    )
+    if variant not in (MODEL_DERIVED, CLOSED_FORM):
+        raise ValueError(f"unknown coefficient variant {variant!r}")
     divergences = tuple(
         coefficient_divergence(scenario, taxes, p) for p in range(parties)
+    )
+    coefficients = tuple(
+        d.model if variant == MODEL_DERIVED else d.closed_form for d in divergences
     )
 
     zero_ok = all(
@@ -362,20 +362,6 @@ def analyze_treaty(
         self_enforcing=bool(all(condition27)),
         payoff_prefers_treaty=tuple(payoff_prefers),
     )
-
-
-def nash_abatement(
-    scenario: Scenario, taxes: TaxSchedule, variant: str = MODEL_DERIVED
-) -> TreatyAnalysis:
-    """Nash abatement profiles and the no-defection bound."""
-    return analyze_treaty(scenario, taxes, variant)
-
-
-def self_enforcing_check(
-    scenario: Scenario, taxes: TaxSchedule, variant: str = MODEL_DERIVED
-) -> TreatyAnalysis:
-    """Treaty responses and the per-party self-enforcement condition."""
-    return analyze_treaty(scenario, taxes, variant)
 
 
 @dataclass(frozen=True)

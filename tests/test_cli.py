@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from orbituse.cli import main
 from orbituse.reporting import dump_bundle, load_scenario
 
 FIXTURE = Path(__file__).resolve().parent.parent / "scenarios" / "sym2.json"
+SOLO_FIXTURE = FIXTURE.with_name("solo.json")
 
 
 def run_cli(capsys, *argv):
@@ -192,6 +195,47 @@ class TestCommands:
         assert failed
         assert all(row["fleet_0"] is None for row in failed)
         assert rows[0]["error"] == ""
+        # D0 = 10 puts phi = 1 - k*D0 exactly at zero: every fleet is pinned
+        # at zero abatement and re-enters once abatement is positive.
+        assert rows[1]["scenario.D0"] == 10.0
+        assert rows[1]["error"] == "ActiveSetChangeError"
+
+    def test_treaty_needs_no_debris_headroom_beyond_zero_abatement(self, capsys):
+        # Debris stock 20/27 at zero abatement: probing welfare at
+        # abatement 1 or 2 would drive it below zero.
+        code, out, err = run_cli(
+            capsys, "treaty", "--scenario", str(FIXTURE), "--set", "scenario.p=0.2,0.2"
+        )
+        assert code == 0, err
+        coefficients = json.loads(out)["variants"]["model-derived"]["coefficients"]
+        assert all(entry["fit_residual"] < 1e-10 for entry in coefficients)
+
+    def test_treaty_with_more_parties_than_markets(self, capsys):
+        code, out, err = run_cli(
+            capsys, "treaty", "--scenario", str(FIXTURE), "--set", "scenario.parties=4"
+        )
+        assert code == 0, err
+        report = json.loads(out)
+        for variant in report["variants"].values():
+            assert len(variant["coefficients"]) == 4
+            assert variant["coefficients"][3]["alpha"] == 0.0
+        assert len(report["divergence"]) == 4
+
+    def test_sweep_collision_rate_on_solo_has_no_failed_rows(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "sweep",
+            "--scenario",
+            str(SOLO_FIXTURE),
+            "--sweep",
+            "scenario.k:0:0.3:13",
+            "--format",
+            "csv",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 13
+        assert [row["error"] for row in rows] == [""] * 13
 
     def test_verify_passes_on_reference_fixture(self, capsys):
         code, out, _ = run_cli(

@@ -17,6 +17,7 @@ from orbituse import (
     sensitivities,
     solve_equilibrium,
 )
+from orbituse import open_access
 from orbituse.open_access import (
     FINITE_DIFFERENCE,
     STATIC,
@@ -252,6 +253,30 @@ class TestRequiredAbatement:
         flat = replace(SOLO, catastrophe_threshold=0.5)
         # debris(0) = 1 > 0.5 with slope exactly -1: root at the gap
         assert required_abatement(flat, ZERO1) == pytest.approx(0.5, abs=1e-12)
+
+    def test_round_off_at_huge_stock_falls_back_to_bisection(self, monkeypatch):
+        # At a stock of 1e8 the affine root misses the threshold by more
+        # than the tolerance through round-off alone, so the bisection runs;
+        # it must still land on the exact root of the affine debris law,
+        # debris(Q) = debris(0) - (1 - kd*sum(f)/phi0) Q.
+        huge = replace(SYM2, collision_coeff=1e-9, legacy_debris=1e8)
+        solves = []
+        original = open_access.solve_equilibrium
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(open_access, "solve_equilibrium", counted)
+        qbar = required_abatement(huge, ZERO2)
+        monkeypatch.undo()
+        assert len(solves) > 3  # base, probe and candidate, then bisection
+        base = solve_equilibrium(huge, ZERO2, 0.0)
+        gap = base.debris.stock - huge.catastrophe_threshold
+        kd = huge.collision_coeff * huge.debris_per_sat
+        phi0 = 1.0 - huge.collision_coeff * huge.legacy_debris
+        exact = gap / (1.0 - kd * base.total_fleet / phi0)
+        assert qbar == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_debris_slope_closed_form(self, rng):
         # Because every sector shares the abatement intercept, the slope of

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+import orbituse
 from orbituse import (
     HIDEB,
     SOLO,
     SYM2,
     AbatementProfile,
+    OrbitUseError,
     Scenario,
     TaxSchedule,
     debris_stock,
@@ -73,6 +75,16 @@ def test_effective_prices_partial_tax(zero_taxes_sym2):
 def test_effective_prices_shape_mismatch():
     with pytest.raises(ScenarioShapeError):
         effective_prices(SYM2, TaxSchedule.zeros(3, 2))
+
+
+def test_shape_error_is_in_the_package_hierarchy():
+    # Still a ValueError for callers that catch that, and one class
+    # whichever module it is imported from.
+    assert issubclass(ScenarioShapeError, OrbitUseError)
+    assert issubclass(ScenarioShapeError, ValueError)
+    assert ScenarioShapeError is orbituse.ScenarioShapeError
+    with pytest.raises(OrbitUseError):
+        effective_prices(SYM2, TaxSchedule.zeros(2, 3))
 
 
 def test_debris_stock_direct_substitution():

@@ -1,14 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 from orbituse import (
     MODEL_DERIVED,
     CLOSED_FORM,
+    HIDEB,
     SOLO,
     SYM2,
     AbatementProfile,
+    ActiveSetChangeError,
     Scenario,
     TaxSchedule,
     abatement_payoff,
@@ -49,6 +53,27 @@ class TestBenefitCoefficients:
         assert coeff.beta == pytest.approx(-2.0 / 49.0, abs=1e-12)
         assert coeff.fit_residual < 1e-10
 
+    def test_hideb_model_derived(self):
+        # phi0 = 1/2 halves the fleets and the survival, so W(0) = 25/49:
+        # alpha = 2k W(0)/phi0 = 10/49 and beta = -2k^2 W(0)/phi0^2 = -2/49.
+        coeff = benefit_coefficients(HIDEB, ZERO2, 0, MODEL_DERIVED)
+        assert coeff.alpha == pytest.approx(10.0 / 49.0, rel=0.0, abs=1e-12)
+        assert coeff.beta == pytest.approx(-2.0 / 49.0, rel=0.0, abs=1e-12)
+        assert coeff.fit_residual < 1e-10
+
+    def test_phi_zero_changes_the_active_set(self):
+        # k*D0 = 1: every fleet is pinned at zero abatement and re-enters as
+        # soon as abatement is positive, so welfare is not one quadratic.
+        edge = replace(SYM2, legacy_debris=10.0)
+        with pytest.raises(ActiveSetChangeError):
+            benefit_coefficients(edge, ZERO2, 0, MODEL_DERIVED)
+        with pytest.raises(ActiveSetChangeError):
+            analyze_treaty(edge, ZERO2, CLOSED_FORM)
+        # With every sector denied nothing re-enters: the curve is flat zero.
+        denied = TaxSchedule(((1.0, 1.0), (1.0, 1.0)))
+        flat = benefit_coefficients(edge, denied, 0, MODEL_DERIVED)
+        assert (flat.alpha, flat.beta, flat.fit_residual) == (0.0, 0.0, 0.0)
+
     def test_sym2_model_matches_fd_oracle(self):
         def welfare_at(q):
             return national_welfare(SYM2, ZERO2, float(q)).welfare[0]
@@ -88,6 +113,24 @@ class TestBenefitCoefficients:
             coeff = benefit_coefficients(scenario, taxes, party, MODEL_DERIVED)
             assert coeff.fit_residual < 1e-10
 
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_exact_quadratic_matches_three_point_fit(self, seed, with_taxes):
+        # Reference: the quadratic through welfare at abatement 0, 1 and 2.
+        # Kessler-risk draws keep the stock valid up to abatement 2.
+        rng = np.random.default_rng(seed)
+        scenario, taxes = sample_scenario(
+            rng, sector_range=(1, 6), with_taxes=with_taxes, require_kessler_risk=True
+        )
+        for party in range(scenario.treaty_parties):
+            w0, w1, w2 = (
+                national_welfare(scenario, taxes, q).welfare[party] for q in (0.0, 1.0, 2.0)
+            )
+            coeff = benefit_coefficients(scenario, taxes, party, MODEL_DERIVED)
+            tolerance = 1e-12 * max(1.0, abs(w0))
+            assert coeff.alpha == pytest.approx((-3.0 * w0 + 4.0 * w1 - w2) / 2.0, rel=0.0, abs=tolerance)
+            assert coeff.beta == pytest.approx(2.0 * w1 - w0 - w2, rel=0.0, abs=tolerance)
+
     def test_non_spacefaring_party(self):
         # Three markets, two sectors: the third market still benefits from
         # abatement (model variant), but the closed form has no own player
@@ -103,6 +146,39 @@ class TestBenefitCoefficients:
         assert closed.alpha == 0.0 and closed.beta == 0.0
         record = coefficient_divergence(wide, taxes, 2)
         assert not record.agree
+
+
+class TestPartiesBeyondSectors:
+    def test_extra_parties_get_zero_coefficients(self, rng):
+        # Parties without a market have no welfare to protect; parties
+        # without a sector have no own player in the closed form.
+        wide = Scenario(
+            3, 2, (1.0, 1.0, 1.0), (1.0, 1.0), 0.1, 1.0, 0.0, 2.0, 1.0, 1.0, treaty_parties=5
+        )
+        cases = [(wide, TaxSchedule.zeros(2, 3)), (replace(SYM2, treaty_parties=4), ZERO2)]
+        for _ in range(10):
+            scenario, taxes = sample_scenario(rng, with_taxes=True, require_kessler_risk=True)
+            extra = int(rng.integers(1, 4))
+            cases.append((replace(scenario, treaty_parties=scenario.n_markets + extra), taxes))
+        for scenario, taxes in cases:
+            parties = scenario.treaty_parties
+            assert parties > scenario.n_markets >= scenario.n_sectors
+            for variant in (MODEL_DERIVED, CLOSED_FORM):
+                analysis = analyze_treaty(scenario, taxes, variant)
+                assert len(analysis.coefficients) == parties
+                assert len(analysis.divergences) == parties
+                assert len(analysis.responses) == parties
+                for party, record in enumerate(analysis.divergences):
+                    chosen = record.model if variant == MODEL_DERIVED else record.closed_form
+                    assert analysis.coefficients[party] == chosen
+                    if party >= scenario.n_markets:
+                        assert (record.model.alpha, record.model.beta) == (0.0, 0.0)
+                    else:
+                        assert record.model.alpha > 0.0
+                    if party >= scenario.n_sectors:
+                        assert (record.closed_form.alpha, record.closed_form.beta) == (0.0, 0.0)
+                    else:
+                        assert record.closed_form.alpha > 0.0
 
 
 class TestAbatementPayoff:
