@@ -6,7 +6,6 @@ from .errors import (
     ActiveSetChangeError,
     BudgetExceededError,
     NoConvergenceError,
-    NonDecreasingDebrisError,
     NoValidEquilibriumError,
     OrbitUseError,
     OverrideError,

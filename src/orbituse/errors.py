@@ -32,7 +32,7 @@ class OverrideError(OrbitUseError):
 
 
 class SingularSystemError(OrbitUseError):
-    """The fleet interaction system is numerically singular (|det| <= 1e-12)."""
+    """The dense oracle's fleet system is numerically singular (|det| <= 1e-12)."""
 
 
 class NoValidEquilibriumError(OrbitUseError):
@@ -49,10 +49,6 @@ class PhysicallyInvalidError(OrbitUseError):
 
 class ActiveSetChangeError(OrbitUseError):
     """A sector activates or deactivates inside a derivative stencil."""
-
-
-class NonDecreasingDebrisError(OrbitUseError):
-    """Equilibrium debris does not fall with abatement; no unique root exists."""
 
 
 class SolverFailureError(OrbitUseError):

@@ -1,17 +1,24 @@
 """Global open-access equilibrium: closed-form solve, reduction, statics.
 
-Under open access each sector launches until its marginal profit is zero,
-which makes the equilibrium fleet vector the solution of a small linear
-system: ``(diag(1+s) - s 1^T) f = phi r`` with ``r_i = rev_i/(kd rev_i +
-m_i)``, ``s = -kd r`` and ``phi = 1 + k(Q - D0)``. The matrix is diagonal
-plus rank one, so Sherman-Morrison solves it exactly: with
-``v = sum s/(1+s)``, ``f = phi r/((1+s)(1-v))``. Every sector with
-``r > 0`` therefore shares the sign of ``phi``, and no active-set search
-is needed. This module solves that system, collapses any number of
-sectors to an exact two-player game, splits fleets into the
-abatement-sensitive and abatement-free factors, and differentiates
-everything with respect to taxes and abatement. The dense pivoting solve
-lives in :mod:`orbituse.oracle` as the independent reference.
+Under open access each sector launches until its marginal profit is zero.
+Write ``rho_i = rev_i/m_i`` for sector i's revenue weight over its cost,
+``phi = 1 + k(Q - D0)`` and ``kd = k d``. A sector is active iff
+``phi > 0`` and ``rho_i > 0``, and with ``share = 1 + kd sum_active rho``
+every equilibrium quantity follows from one identity:
+
+* fleets are ``f = phi rho/share`` on the active set and zero elsewhere;
+* survival is ``phi/share``;
+* debris falls in abatement with slope exactly ``-1/share``.
+
+This module evaluates that identity (``_rho_form`` and ``_share``), collapses
+any number of sectors to an exact two-player game by aggregating the rest of
+the world into one ``rho``, splits fleets into the abatement-sensitive and
+abatement-free factors, and differentiates everything with respect to taxes
+and abatement. The fleet system ``(diag(1+s) - s 1^T) f = phi r`` with
+``r_i = rev_i/(kd rev_i + m_i)`` and ``s = -kd r`` is still assembled for
+inspection; its determinant ``share/prod(1 + kd rho_i)`` is positive for
+every validated input, so it is reported but never a failure. The dense
+pivoting solve lives in :mod:`orbituse.oracle` as the independent reference.
 """
 
 from __future__ import annotations
@@ -21,13 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ActiveSetChangeError,
-    NoConvergenceError,
-    NonDecreasingDebrisError,
-    PhysicallyInvalidError,
-    SingularSystemError,
-)
+from .errors import ActiveSetChangeError, PhysicallyInvalidError
 from .oracle import pivot_open_access
 from .scenario import (
     DebrisState,
@@ -37,7 +38,6 @@ from .scenario import (
     effective_prices,
 )
 
-SINGULARITY_THRESHOLD = 1e-12
 FD_RELATIVE_STEP = 1e-6
 
 ANALYTIC = "analytic"
@@ -97,8 +97,29 @@ class SensitivityReport:
 class AssumptionFlags:
     """Structural conditions the comparative statics rely on."""
 
-    no_crowding_out: tuple[bool, ...]   # per sector: r_i < 1/(k d)
+    no_crowding_out: tuple[bool, ...]   # per sector: 1 + kd rho_i > 0, i.e. r_i < 1/(k d)
     bounded_marginal_risk: bool         # k d < 1/2
+
+
+def _rho_form(scenario: Scenario, taxes: TaxSchedule, abatement: float = 0.0):
+    """Revenue, ``rho = revenue/cost``, ``phi = 1 + k(Q - D0)`` and ``kd``."""
+    # Python floats: on vectors this short numpy's per-call overhead dominates.
+    revenue = effective_prices(scenario, taxes).tolist()
+    rho = [w / m for w, m in zip(revenue, scenario.costs)]
+    k = scenario.collision_coeff
+    phi = 1.0 + k * (abatement - scenario.legacy_debris)
+    return revenue, rho, phi, k * scenario.debris_per_sat
+
+
+def _share(rho: list[float], phi: float, kd: float) -> tuple[list[bool], float]:
+    """Active flags (``phi > 0`` and ``rho > 0``) and ``1 + kd sum_active rho``."""
+    active = [phi > 0.0 and x > 0.0 for x in rho]
+    return active, 1.0 + kd * sum(x for x, on in zip(rho, active) if on)
+
+
+def _determinant(rho: list[float], kd: float) -> float:
+    """det(diag(1+s) - s 1^T) = (1 + kd sum rho)/prod(1 + kd rho), as 1+s = 1/(1 + kd rho)."""
+    return (1.0 + kd * sum(rho)) / math.prod(1.0 + kd * x for x in rho)
 
 
 def _system_arrays(scenario: Scenario, taxes: TaxSchedule, abatement: float):
@@ -118,32 +139,60 @@ def _interaction_matrix(slopes: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _determinant(slopes: list[float]) -> float:
-    """det(diag(1+s) - s 1^T) = prod(1+s) (1 - sum s/(1+s))."""
-    return float(
-        math.prod(1.0 + s for s in slopes) * (1.0 - sum(s / (1.0 + s) for s in slopes))
-    )
-
-
-def _rank_one_inverse(slopes: np.ndarray) -> np.ndarray:
-    """Inverse of diag(1+s) - s 1^T by Sherman-Morrison.
-
-    With D = diag(1+s): D^-1 + (D^-1 s)(1^T D^-1)/(1 - 1^T D^-1 s).
-    """
-    scale = 1.0 / (1.0 + slopes)
-    weighted = scale * slopes
-    return np.diag(scale) + np.outer(weighted, scale) / (1.0 - weighted.sum())
-
-
 def assemble_system(
     scenario: Scenario, taxes: TaxSchedule, abatement: float
 ) -> LinearSystem:
     """Intercepts, slopes, and determinant of the stacked best-response system."""
     _, _, _, _, intercepts, slopes = _system_arrays(scenario, taxes, abatement)
+    _, rho, _, kd = _rho_form(scenario, taxes, abatement)
     return LinearSystem(
         intercepts=tuple(intercepts.tolist()),
         slopes=tuple(slopes.tolist()),
-        determinant=_determinant(slopes.tolist()),
+        determinant=_determinant(rho, kd),
+    )
+
+
+def _equilibrium(
+    scenario: Scenario,
+    abatement: float,
+    revenue: list[float],
+    costs,
+    rho: list[float],
+    phi: float,
+    kd: float,
+) -> OpenAccessEquilibrium:
+    """Fleets ``phi rho/share`` and survival ``phi/share`` of one rho vector."""
+    active, share = _share(rho, phi, kd)
+    fleets = [phi * x / share if on else 0.0 for x, on in zip(rho, active)]
+    stock = debris_stock(scenario, sum(fleets), abatement)
+    survival = phi / share
+    debris = DebrisState(
+        stock=stock.stock,
+        survival=survival,
+        catastrophe=stock.catastrophe,
+        physically_valid=0.0 <= survival <= 1.0,
+    )
+    if not debris.physically_valid:
+        raise PhysicallyInvalidError(
+            f"survival probability {survival:.6f} outside [0, 1] "
+            f"at debris stock {debris.stock:.6f}",
+            debris=debris,
+        )
+    residual = max(
+        (abs(survival * w * f - m * (f * f)) for w, m, f in zip(revenue, costs, fleets)),
+        default=0.0,
+    )
+    r = [w / (kd * w + m) for w, m in zip(revenue, costs)]
+    # At phi == 0 the full system solves to all-zero fleets with no pinning.
+    pivot = active if phi != 0.0 else [True] * len(rho)
+    return OpenAccessEquilibrium(
+        fleets=tuple(fleets),
+        sigma=tuple(f / x if x > 0.0 else 0.0 for f, x in zip(fleets, r)),
+        r=tuple(r),
+        debris=debris,
+        active=tuple(f > 0.0 for f in fleets),
+        determinant=_determinant([x for x, on in zip(rho, pivot) if on], kd),
+        max_profit_residual=residual,
     )
 
 
@@ -152,58 +201,16 @@ def solve_equilibrium(
 ) -> OpenAccessEquilibrium:
     """Solve the global open-access equilibrium in closed form.
 
-    Sectors with ``r <= 0`` (revenue wiped out by taxes at or above 1) are
-    pinned at zero. If ``phi > 0`` every other sector is active with
-    ``f = phi r/((1+s)(1-v))``, ``v`` summed over the active sectors;
-    otherwise every sector is pinned. The reported determinant is that of
-    the active system, ``prod(1+s)(1-v)``, or of the full system when
-    ``phi == 0`` and every fleet is zero at full rank. Raises
-    SingularSystemError when it is at most 1e-12 in magnitude and
+    Fleets are ``phi rho/share`` on the active set (``phi > 0`` and
+    ``rho > 0``) and zero elsewhere; survival is ``phi/share``, the debris
+    stock comes from :func:`debris_stock`. The reported determinant is
+    ``share/prod(1 + kd rho)`` over the active set, or over every sector
+    when ``phi == 0`` and every fleet is zero at full rank. It is positive
+    for every validated input and never raised on. Raises
     PhysicallyInvalidError when survival falls outside [0, 1].
     """
-    n = scenario.n_sectors
-    revenue, _, r, phi, _, slopes = _system_arrays(scenario, taxes, abatement)
-    # Python floats: on vectors this short numpy's per-call overhead dominates.
-    r_list, s_list = r.tolist(), slopes.tolist()
-    active = [phi > 0.0 and x > 0.0 for x in r_list]
-    # At phi == 0 the full system solves to all-zero fleets with no pinning.
-    pivot = active if phi != 0.0 else [True] * n
-    determinant = _determinant([s for s, on in zip(s_list, pivot) if on])
-    if abs(determinant) <= SINGULARITY_THRESHOLD:
-        raise SingularSystemError(
-            f"|det|={abs(determinant):.3e} at active set "
-            f"{[i for i, on in enumerate(pivot) if on]}"
-        )
-    v = sum(s / (1.0 + s) for s, on in zip(s_list, active) if on)
-    fleets = [
-        phi * x / ((1.0 + s) * (1.0 - v)) if on else 0.0
-        for x, s, on in zip(r_list, s_list, active)
-    ]
-
-    debris = debris_stock(scenario, sum(fleets), abatement)
-    if not debris.physically_valid:
-        raise PhysicallyInvalidError(
-            f"survival probability {debris.survival:.6f} outside [0, 1] "
-            f"at debris stock {debris.stock:.6f}",
-            debris=debris,
-        )
-    survival = debris.survival
-    residual = max(
-        (
-            abs(survival * w * f - m * (f * f))
-            for w, m, f in zip(revenue.tolist(), scenario.costs, fleets)
-        ),
-        default=0.0,
-    )
-    return OpenAccessEquilibrium(
-        fleets=tuple(fleets),
-        sigma=tuple(f / x if x > 0.0 else 0.0 for f, x in zip(fleets, r_list)),
-        r=tuple(r_list),
-        debris=debris,
-        active=tuple(f > 0.0 for f in fleets),
-        determinant=determinant,
-        max_profit_residual=residual,
-    )
+    revenue, rho, phi, kd = _rho_form(scenario, taxes, abatement)
+    return _equilibrium(scenario, abatement, revenue, scenario.costs, rho, phi, kd)
 
 
 def reduce_two_player(
@@ -211,67 +218,28 @@ def reduce_two_player(
 ) -> OpenAccessEquilibrium:
     """Collapse the game to two players while preserving the chosen sector.
 
-    Player one keeps sector ``sector``'s own intercept/slope. Player two is
-    the rest of the world: solving the complement subsystem with the chosen
-    sector's fleet held fixed shows the aggregate of the others responds
-    linearly, with intercept u/(1-v) and slope v/(1-v) where
-    u = sum A_j/(1+B_j) and v = sum B_j/(1+B_j) over the complement. The
-    resulting 2x2 solve reproduces the full equilibrium exactly: the chosen
-    sector's fleet and the complement's aggregate match to solver precision.
+    Player one is sector ``sector``. Player two is the rest of the world:
+    fleets and survival depend on the other sectors only through
+    ``sum rho`` over the active ones, so a single player with that ``rho``
+    (revenue ``rho_rest`` at unit cost) reproduces them. The pair is
+    solved by the same identity as the full game, so the chosen sector's
+    fleet and the complement's aggregate match it to round-off.
     """
     if scenario.n_sectors < 2:
         raise ValueError("reduction requires at least two sectors")
     if not 0 <= sector < scenario.n_sectors:
         raise IndexError(f"sector index {sector} out of range")
-    full = solve_equilibrium(scenario, taxes, abatement)
-    revenue, _, r, _, intercepts, slopes = _system_arrays(scenario, taxes, abatement)
-    kd = scenario.collision_coeff * scenario.debris_per_sat
-
-    others = [
-        j for j in range(scenario.n_sectors) if j != sector and full.active[j]
-    ]
-    u = sum(intercepts[j] / (1.0 + slopes[j]) for j in others)
-    v = sum(slopes[j] / (1.0 + slopes[j]) for j in others)
-    rest_intercept = u / (1.0 - v)
-    rest_slope = v / (1.0 - v)
-
-    a_own, b_own = intercepts[sector], slopes[sector]
-    determinant = 1.0 - b_own * rest_slope
-    if abs(determinant) <= SINGULARITY_THRESHOLD:
-        raise SingularSystemError("two-player reduction is singular")
-    own = (a_own + b_own * rest_intercept) / determinant
-    rest = rest_intercept + rest_slope * own
-    if own < 0.0:
-        own, rest = 0.0, rest_intercept
-
-    if kd > 0.0:
-        r_rest = -rest_slope / kd
-    else:
-        r_rest = sum(r[j] for j in others)
-    r_pair = np.array([r[sector], r_rest])
-    fleets = np.array([own, rest])
-    sigma = np.divide(fleets, r_pair, out=np.zeros_like(fleets), where=r_pair > 0.0)
-
-    debris = debris_stock(scenario, float(fleets.sum()), abatement)
-    survival = debris.survival
-    # Synthetic player two has a consistent (price, cost) pair up to scale;
-    # unit cost pins it and lets the zero-profit residual be checked.
-    if kd * r_rest < 1.0 and r_rest > 0.0:
-        rest_revenue = r_rest / (1.0 - kd * r_rest)
-        rest_residual = survival * rest_revenue * rest - rest**2
-    else:
-        rest_residual = 0.0
-    own_residual = (
-        survival * revenue[sector] * own - scenario.costs[sector] * own**2
-    )
-    return OpenAccessEquilibrium(
-        fleets=tuple(float(f) for f in fleets),
-        sigma=tuple(float(s) for s in sigma),
-        r=tuple(float(x) for x in r_pair),
-        debris=debris,
-        active=tuple(bool(f > 0.0) for f in fleets),
-        determinant=determinant,
-        max_profit_residual=float(max(abs(own_residual), abs(rest_residual))),
+    revenue, rho, phi, kd = _rho_form(scenario, taxes, abatement)
+    active, _ = _share(rho, phi, kd)
+    rho_rest = sum(x for j, (x, on) in enumerate(zip(rho, active)) if on and j != sector)
+    return _equilibrium(
+        scenario,
+        abatement,
+        [revenue[sector], rho_rest],
+        [scenario.costs[sector], 1.0],
+        [rho[sector], rho_rest],
+        phi,
+        kd,
     )
 
 
@@ -286,15 +254,16 @@ def decompose(equilibrium: OpenAccessEquilibrium) -> tuple[np.ndarray, np.ndarra
 
 
 def check_assumptions(scenario: Scenario, taxes: TaxSchedule) -> AssumptionFlags:
-    """Evaluate the no-crowding-out and bounded-marginal-risk conditions."""
-    _, _, r, _, _, _ = _system_arrays(scenario, taxes, 0.0)
-    kd = scenario.collision_coeff * scenario.debris_per_sat
-    if kd == 0.0:
-        per_sector = tuple(True for _ in r)
-    else:
-        per_sector = tuple(bool(ri < 1.0 / kd) for ri in r)
+    """Evaluate the no-crowding-out and bounded-marginal-risk conditions.
+
+    No crowding out, ``r_i < 1/kd``, is exactly ``1 + kd rho_i > 0`` for a
+    positive cost, which has no round-off. Validated taxes keep ``rho >= 0``,
+    so the flag is identically true for validated inputs; it is kept because
+    ``--strict`` and the reports read it.
+    """
+    _, rho, _, kd = _rho_form(scenario, taxes)
     return AssumptionFlags(
-        no_crowding_out=per_sector,
+        no_crowding_out=tuple(1.0 + kd * x > 0.0 for x in rho),
         bounded_marginal_risk=bool(kd < 0.5),
     )
 
@@ -307,29 +276,20 @@ def _analytic_sensitivities(
         raise ActiveSetChangeError(
             "analytic sensitivities need every sector interior (positive fleet)"
         )
-    _, denom, r, phi, _, slopes = _system_arrays(scenario, taxes, abatement)
-    n, n_markets = scenario.n_sectors, scenario.n_markets
-    kd = scenario.collision_coeff * scenario.debris_per_sat
-
-    inverse = _rank_one_inverse(slopes)
-
+    _, rho, phi, kd = _rho_form(scenario, taxes, abatement)
+    _, share = _share(rho, phi, kd)
     fleets = equilibrium.fleet_array
-    rest = fleets.sum() - fleets
-    # Perturbing the tax market j levies on sector i moves only row i of the
-    # system, through that sector's revenue weight.
-    row_gain = (scenario.cost_array / denom**2) * (phi - kd * rest)
-    dfleet_dtax = (
-        -inverse[:, :, None]
-        * row_gain[None, :, None]
-        * scenario.price_array[None, None, :]
+    # f = phi rho/share and d rho_i/d tau_ij = -p_j/m_i, so
+    # d f_a/d tau_ij = -(p_j/m_i)(phi delta_ai - kd f_a)/share.
+    dfleet_drho = (phi * np.eye(scenario.n_sectors) - kd * fleets[:, None]) / share
+    dfleet_dtax = -dfleet_drho[:, :, None] * (
+        scenario.price_array[None, None, :] / scenario.cost_array[None, :, None]
     )
-    dfleet_dabatement = inverse @ (scenario.collision_coeff * r)
-    ddebris = scenario.debris_per_sat * float(dfleet_dabatement.sum()) - 1.0
     drequired = scenario.debris_per_sat * dfleet_dtax.sum(axis=0)
     return SensitivityReport(
         dfleet_dtax=dfleet_dtax,
-        dfleet_dabatement=dfleet_dabatement,
-        ddebris_dabatement=ddebris,
+        dfleet_dabatement=scenario.collision_coeff * np.array(rho) / share,
+        ddebris_dabatement=-1.0 / share,
         drequired_dtax=drequired,
         method=ANALYTIC,
     )
@@ -390,8 +350,8 @@ def sensitivities(
 ) -> SensitivityReport:
     """Equilibrium responses to every tax rate and to abatement.
 
-    The analytic path differentiates the linear system in place through its
-    rank-one inverse; the finite-difference path re-solves central stencils
+    The analytic path differentiates ``f = phi rho/share`` directly; the
+    finite-difference path re-solves central stencils
     with the oracle's dense solver and exists to audit the analytic one.
     """
     if method == ANALYTIC:
@@ -406,19 +366,19 @@ STATIC = "static"
 
 
 def required_abatement(
-    scenario: Scenario,
-    taxes: TaxSchedule,
-    mode: str = RESPONSIVE,
-    tolerance: float = 1e-10,
+    scenario: Scenario, taxes: TaxSchedule, mode: str = RESPONSIVE
 ) -> float:
     """Abatement needed to hold equilibrium debris at the catastrophe threshold.
 
     Responsive mode (the default) accounts for fleets expanding as abatement
-    rises: it finds the root of debris(Q) = threshold with the equilibrium
-    re-solved at every probe, returning 0 when no abatement is needed.
-    Static mode evaluates the bookkeeping formula debris(0) - threshold with
-    fleets frozen at their zero-abatement level; it is returned unclamped so
-    its derivatives stay meaningful below the threshold.
+    rises. Wherever ``phi > 0`` every sector with ``rho > 0`` is active and
+    debris falls by exactly ``1/share`` per unit of abatement, with
+    ``share = 1 + kd sum_{rho > 0} rho``; so the root is
+    ``max(gap, 0) share`` with ``gap = debris(0) - threshold``. That also
+    holds at ``phi0 = 0``, where every sector enters as soon as abatement
+    is positive. Static mode returns the bookkeeping formula
+    ``debris(0) - threshold`` with fleets frozen at their zero-abatement
+    level, unclamped so its derivatives stay meaningful below the threshold.
     """
     base = solve_equilibrium(scenario, taxes, 0.0)
     gap = base.debris.stock - scenario.catastrophe_threshold
@@ -428,33 +388,6 @@ def required_abatement(
         raise ValueError(f"unknown required-abatement mode {mode!r}")
     if gap <= 0.0:
         return 0.0
-    # Debris falls at most one-for-one with abatement, so probing at
-    # min(1, gap) keeps the stock above the (positive) threshold.
-    probe = min(1.0, gap)
-    probed = solve_equilibrium(scenario, taxes, probe)
-    slope = (probed.debris.stock - base.debris.stock) / probe
-    if slope >= 0.0:
-        raise NonDecreasingDebrisError(
-            f"debris slope {slope:.3e} >= 0; catastrophe-averting root not unique"
-        )
-    root = gap / (-slope)
-    candidate = solve_equilibrium(scenario, taxes, root)
-    if abs(candidate.debris.stock - scenario.catastrophe_threshold) <= tolerance:
-        return float(root)
-    # Debris is affine in abatement, so the root above is exact up to
-    # round-off; only at huge stocks can that round-off exceed the
-    # tolerance. Bisection then pins the root to the threshold directly.
-    lo, hi = 0.0, root
-    while solve_equilibrium(scenario, taxes, hi).debris.stock > scenario.catastrophe_threshold:
-        hi *= 2.0
-        if hi > 1e12:
-            raise NoConvergenceError("bisection bracket for required abatement blew up")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if solve_equilibrium(scenario, taxes, mid).debris.stock > scenario.catastrophe_threshold:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14 * max(1.0, hi):
-            break
-    return float(0.5 * (lo + hi))
+    _, rho, _, kd = _rho_form(scenario, taxes)
+    _, share = _share(rho, 1.0, kd)  # the share once abatement makes phi positive
+    return float(gap * share)

@@ -18,8 +18,8 @@ import numpy as np
 from .errors import PhysicallyInvalidError, SolverFailureError
 from .open_access import (
     OpenAccessEquilibrium,
-    _rank_one_inverse,
-    _system_arrays,
+    _rho_form,
+    _share,
     sensitivities,
     solve_equilibrium,
 )
@@ -120,27 +120,18 @@ def _column_value_and_gradient(
     equilibrium = solve_equilibrium(scenario, taxes, abatement)
     welfare, gross, survival = _welfare_arrays(scenario, taxes, equilibrium)
     fleets = equilibrium.fleet_array
-    rates = taxes.as_array
-    n = scenario.n_sectors
-    k = scenario.collision_coeff
-    kd = k * scenario.debris_per_sat
+    _, rho, phi, kd = _rho_form(scenario, taxes, abatement)
+    active, share = _share(rho, phi, kd)
+    keep = 1.0 - taxes.as_array[:, market]
     p_j = scenario.prices[market]
-
-    active = np.array(equilibrium.active)
-    gradient = np.zeros(n)
-    idx = np.flatnonzero(active)
-    if idx.size:
-        _, denom, _, phi, _, slopes = _system_arrays(scenario, taxes, abatement)
-        inverse = _rank_one_inverse(slopes[idx])
-        rest = fleets.sum() - fleets
-        row_gain = (scenario.cost_array / denom**2) * (phi - kd * rest)
-        keep = 1.0 - rates[:, market]
-        for pos, i in enumerate(idx):
-            dfleet = np.zeros(n)
-            dfleet[idx] = -p_j * row_gain[i] * inverse[:, pos]
-            ddebris = scenario.debris_per_sat * dfleet.sum()
-            dgross = p_j * (keep @ dfleet - fleets[i])
-            gradient[i] = -k * ddebris * gross[market] + survival * dgross
+    # Taxing active sector i moves fleet a by -(p_j/m_i)(phi delta_ai - kd f_a)/share.
+    scale = p_j / (scenario.cost_array * share)
+    ddebris = -scenario.debris_per_sat * scale * (phi - kd * fleets.sum())
+    dkept = -scale * (phi * keep - kd * (keep @ fleets))
+    gradient = -scenario.collision_coeff * ddebris * gross[market] + survival * p_j * (
+        dkept - fleets
+    )
+    gradient[~np.array(active)] = 0.0
     return float(welfare[market]), gradient, equilibrium
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ActiveSetChangeError
-from .open_access import _system_arrays, required_abatement, solve_equilibrium
+from .open_access import _rho_form, _share, required_abatement, solve_equilibrium
 from .regulation import national_welfare
 from .scenario import AbatementProfile, Scenario, TaxSchedule
 
@@ -89,9 +89,11 @@ def _model_coefficients(
 ) -> BenefitCoefficients:
     """Read the coefficients off the exact quadratic W(Q) = W(0) (phi(Q)/phi0)^2.
 
-    Fleets are ``phi(Q) g`` and survival is ``phi(Q) (1 - kd sum g)`` with
+    Fleets are ``phi(Q) rho/share`` and survival is ``phi(Q)/share`` with
     ``phi(Q) = phi0 + kQ``, so one solve at Q = 0 fixes the whole curve.
-    ``fit_residual`` checks it against a direct welfare solve at Q = 0.5.
+    ``fit_residual`` checks it against a direct welfare solve at
+    ``q = 0.5 min(1, stock0 share)``: debris falls by ``1/share`` per unit
+    of abatement, so the stock stays at least half its zero-abatement level.
     """
     if party >= scenario.n_markets:
         return BenefitCoefficients(0.0, 0.0, MODEL_DERIVED, 0.0)
@@ -110,40 +112,37 @@ def _model_coefficients(
     else:
         alpha = 2.0 * k * w0 / phi0
         beta = -2.0 * k * k * w0 / phi0**2
-    predicted = w0 + alpha * 0.5 - beta * 0.125
-    residual = abs(national_welfare(scenario, taxes, 0.5).welfare[party] - predicted)
+    _, rho, _, kd = _rho_form(scenario, taxes)
+    _, share = _share(rho, 1.0, kd)  # the share once abatement makes phi positive
+    q = 0.5 * min(1.0, base.debris.stock * share)
+    predicted = w0 + alpha * q - 0.5 * beta * q * q
+    residual = abs(national_welfare(scenario, taxes, q).welfare[party] - predicted)
     return BenefitCoefficients(float(alpha), float(beta), MODEL_DERIVED, float(residual))
-
-
-def _complement_r(scenario: Scenario, taxes: TaxSchedule, sector: int | None) -> float:
-    """Sustainable-size factor of the aggregated rest-of-world player."""
-    _, _, r, _, _, slopes = _system_arrays(scenario, taxes, 0.0)
-    kd = scenario.collision_coeff * scenario.debris_per_sat
-    others = [j for j in range(scenario.n_sectors) if j != sector]
-    if not others:
-        return 0.0
-    v = sum(slopes[j] / (1.0 + slopes[j]) for j in others)
-    if kd > 0.0:
-        return float(-(v / (1.0 - v)) / kd)
-    return float(sum(r[j] for j in others))
 
 
 def _closed_form_coefficients(
     scenario: Scenario, taxes: TaxSchedule, party: int
 ) -> BenefitCoefficients:
-    sector = party if party < scenario.n_sectors else None
-    kd = scenario.collision_coeff * scenario.debris_per_sat
-    k = scenario.collision_coeff
-    if sector is None:
+    """The two-player closed form with the rest of the world aggregated.
+
+    Its pair is ``(rho_own, rho_rest)`` with ``rho_rest`` summed over the
+    other sectors with ``rho > 0``. In ``r = rho/(1 + kd rho)`` the closed
+    form reads ``alpha = k r_own^2 (1 - kd r_rest)^2/(1 - kd^2 r_own r_rest)``
+    and ``beta = 2k alpha kd r_own``; since ``1 - kd r_rest = 1/(1 + kd rho_rest)``
+    and ``1 - kd^2 r_own r_rest = share/((1 + kd rho_own)(1 + kd rho_rest))``,
+    alpha is ``k rho_own^2/((1 + kd rho_own)(1 + kd rho_rest) share)``.
+    """
+    if party >= scenario.n_sectors:
         # A party without a sector enters the two-group form with a null
         # own player: both coefficients collapse to zero.
         return BenefitCoefficients(0.0, 0.0, CLOSED_FORM)
-    _, _, r, _, _, _ = _system_arrays(scenario, taxes, 0.0)
-    r_own = float(r[sector])
-    r_rest = _complement_r(scenario, taxes, sector)
-    denominator = 1.0 - (kd**2) * r_own * r_rest
-    alpha = r_own**2 * k * (1.0 - kd * r_rest) ** 2 / denominator
-    beta = 2.0 * k * alpha * kd * r_own
+    _, rho, _, kd = _rho_form(scenario, taxes)
+    k = scenario.collision_coeff
+    rho_own = rho[party]
+    rho_rest = sum(x for j, x in enumerate(rho) if j != party and x > 0.0)
+    own, rest = 1.0 + kd * rho_own, 1.0 + kd * rho_rest
+    alpha = k * rho_own**2 / (own * rest * (own + kd * rho_rest))
+    beta = 2.0 * k * alpha * kd * rho_own / own
     return BenefitCoefficients(float(alpha), float(beta), CLOSED_FORM)
 
 

@@ -1,18 +1,25 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from orbituse import HIDEB, OverrideError, ScenarioValidationError
+from orbituse import HIDEB, OverrideError, ScenarioValidationError, national_welfare
 from orbituse.cli import main
 from orbituse.reporting import dump_bundle, load_scenario
 
+from conftest import assert_exact, exact_rho_form
+
 FIXTURE = Path(__file__).resolve().parent.parent / "scenarios" / "sym2.json"
 SOLO_FIXTURE = FIXTURE.with_name("solo.json")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
 
 
 def run_cli(capsys, *argv):
@@ -221,6 +228,67 @@ class TestCommands:
             assert variant["coefficients"][3]["alpha"] == 0.0
         assert len(report["divergence"]) == 4
 
+    def test_treaty_fit_residual_probe_keeps_the_stock_valid(self, capsys):
+        # Debris stock 0.196 at zero abatement falls by 1/1.02 per unit of
+        # abatement: a probe at abatement 0.5 would drive it below zero.
+        overrides = ["scenario.p=0.05,0.05"]
+        code, out, err = run_cli(
+            capsys, "treaty", "--scenario", str(FIXTURE), "--set", overrides[0]
+        )
+        assert code == 0, err
+        bundle = load_scenario(FIXTURE, overrides)
+        w0 = national_welfare(bundle.scenario, bundle.taxes).welfare
+        coefficients = json.loads(out)["variants"]["model-derived"]["coefficients"]
+        for party, entry in enumerate(coefficients):
+            assert entry["fit_residual"] <= 1e-12 * max(1.0, abs(w0[party]))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve"], ["solve", "--strict"], ["treaty"], ["regulate"]],
+        ids=["solve", "solve-strict", "treaty", "regulate"],
+    )
+    def test_huge_revenue_per_cost_runs_every_command(self, capsys, argv):
+        # kd*r rounds to exactly 1 here, so any form dividing by 1 - kd*r
+        # fails; share = 1 + 0.4*4e17 and each fleet is 2e17/share = 1.25.
+        code, out, err = run_cli(
+            capsys,
+            *argv,
+            "--scenario",
+            str(FIXTURE),
+            "--set",
+            "scenario.k=0.4",
+            "--set",
+            "scenario.p=1e10,1e10",
+            "--set",
+            "scenario.m=1e-7,1e-7",
+        )
+        assert code == 0, err
+        assert err == ""
+        report = json.loads(out, parse_constant=_reject_constant)
+        if argv[0] == "solve":
+            assert report["fleets"] == pytest.approx([1.25, 1.25], rel=1e-12)
+            assert report["assumptions"]["no_crowding_out"] == [True, True]
+        if argv[0] == "regulate":
+            assert report["equilibrium"]["fleets"] == pytest.approx([1.25, 1.25], rel=1e-12)
+
+    def test_tiny_determinant_solves_exactly(self, capsys):
+        overrides = ["scenario.d=1e7", "scenario.m=[1e-6,1e-6]", "scenario.p=[10,10]"]
+        code, out, err = run_cli(
+            capsys,
+            "solve",
+            "--scenario",
+            str(FIXTURE),
+            *(arg for override in overrides for arg in ("--set", override)),
+        )
+        assert code == 0, err
+        report = json.loads(out, parse_constant=_reject_constant)
+        bundle = load_scenario(FIXTURE, overrides)
+        exact = exact_rho_form(bundle.scenario, bundle.taxes)
+        for fleet, expected in zip(report["fleets"], exact["fleets"]):
+            assert_exact(fleet, expected, floor=0)
+        assert_exact(report["debris"]["survival"], exact["survival"], floor=0)
+        assert_exact(report["determinant"], exact["determinant"], floor=0)
+
     def test_sweep_collision_rate_on_solo_has_no_failed_rows(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -254,10 +322,15 @@ class TestCommands:
         assert all(line.startswith("PASS") for line in digest_lines)
 
     def test_module_entry_point(self):
+        # The child process imports the package from this source tree, as
+        # the test process does.
+        source = str(FIXTURE.parent.parent / "src")
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "orbituse", "solve", "--scenario", str(FIXTURE)],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["fleets"]

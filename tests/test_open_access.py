@@ -3,11 +3,13 @@ import pytest
 from dataclasses import replace
 
 from orbituse import (
+    HIDEB,
     SOLO,
     SYM2,
     ActiveSetChangeError,
     PhysicallyInvalidError,
     Scenario,
+    SingularSystemError,
     TaxSchedule,
     assemble_system,
     check_assumptions,
@@ -18,20 +20,18 @@ from orbituse import (
     solve_equilibrium,
 )
 from orbituse import open_access
-from orbituse.open_access import (
-    FINITE_DIFFERENCE,
-    STATIC,
-    _interaction_matrix,
-    _rank_one_inverse,
-    _system_arrays,
-)
+from orbituse.open_access import FINITE_DIFFERENCE, STATIC
+from orbituse.oracle import pivot_open_access
 from orbituse.sampling import sample_scenario
+
+from conftest import assert_exact, exact_rho_form
 
 ZERO2 = TaxSchedule.zeros(2, 2)
 ZERO1 = TaxSchedule.zeros(1, 1)
 
 SYM3 = Scenario(3, 3, (1.0, 1.0, 1.0), (1.0, 1.0, 1.0), 0.1, 1.0, 0.0, 2.0, 1.0, 1.0)
 ZERO3 = TaxSchedule.zeros(3, 3)
+SIX = Scenario(6, 6, (10.0,) * 6, (0.1,) * 6, 0.05, 20.0, 0.0, 2.0, 1.0, 1.0)
 
 
 def deny_sector(taxes, sector, n_markets):
@@ -63,17 +63,6 @@ class TestAssembleSystem:
         matrix = system.interaction_matrix()
         assert np.all(np.diag(matrix) == 0.0)
         assert matrix[0, 1] == matrix[0, 2] == system.slopes[0]
-
-
-class TestRankOneInverse:
-    def test_matches_dense_inverse(self, rng):
-        for _ in range(50):
-            scenario, taxes = sample_scenario(rng, with_taxes=True, require_interior=False)
-            slopes = _system_arrays(scenario, taxes, 0.0)[5]
-            dense = np.linalg.inv(np.eye(slopes.size) - _interaction_matrix(slopes))
-            np.testing.assert_allclose(
-                _rank_one_inverse(slopes), dense, rtol=0.0, atol=1e-12
-            )
 
 
 class TestSolveEquilibrium:
@@ -119,6 +108,21 @@ class TestSolveEquilibrium:
         hot = replace(SYM2, legacy_debris=8.0, collision_coeff=0.3)
         with pytest.raises(PhysicallyInvalidError):
             solve_equilibrium(hot, ZERO2, 0.0)
+
+    def test_tiny_determinant_is_reported_not_raised(self):
+        # Six sectors with kd*rho = 600 each: det = 3601/601^6 = 7.7e-14.
+        taxes = TaxSchedule.zeros(6, 6)
+        eq = solve_equilibrium(SIX, taxes, 0.0)
+        exact = exact_rho_form(SIX, taxes)
+        for fleet, expected in zip(eq.fleets, exact["fleets"]):
+            assert_exact(fleet, expected, floor=0)
+        assert_exact(eq.debris.survival, exact["survival"], floor=0)
+        assert_exact(eq.determinant, exact["determinant"], floor=0)
+        assert 0.0 < eq.determinant < 1e-12
+
+    def test_dense_oracle_still_refuses_the_near_singular_system(self):
+        with pytest.raises(SingularSystemError):
+            pivot_open_access(SIX, TaxSchedule.zeros(6, 6), 0.0)
 
 
 class TestReduction:
@@ -227,6 +231,11 @@ class TestSensitivities:
 class TestRequiredAbatement:
     def test_sym2_responsive_root(self):
         assert required_abatement(SYM2, ZERO2) == pytest.approx(1.2, abs=1e-9)
+        assert required_abatement(HIDEB, ZERO2) == pytest.approx(6.2, abs=1e-9)
+        # phi0 = 1 - k*D0 = 0 pins every fleet at zero abatement; they all
+        # enter once abatement is positive, and debris then falls by 1/1.4.
+        edge = replace(SYM2, legacy_debris=10.0)
+        assert required_abatement(edge, ZERO2) == pytest.approx(11.2, abs=1e-9)
 
     def test_sym2_responsive_matches_bisection_oracle(self):
         lo, hi = 0.0, 4.0
@@ -254,10 +263,10 @@ class TestRequiredAbatement:
         # debris(0) = 1 > 0.5 with slope exactly -1: root at the gap
         assert required_abatement(flat, ZERO1) == pytest.approx(0.5, abs=1e-12)
 
-    def test_round_off_at_huge_stock_falls_back_to_bisection(self, monkeypatch):
-        # At a stock of 1e8 the affine root misses the threshold by more
-        # than the tolerance through round-off alone, so the bisection runs;
-        # it must still land on the exact root of the affine debris law,
+    def test_huge_stock_root_is_exact_in_one_solve(self, monkeypatch):
+        # At a stock of 1e8 a probed root would miss the threshold through
+        # round-off alone. The closed form needs only the zero-abatement
+        # solve and lands on the exact root of the affine debris law,
         # debris(Q) = debris(0) - (1 - kd*sum(f)/phi0) Q.
         huge = replace(SYM2, collision_coeff=1e-9, legacy_debris=1e8)
         solves = []
@@ -270,7 +279,7 @@ class TestRequiredAbatement:
         monkeypatch.setattr(open_access, "solve_equilibrium", counted)
         qbar = required_abatement(huge, ZERO2)
         monkeypatch.undo()
-        assert len(solves) > 3  # base, probe and candidate, then bisection
+        assert len(solves) == 1
         base = solve_equilibrium(huge, ZERO2, 0.0)
         gap = base.debris.stock - huge.catastrophe_threshold
         kd = huge.collision_coeff * huge.debris_per_sat
@@ -281,8 +290,8 @@ class TestRequiredAbatement:
     def test_debris_slope_closed_form(self, rng):
         # Because every sector shares the abatement intercept, the slope of
         # equilibrium debris in abatement collapses to -1/(1+w) with
-        # w = sum |B_i|/(1-|B_i|); it is strictly negative for any valid
-        # scenario, so the non-decreasing-debris guard is purely defensive.
+        # w = sum |B_i|/(1-|B_i|) = kd*sum(rho); it is strictly negative for
+        # any valid scenario, which is why required_abatement needs no probe.
         for _ in range(15):
             scenario, taxes = sample_scenario(rng, with_taxes=True)
             system = assemble_system(scenario, taxes, 0.0)

@@ -1,5 +1,7 @@
 """Property-based invariants over randomly generated scenarios."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from orbituse import (
     decompose,
     effective_prices,
     reduce_two_player,
+    required_abatement,
     sector_profit,
     solve_equilibrium,
     treaty_response,
@@ -18,6 +21,8 @@ from orbituse import (
 from orbituse.open_access import _interaction_matrix, _system_arrays
 from orbituse.oracle import iterate_open_access, pivot_open_access
 from orbituse.treaty import BenefitCoefficients, abatement_payoff
+
+from conftest import assert_exact, exact_rho_form
 
 
 @st.composite
@@ -112,13 +117,18 @@ def test_decomposition_structure(pair, abatement):
 @given(scenario_tax_pairs(min_sectors=2, max_sectors=4))
 @settings(max_examples=40, deadline=None)
 def test_reduction_preserves_fleets(pair):
+    # The reduction shares its rho-form core with the kernel, so the
+    # reference is the oracle's dense pivot solve.
     scenario, taxes = pair
-    full = try_solve(scenario, taxes)
-    assume(full is not None and all(full.active))
+    try:
+        full = pivot_open_access(scenario, taxes, 0.0)
+    except OrbitUseError:
+        full = None
+    assume(full is not None and np.all(full > 0.0))
     for sector in range(scenario.n_sectors):
         pair_eq = reduce_two_player(scenario, taxes, 0.0, sector)
-        assert abs(pair_eq.fleets[0] - full.fleets[sector]) < 1e-9
-        assert abs(pair_eq.fleets[1] - (full.total_fleet - full.fleets[sector])) < 1e-9
+        assert abs(pair_eq.fleets[0] - full[sector]) < 1e-9
+        assert abs(pair_eq.fleets[1] - (full.sum() - full[sector])) < 1e-9
 
 
 @given(scenario_tax_pairs(), st.integers(0, 10), st.integers(0, 10))
@@ -254,3 +264,50 @@ def test_closed_form_kernel_matches_dense_pivot_solve(case):
     slopes = _system_arrays(scenario, taxes, 0.0)[5]
     reduced = np.eye(idx.size) - _interaction_matrix(slopes)[np.ix_(idx, idx)]
     assert abs(kernel.determinant - np.linalg.det(reduced)) <= 1e-12 * abs(kernel.determinant)
+
+
+def _log_uniform(low, high):
+    return st.floats(low, high).map(lambda exponent: 10.0**exponent)
+
+
+@st.composite
+def wide_cases(draw):
+    n_s = draw(st.integers(1, 6))
+    n_m = n_s + draw(st.integers(0, 1))
+    k = draw(st.one_of(st.just(0.0), _log_uniform(-9, 0)))
+    ceiling = 0.99 / k if k > 0.0 else 100.0
+    rate = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    scenario = Scenario(
+        n_markets=n_m,
+        n_sectors=n_s,
+        prices=tuple(draw(_log_uniform(-8, 10)) for _ in range(n_m)),
+        costs=tuple(draw(_log_uniform(-8, 10)) for _ in range(n_s)),
+        collision_coeff=k,
+        debris_per_sat=draw(_log_uniform(-8, 8)),
+        legacy_debris=draw(st.floats(0.0, 1.0, exclude_max=True)) * ceiling,
+        catastrophe_threshold=1.0,
+        catastrophe_damages=1.0,
+        abatement_cost=1.0,
+    )
+    taxes = TaxSchedule(tuple(tuple(draw(rate) for _ in range(n_m)) for _ in range(n_s)))
+    # The threshold is a fixed fraction of the exact zero-abatement stock
+    # (or above it): a threshold within round-off of the stock would make
+    # the root ill-conditioned in any floating-point evaluation.
+    stock = float(exact_rho_form(scenario, taxes)["stock"])
+    fraction = draw(st.one_of(st.floats(0.01, 0.5), st.floats(1.5, 3.0)))
+    threshold = fraction * stock if stock > 0.0 else fraction
+    return replace(scenario, catastrophe_threshold=threshold), taxes
+
+
+@given(wide_cases())
+@settings(max_examples=200, deadline=None)
+def test_wide_magnitudes_solve_exactly(case):
+    scenario, taxes = case
+    eq = solve_equilibrium(scenario, taxes, 0.0)
+    exact = exact_rho_form(scenario, taxes)
+    for fleet, expected in zip(eq.fleets, exact["fleets"]):
+        assert_exact(fleet, expected)
+    assert_exact(eq.debris.survival, exact["survival"])
+    assert_exact(eq.debris.stock, exact["stock"])
+    assert_exact(eq.determinant, exact["determinant"])
+    assert_exact(required_abatement(scenario, taxes), exact["required_abatement"])
