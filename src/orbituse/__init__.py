@@ -14,7 +14,6 @@ from .errors import (
     ScenarioShapeError,
     ScenarioValidationError,
     SingularSystemError,
-    SolverFailureError,
 )
 from .scenario import (
     HIDEB,

@@ -51,10 +51,6 @@ class ActiveSetChangeError(OrbitUseError):
     """A sector activates or deactivates inside a derivative stencil."""
 
 
-class SolverFailureError(OrbitUseError):
-    """Local tax optimization failed to match its own coarse-grid probes."""
-
-
 class NoConvergenceError(OrbitUseError):
     """Fixed-point iteration hit its iteration cap; carries the last iterate."""
 

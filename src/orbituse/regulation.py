@@ -11,21 +11,23 @@ damped simultaneous best responses.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PhysicallyInvalidError, SolverFailureError
 from .open_access import (
     OpenAccessEquilibrium,
     _rho_form,
-    _share,
     sensitivities,
     solve_equilibrium,
 )
 from .scenario import Scenario, TaxSchedule
 
 BEST_RESPONSE_VALUE_TIE = 1e-10
+# The stock = 0 crossing is taken where share = phi (1 + CROSSING_MARGIN).
+CROSSING_MARGIN = 64.0 * np.finfo(float).eps
 CONVERGENCE_TOLERANCE = 1e-8
 MAX_ITERATIONS = 10_000
 DAMPING = 0.5
@@ -108,33 +110,6 @@ def national_welfare(
     )
 
 
-def _column_value_and_gradient(
-    scenario: Scenario, taxes: TaxSchedule, abatement: float, market: int
-) -> tuple[float, np.ndarray, OpenAccessEquilibrium]:
-    """Welfare of one market and its gradient in that market's tax column.
-
-    Works on the current active set: pinned sectors contribute flat (zero)
-    directions, which is the correct one-sided derivative away from the
-    re-entry boundary.
-    """
-    equilibrium = solve_equilibrium(scenario, taxes, abatement)
-    welfare, gross, survival = _welfare_arrays(scenario, taxes, equilibrium)
-    fleets = equilibrium.fleet_array
-    _, rho, phi, kd = _rho_form(scenario, taxes, abatement)
-    active, share = _share(rho, phi, kd)
-    keep = 1.0 - taxes.as_array[:, market]
-    p_j = scenario.prices[market]
-    # Taxing active sector i moves fleet a by -(p_j/m_i)(phi delta_ai - kd f_a)/share.
-    scale = p_j / (scenario.cost_array * share)
-    ddebris = -scenario.debris_per_sat * scale * (phi - kd * fleets.sum())
-    dkept = -scale * (phi * keep - kd * (keep @ fleets))
-    gradient = -scenario.collision_coeff * ddebris * gross[market] + survival * p_j * (
-        dkept - fleets
-    )
-    gradient[~np.array(active)] = 0.0
-    return float(welfare[market]), gradient, equilibrium
-
-
 def welfare_channels(
     scenario: Scenario,
     taxes: TaxSchedule,
@@ -172,18 +147,19 @@ def welfare_channels(
     )
 
 
-def _coarse_probes(n: int) -> list[np.ndarray]:
-    """Deterministic probe set: lattice when cheap, axis sweeps otherwise."""
-    if 3**n <= 729:
-        grids = np.meshgrid(*([np.array([0.0, 0.5, 1.0])] * n), indexing="ij")
-        return [np.array(point) for point in zip(*(g.ravel() for g in grids))]
-    probes = [np.zeros(n), np.full(n, 0.5), np.ones(n)]
-    for i in range(n):
-        for level in (0.25, 0.5, 0.75, 1.0):
-            point = np.zeros(n)
-            point[i] = level
-            probes.append(point)
-    return probes
+@functools.lru_cache(maxsize=None)
+def _box_edges(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 2^n vertices of [0, 1]^n and its n 2^(n-1) edges.
+
+    Edge e runs from vertex ``starts[e]`` (whose coordinate ``free[e]`` is
+    0) along that coordinate to 1.
+    """
+    vertices = np.array(list(itertools.product((0.0, 1.0), repeat=n)))
+    rows, free = np.nonzero(vertices == 0.0)
+    arrays = vertices, vertices[rows], free
+    for array in arrays:
+        array.setflags(write=False)     # shared by every call through the cache
+    return arrays
 
 
 def best_response_taxes(
@@ -194,62 +170,76 @@ def best_response_taxes(
 ) -> np.ndarray:
     """Tax column maximizing one market's welfare, others held fixed.
 
-    Multi-start L-BFGS-B with the analytic welfare gradient, seeded at the
-    box corners, the center, the incoming column, and the best coarse-grid
-    probe. Ties within 1e-10 of the best value break toward the
-    lexicographically smallest column.
+    Write ``x = 1 - tau`` for market j's kept shares, ``a_i`` for sector i's
+    revenue from the other markets and ``phi = 1 + k(Q - D0)``. With
+    ``rho = (a + p_j x)/m``, market j's welfare is
+    ``p_j phi^2 sum x rho/(1 + kd sum rho)^2``. On a slice
+    ``sum x_i/m_i = L`` the denominator is fixed and the numerator convex,
+    so the slice's maximum is one of its vertices, each of which lies on an
+    edge of the box; the stock >= 0 bound (survival <= 1, i.e.
+    ``share >= phi``) depends on L alone. So the best response is the best
+    point on the box's edges. On the edge ``x_i = t`` welfare is
+    ``(c0 + c1 t + c2 t^2)/(e0 + e1 t)^2`` with ``c1 = a_i/m_i``,
+    ``c2 = p_j/m_i``, ``e1 = kd c2`` and ``e0 >= 1 + kd c1``. The numerator
+    of its derivative, ``c1 e0 - 2 c0 e1 + c2 (2 e0 - kd c1) t``, rises in
+    t (``2 e0 - kd c1 >= 2 + kd c1``), so the edge's one stationary point
+    is a minimum and its best point is an end of its feasible part. The
+    candidates are therefore:
+
+    * the 2^n box vertices;
+    * on each of the n 2^(n-1) edges, the stock = 0 crossing
+      ``t = (phi - e0)/e1`` when it lies in (0, 1), taken 64 ulps inside
+      the bound, at ``share = phi (1 + 64 eps)``: rounding at the exact
+      crossing can land past the bound and drop the best column where the
+      bound binds.
+
+    Every candidate is evaluated at once with the kernel's own arithmetic
+    (fleets ``phi rho/share``, survival ``phi/share``), so a column judged
+    feasible here is feasible for :func:`solve_equilibrium`. Ties within
+    1e-10 of the best value break toward the lexicographically smallest
+    column. If no column is feasible, the PhysicallyInvalidError that
+    :func:`solve_equilibrium` raises at the incoming schedule is raised.
+    There are at most (n + 2) 2^(n-1) candidates for n sectors, so the cost
+    grows exponentially: about 0.1 ms per call up to six sectors and 2 ms
+    at ten on one core of a 2-vCPU x86-64 host.
     """
-    # Imported here: scipy.optimize costs more to import than the rest of
-    # the package, and only this function needs it.
-    from scipy.optimize import minimize
+    _, _, phi, kd = _rho_form(scenario, taxes, abatement)
+    p_j = scenario.prices[market]
+    costs = scenario.cost_array
+    other = 1.0 - taxes.as_array
+    other[:, market] = 0.0
+    a = other @ scenario.price_array
 
-    n = scenario.n_sectors
-    incoming = taxes.as_array[:, market].copy()
+    vertices, starts, free = _box_edges(scenario.n_sectors)
+    # Sums run over every sector. When phi > 0 the inactive ones have
+    # rho = 0 and add nothing; when phi <= 0 survival phi/share is 0 or
+    # negative whatever the share, and no crossing lies in (0, 1).
+    e0 = 1.0 + kd * ((a + p_j * starts) / costs).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (phi * (1.0 + CROSSING_MARGIN) - e0) / (kd * p_j / costs[free])
+    inside = (t > 0.0) & (t < 1.0)
+    points = starts[inside]
+    points[np.arange(points.shape[0]), free[inside]] = t[inside]
+    columns = 1.0 - np.vstack([vertices, points])
 
-    def value(column: np.ndarray) -> float:
-        try:
-            w, _, _ = _column_value_and_gradient(
-                scenario, taxes.with_column(market, column), abatement, market
-            )
-        except PhysicallyInvalidError:
-            return -np.inf
-        return w
+    rates = np.repeat(taxes.as_array[None], columns.shape[0], axis=0)
+    rates[:, :, market] = columns
+    rho = ((1.0 - rates) @ scenario.price_array) / costs
+    # cumsum adds left to right, as the kernel's Python sum does.
+    share = 1.0 + kd * rho.cumsum(axis=1)[:, -1]
+    survival = phi / share
+    fleets = phi * rho / share[:, None]
+    value = survival * (p_j * ((1.0 - columns) * fleets).sum(axis=1))
+    value = np.where((0.0 <= survival) & (survival <= 1.0), value, -np.inf)
 
-    def negative(column: np.ndarray):
-        try:
-            w, g, _ = _column_value_and_gradient(
-                scenario, taxes.with_column(market, column), abatement, market
-            )
-        except PhysicallyInvalidError:
-            return 1e12, np.zeros(n)
-        return -w, -g
-
-    probes = _coarse_probes(n)
-    probe_values = [(value(p), p) for p in probes]
-    best_probe = max(probe_values, key=lambda item: item[0])
-
-    starts = [np.zeros(n), np.ones(n), np.full(n, 0.5), incoming, best_probe[1]]
-    candidates = list(probe_values)
-    candidates.append((value(incoming), incoming))
-    for start in starts:
-        result = minimize(
-            negative,
-            start,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(0.0, 1.0)] * n,
-            options={"maxiter": 300, "ftol": 1e-14, "gtol": 1e-10},
-        )
-        candidates.append((-float(result.fun), np.clip(result.x, 0.0, 1.0)))
-
-    best_value = max(v for v, _ in candidates if np.isfinite(v))
-    tied = [c for v, c in candidates if v >= best_value - BEST_RESPONSE_VALUE_TIE]
-    chosen = min(tied, key=lambda c: tuple(c))
-    if best_value + 1e-9 < best_probe[0]:
-        raise SolverFailureError(
-            "local tax search ended below its own coarse-grid probe"
-        )
-    return chosen
+    best = value.max()
+    if best == -np.inf:
+        # Feasible columns are those with share >= phi > 0, so the zero-tax
+        # vertex (largest share) is feasible if any column is. None is, the
+        # incoming column included: this raises.
+        solve_equilibrium(scenario, taxes, abatement)
+    tied = columns[value >= best - BEST_RESPONSE_VALUE_TIE]
+    return tied[np.lexsort(tied.T[::-1])[0]]
 
 
 def regulatory_equilibrium(

@@ -22,6 +22,14 @@ def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
 
+def child_env():
+    """Environment for a child process that imports the package from this
+    source tree, as the test process does."""
+    source = str(FIXTURE.parent.parent / "src")
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -137,6 +145,18 @@ class TestCommands:
         report = json.loads(out)
         assert report["converged"]
         assert report["max_update"] < 1e-8
+
+    def test_regulate_with_no_valid_tax_column_exits_1(self, capsys):
+        # Abatement 5 leaves the stock negative for every tax column.
+        code, out, err = run_cli(
+            capsys, "regulate", "--scenario", str(FIXTURE), "--set", "abatement=5"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            '{"error": "PhysicallyInvalidError", "message": "survival probability '
+            '1.071429 outside [0, 1] at debris stock -0.714286"}\n'
+        )
 
     def test_treaty_emits_divergence(self, capsys):
         code, out, _ = run_cli(capsys, "treaty", "--scenario", str(FIXTURE))
@@ -322,15 +342,28 @@ class TestCommands:
         assert all(line.startswith("PASS") for line in digest_lines)
 
     def test_module_entry_point(self):
-        # The child process imports the package from this source tree, as
-        # the test process does.
-        source = str(FIXTURE.parent.parent / "src")
-        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "orbituse", "solve", "--scenario", str(FIXTURE)],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=child_env(),
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["fleets"]
+
+    def test_regulate_loads_no_scipy(self):
+        script = (
+            "import contextlib, io, sys\n"
+            "from orbituse.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main(['regulate', '--scenario', {str(FIXTURE)!r}])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "0 []\n"

@@ -1,11 +1,17 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 from orbituse import (
     HIDEB,
     SOLO,
     SYM2,
+    OrbitUseError,
+    PhysicallyInvalidError,
+    Scenario,
     TaxSchedule,
     best_response_taxes,
     check_assumption_three,
@@ -29,6 +35,111 @@ def fd_welfare(scenario, taxes, abatement, sector, market, h=1e-6):
         scenario, taxes.with_rate(sector, market, taxes.rate(sector, market) - h), abatement
     ).welfare[market]
     return (hi - lo) / (2.0 * h)
+
+
+@st.composite
+def wide_cases(draw):
+    """1-3 sectors, prices and costs in e^+-3, rates in {0, 1, U[0, 1]}.
+
+    Half the draws abate above legacy debris, so that
+    ``phi = 1 + u kd sum rho`` with rho at zero taxes and u in [0, 1.2]: the
+    stock >= 0 bound (``share >= phi``) then cuts off part of the box, or
+    all of it when u > 1.
+    """
+    n_s = draw(st.integers(1, 3))
+    n_m = draw(st.integers(n_s, 3))
+    log = st.floats(-3.0, 3.0)
+    prices = tuple(math.exp(draw(log)) for _ in range(n_m))
+    costs = tuple(math.exp(draw(log)) for _ in range(n_s))
+    k = math.exp(draw(st.floats(-4.0, 0.0)))
+    d = math.exp(draw(st.floats(-1.0, 1.0)))
+    legacy = draw(st.floats(0.0, 0.9)) / k
+    rate = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+    rows = tuple(tuple(draw(rate) for _ in range(n_m)) for _ in range(n_s))
+    abatement = 0.0
+    if draw(st.booleans()):
+        zero_tax_rho = sum(sum(prices) / m for m in costs)
+        abatement = legacy + draw(st.floats(0.0, 1.2)) * d * zero_tax_rho
+    scenario = Scenario(
+        n_markets=n_m,
+        n_sectors=n_s,
+        prices=prices,
+        costs=costs,
+        collision_coeff=k,
+        debris_per_sat=d,
+        legacy_debris=legacy,
+        catastrophe_threshold=2.0,
+        catastrophe_damages=1.0,
+        abatement_cost=1.0,
+    )
+    return scenario, TaxSchedule(rows), abatement, draw(st.integers(0, n_m - 1))
+
+
+def column_welfare(scenario, taxes, abatement, market, column):
+    """Market welfare with its tax column replaced; -inf where the stock is invalid."""
+    try:
+        return national_welfare(
+            scenario, taxes.with_column(market, column), abatement
+        ).welfare[market]
+    except PhysicallyInvalidError:
+        return -np.inf
+
+
+def multistart_lbfgsb(scenario, taxes, abatement, market):
+    """Best value found by the former search: a 3^n probe lattice plus
+    L-BFGS-B with the analytic gradient from the box corners, the center,
+    the incoming column and the best probe. Infeasible points score -1e12."""
+    from scipy.optimize import minimize
+
+    n = scenario.n_sectors
+
+    def negative(column):
+        try:
+            schedule = taxes.with_column(market, column)
+            w = national_welfare(scenario, schedule, abatement).welfare[market]
+            g = [welfare_channels(scenario, schedule, abatement, i, market).total for i in range(n)]
+        except OrbitUseError:
+            return 1e12, np.zeros(n)
+        return -w, -np.array(g)
+
+    incoming = taxes.as_array[:, market].copy()
+    lattice = [np.array(p) for p in np.ndindex(*(3,) * n)]
+    probes = [(column_welfare(scenario, taxes, abatement, market, p / 2.0), p / 2.0) for p in lattice]
+    best_probe = max(probes, key=lambda item: item[0])[1]
+    values = [v for v, _ in probes]
+    values.append(column_welfare(scenario, taxes, abatement, market, incoming))
+    for start in (np.zeros(n), np.ones(n), np.full(n, 0.5), incoming, best_probe):
+        result = minimize(
+            negative,
+            start,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=[(0.0, 1.0)] * n,
+            options={"maxiter": 300, "ftol": 1e-14, "gtol": 1e-10},
+        )
+        values.append(
+            column_welfare(scenario, taxes, abatement, market, np.clip(result.x, 0.0, 1.0))
+        )
+    return max(values)
+
+
+def exact_or_none(scenario, taxes, abatement, market):
+    """Welfare at the best response, or None when it reports an infeasible box.
+
+    Also checks the shape of the answer: every rate is 0 or 1 (leave the
+    sector alone or deny it access) except for one where the stock bound
+    binds.
+    """
+    try:
+        column = best_response_taxes(scenario, taxes, abatement, market)
+    except PhysicallyInvalidError:
+        return None
+    assert column.shape == (scenario.n_sectors,)
+    assert np.all((0.0 <= column) & (column <= 1.0))
+    report = national_welfare(scenario, taxes.with_column(market, column), abatement)
+    fractional = int(np.count_nonzero((0.0 < column) & (column < 1.0)))
+    assert fractional == 0 or (fractional == 1 and report.survival > 1.0 - 1e-12), column
+    return report.welfare[market]
 
 
 class TestNationalWelfare:
@@ -95,6 +206,88 @@ class TestBestResponse:
                     SYM2, start.with_column(market, column), 0.0
                 ).welfare[market]
                 assert achieved >= incoming - 1e-12
+
+    @given(wide_cases())
+    @settings(max_examples=20, deadline=None)
+    def test_never_beaten_by_the_grid_oracle(self, case):
+        scenario, taxes, abatement, market = case
+        _, grid_best = grid_maximize(
+            lambda column: column_welfare(scenario, taxes, abatement, market, column),
+            dims=scenario.n_sectors,
+            step=0.05,
+        )
+        achieved = exact_or_none(scenario, taxes, abatement, market)
+        if achieved is None:
+            assert grid_best == -np.inf, "a feasible grid point exists"
+        else:
+            assert achieved >= grid_best - 1e-12 * max(1.0, abs(grid_best))
+
+    @given(wide_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_never_beaten_by_multistart_lbfgsb(self, case):
+        scenario, taxes, abatement, market = case
+        reference = multistart_lbfgsb(scenario, taxes, abatement, market)
+        achieved = exact_or_none(scenario, taxes, abatement, market)
+        if achieved is None:
+            assert reference == -np.inf, "the local search found a feasible column"
+        else:
+            assert achieved >= reference - 1e-10 * max(1.0, abs(reference))
+
+    def test_stock_bound_binding_on_part_of_the_box(self):
+        # At abatement 3 the zero-tax column keeps the stock valid and the
+        # full-tax column does not.
+        assert column_welfare(SYM2, ZERO2, 3.0, 0, np.zeros(2)) > -np.inf
+        assert column_welfare(SYM2, ZERO2, 3.0, 0, np.ones(2)) == -np.inf
+        column = best_response_taxes(SYM2, ZERO2, 3.0, 0)
+        achieved = column_welfare(SYM2, ZERO2, 3.0, 0, column)
+        assert achieved > -np.inf
+        _, grid_best = grid_maximize(
+            lambda point: column_welfare(SYM2, ZERO2, 3.0, 0, point), dims=2, step=0.02
+        )
+        assert achieved >= grid_best
+
+    def test_binding_stock_bound_survives_rounding(self):
+        # The best column sits where the stock reaches zero. Evaluated at the
+        # exact crossing, rounding puts this one just past the bound.
+        scenario = Scenario(
+            n_markets=2,
+            n_sectors=2,
+            prices=(9.115361490336156, 0.15628935732875432),
+            costs=(0.12312088573573735, 0.9291766713084724),
+            collision_coeff=0.2569765433454722,
+            debris_per_sat=0.9102412004712082,
+            legacy_debris=2.183542289813015,
+            catastrophe_threshold=2.0,
+            catastrophe_damages=1.0,
+            abatement_cost=1.0,
+        )
+        taxes = TaxSchedule(((0.0, 0.0), (1.0, 1.0)))
+        abatement = 13.354070835778112
+        column = best_response_taxes(scenario, taxes, abatement, 0)
+        report = national_welfare(scenario, taxes.with_column(0, column), abatement)
+        assert 1.0 - 1e-12 < report.survival <= 1.0
+        _, grid_best = grid_maximize(
+            lambda point: column_welfare(scenario, taxes, abatement, 0, point), dims=2, step=0.02
+        )
+        assert report.welfare[0] >= grid_best
+
+    def test_infeasible_box_raises_the_incoming_error(self):
+        with pytest.raises(PhysicallyInvalidError) as expected:
+            national_welfare(SYM2, ZERO2, 5.0)
+        with pytest.raises(PhysicallyInvalidError) as raised:
+            best_response_taxes(SYM2, ZERO2, 5.0, 0)
+        assert str(raised.value) == str(expected.value)
+
+    def test_phi_zero_returns_the_zero_tax_column(self):
+        # k*D0 = 1: phi = 0, every fleet is zero and every column is worth 0.
+        edge = replace(SYM2, legacy_debris=10.0)
+        start = TaxSchedule.from_array([[0.3, 0.7], [1.0, 0.2]])
+        for market in range(2):
+            column = best_response_taxes(edge, start, 0.0, market)
+            assert column.tolist() == [0.0, 0.0]
+        # Below that the survival is negative on the whole box.
+        with pytest.raises(PhysicallyInvalidError):
+            best_response_taxes(replace(SYM2, legacy_debris=12.0), start, 0.0, 0)
 
     def test_hideb_matches_grid_oracle(self):
         # Joint grid at 0.02 plus 1e-3 refinements along each coordinate
