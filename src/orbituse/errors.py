@@ -61,4 +61,4 @@ class NoConvergenceError(OrbitUseError):
 
 
 class BudgetExceededError(OrbitUseError):
-    """A brute-force grid would exceed the evaluation budget."""
+    """A brute-force grid or candidate set would exceed its evaluation budget."""

@@ -10,7 +10,9 @@ every equilibrium quantity follows from one identity:
 * survival is ``phi/share``;
 * debris falls in abatement with slope exactly ``-1/share``.
 
-This module evaluates that identity (``_rho_form`` and ``_share``), collapses
+This module evaluates that identity (``_rho_form`` and ``_share``; for a
+stack of schedules at once, ``_stacked_fleets`` and ``_stacked_equilibrium``
+with the same arithmetic, bit for bit), collapses
 any number of sectors to an exact two-player game by aggregating the rest of
 the world into one ``rho``, splits fleets into the abatement-sensitive and
 abatement-free factors, and differentiates everything with respect to taxes
@@ -101,14 +103,18 @@ class AssumptionFlags:
     bounded_marginal_risk: bool         # k d < 1/2
 
 
+def _phi(scenario: Scenario, abatement):
+    """``phi = 1 + k(Q - D0)`` and ``kd``; ``abatement`` may be an array."""
+    k = scenario.collision_coeff
+    return 1.0 + k * (abatement - scenario.legacy_debris), k * scenario.debris_per_sat
+
+
 def _rho_form(scenario: Scenario, taxes: TaxSchedule, abatement: float = 0.0):
     """Revenue, ``rho = revenue/cost``, ``phi = 1 + k(Q - D0)`` and ``kd``."""
     # Python floats: on vectors this short numpy's per-call overhead dominates.
     revenue = effective_prices(scenario, taxes).tolist()
     rho = [w / m for w, m in zip(revenue, scenario.costs)]
-    k = scenario.collision_coeff
-    phi = 1.0 + k * (abatement - scenario.legacy_debris)
-    return revenue, rho, phi, k * scenario.debris_per_sat
+    return revenue, rho, *_phi(scenario, abatement)
 
 
 def _share(rho: list[float], phi: float, kd: float) -> tuple[list[bool], float]:
@@ -194,6 +200,38 @@ def _equilibrium(
         determinant=_determinant([x for x, on in zip(rho, pivot) if on], kd),
         max_profit_residual=residual,
     )
+
+
+def _stacked_fleets(scenario: Scenario, rates: np.ndarray, phi, kd: float):
+    """Fleets ``(B, n)`` and survival ``(B, 1)`` of a ``(B, n, m)`` stack of rates.
+
+    ``phi`` is one float for every row or a ``(B, 1)`` column. The
+    arithmetic is the kernel's: revenue by the stacked ``(1 - rates) @ p``,
+    the active mask ``phi > 0 and rho > 0``, and ``sum rho`` left to right
+    by ``cumsum``, as the kernel's Python ``sum`` adds.
+    """
+    rho = ((1.0 - rates) @ scenario.price_array) / scenario.cost_array
+    on = np.maximum(rho, 0.0) * (phi > 0.0)         # rho where active, else 0
+    share = 1.0 + kd * on.cumsum(axis=1)[:, -1:]
+    return phi * on / share, phi / share
+
+
+def _stacked_equilibrium(
+    scenario: Scenario, rates: np.ndarray, abatement: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fleets ``(B, n)``, survival ``(B,)`` and stock ``(B,)`` of a stack of schedules.
+
+    Row b is :func:`solve_equilibrium` at ``rates[b]`` (a ``(B, n, m)``
+    stack) and ``abatement[b]`` by the same arithmetic, so it matches that
+    solve bit for bit; the fleet total is summed left to right by ``cumsum``
+    too. Nothing is raised: rows whose survival leaves [0, 1] are the
+    caller's to refuse (where phi < 0 their fleets are -0.0, not 0.0).
+    """
+    phi, kd = _phi(scenario, abatement[:, None])
+    fleets, survival = _stacked_fleets(scenario, rates, phi, kd)
+    total = fleets.cumsum(axis=1)[:, -1]
+    stock = scenario.debris_per_sat * total + scenario.legacy_debris - abatement
+    return fleets, survival[:, 0], stock
 
 
 def solve_equilibrium(

@@ -17,15 +17,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BudgetExceededError
 from .open_access import (
     OpenAccessEquilibrium,
-    _rho_form,
+    _phi,
+    _stacked_fleets,
     sensitivities,
     solve_equilibrium,
 )
 from .scenario import Scenario, TaxSchedule
 
 BEST_RESPONSE_VALUE_TIE = 1e-10
+# Most tax rates one best-response call may stack, (n + 2) 2^(n-1) n m at
+# worst: twelve sectors fit up to 24 markets, thirteen never do.
+CANDIDATE_BUDGET = 2**23
 # The stock = 0 crossing is taken where share = phi (1 + CROSSING_MARGIN).
 CROSSING_MARGIN = 64.0 * np.finfo(float).eps
 CONVERGENCE_TOLERANCE = 1e-8
@@ -93,6 +98,14 @@ def _welfare_arrays(
     return survival * gross, gross, survival
 
 
+def _stacked_welfare(
+    scenario: Scenario, rates: np.ndarray, fleets: np.ndarray, survival: np.ndarray
+) -> np.ndarray:
+    """Per-market welfare ``(B, m)`` of stacked equilibria, bit for bit :func:`national_welfare`'s."""
+    kept = (np.swapaxes(1.0 - rates, 1, 2) @ fleets[:, :, None])[:, :, 0]
+    return survival[:, None] * (scenario.price_array * kept)
+
+
 def national_welfare(
     scenario: Scenario, taxes: TaxSchedule, abatement: float = 0.0
 ) -> WelfareReport:
@@ -124,14 +137,27 @@ def welfare_channels(
     the identity total = cleanup + expansion - reduction holds for any
     number of sectors.
     """
+    return _channels(
+        scenario, taxes, _channel_inputs(scenario, taxes, abatement), sector, market
+    )
+
+
+def _channel_inputs(scenario: Scenario, taxes: TaxSchedule, abatement: float):
+    """Fleet responses, fleets, gross value and survival that every channel split reads."""
     report = sensitivities(scenario, taxes, abatement)
     equilibrium = solve_equilibrium(scenario, taxes, abatement)
     _, gross, survival = _welfare_arrays(scenario, taxes, equilibrium)
-    fleets = equilibrium.fleet_array
+    return report.dfleet_dtax, equilibrium.fleet_array, gross, survival
+
+
+def _channels(
+    scenario: Scenario, taxes: TaxSchedule, inputs, sector: int, market: int
+) -> ChannelDecomposition:
+    dfleet_dtax, fleets, gross, survival = inputs
     rates = taxes.as_array
     p_j = scenario.prices[market]
 
-    dfleet = report.dfleet_dtax[:, sector, market]
+    dfleet = dfleet_dtax[:, sector, market]
     ddebris = scenario.debris_per_sat * float(dfleet.sum())
     keep = 1.0 - rates[:, market]
 
@@ -193,24 +219,34 @@ def best_response_taxes(
       crossing can land past the bound and drop the best column where the
       bound binds.
 
-    Every candidate is evaluated at once with the kernel's own arithmetic
-    (fleets ``phi rho/share``, survival ``phi/share``), so a column judged
-    feasible here is feasible for :func:`solve_equilibrium`. Ties within
-    1e-10 of the best value break toward the lexicographically smallest
-    column. If no column is feasible, the PhysicallyInvalidError that
-    :func:`solve_equilibrium` raises at the incoming schedule is raised.
+    Every candidate is evaluated at once by the kernel's stacked form
+    (fleets ``phi rho/share``, survival ``phi/share``, with the arithmetic
+    of :func:`solve_equilibrium`), so a column judged feasible here is
+    feasible for that solve. Ties within 1e-10 of the best value break
+    toward the lexicographically smallest column. If no column is feasible,
+    the PhysicallyInvalidError that :func:`solve_equilibrium` raises at the
+    incoming schedule is raised.
     There are at most (n + 2) 2^(n-1) candidates for n sectors, so the cost
     grows exponentially: about 0.1 ms per call up to six sectors and 2 ms
-    at ten on one core of a 2-vCPU x86-64 host.
+    at ten on one core of a 2-vCPU x86-64 host. BudgetExceededError is
+    raised, before anything is built, when the candidates could hold more
+    than ``CANDIDATE_BUDGET`` tax rates.
     """
-    _, _, phi, kd = _rho_form(scenario, taxes, abatement)
+    n, n_markets = scenario.n_sectors, scenario.n_markets
+    size = (n + 2) * 2 ** (n - 1) * n * n_markets
+    if size > CANDIDATE_BUDGET:
+        raise BudgetExceededError(
+            f"{n}-sector best responses could stack {size} tax rates, "
+            f"over the {CANDIDATE_BUDGET} budget"
+        )
+    phi, kd = _phi(scenario, abatement)
     p_j = scenario.prices[market]
     costs = scenario.cost_array
     other = 1.0 - taxes.as_array
     other[:, market] = 0.0
     a = other @ scenario.price_array
 
-    vertices, starts, free = _box_edges(scenario.n_sectors)
+    vertices, starts, free = _box_edges(n)
     # Sums run over every sector. When phi > 0 the inactive ones have
     # rho = 0 and add nothing; when phi <= 0 survival phi/share is 0 or
     # negative whatever the share, and no crossing lies in (0, 1).
@@ -220,15 +256,12 @@ def best_response_taxes(
     inside = (t > 0.0) & (t < 1.0)
     points = starts[inside]
     points[np.arange(points.shape[0]), free[inside]] = t[inside]
-    columns = 1.0 - np.vstack([vertices, points])
+    columns = 1.0 - np.concatenate([vertices, points])
 
     rates = np.repeat(taxes.as_array[None], columns.shape[0], axis=0)
     rates[:, :, market] = columns
-    rho = ((1.0 - rates) @ scenario.price_array) / costs
-    # cumsum adds left to right, as the kernel's Python sum does.
-    share = 1.0 + kd * rho.cumsum(axis=1)[:, -1]
-    survival = phi / share
-    fleets = phi * rho / share[:, None]
+    fleets, survival = _stacked_fleets(scenario, rates, phi, kd)
+    survival = survival[:, 0]
     value = survival * (p_j * ((1.0 - columns) * fleets).sum(axis=1))
     value = np.where((0.0 <= survival) & (survival <= 1.0), value, -np.inf)
 
@@ -256,8 +289,10 @@ def regulatory_equilibrium(
     step blends half the old schedule with half the best responses.
     Non-convergence is reported honestly in the returned record rather
     than raised: the existence argument is non-constructive, so a failed
-    search is a diagnostic, not a bug.
+    search is a diagnostic, not a bug. A physically invalid start raises
+    its PhysicallyInvalidError before any step.
     """
+    solve_equilibrium(scenario, start, abatement)
     taxes = start
     trace: list[float] = []
     converged = False

@@ -95,16 +95,28 @@ class TaxSchedule:
     def rate(self, sector: int, market: int) -> float:
         return self.rates[sector][market]
 
+    @classmethod
+    def _of(cls, rates: tuple[tuple[float, ...], ...]) -> "TaxSchedule":
+        """Wrap rows that are already tuples of floats, skipping ``__post_init__``."""
+        schedule = object.__new__(cls)
+        object.__setattr__(schedule, "rates", rates)
+        return schedule
+
     def with_rate(self, sector: int, market: int, value: float) -> "TaxSchedule":
-        rows = [list(row) for row in self.rates]
-        rows[sector][market] = float(value)
-        return TaxSchedule(tuple(tuple(row) for row in rows))
+        # Stencils call this per probe: rebuild only the touched row.
+        row = list(self.rates[sector])
+        row[market] = float(value)
+        rows = list(self.rates)
+        rows[sector] = tuple(row)
+        return self._of(tuple(rows))
 
     def with_column(self, market: int, column) -> "TaxSchedule":
-        rows = [list(row) for row in self.rates]
+        rows = list(self.rates)
         for sector, value in enumerate(column):
-            rows[sector][market] = float(value)
-        return TaxSchedule(tuple(tuple(row) for row in rows))
+            row = list(rows[sector])
+            row[market] = float(value)
+            rows[sector] = tuple(row)
+        return self._of(tuple(rows))
 
 
 @dataclass(frozen=True)

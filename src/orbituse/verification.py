@@ -15,6 +15,7 @@ from .errors import OrbitUseError
 from .open_access import (
     ANALYTIC,
     FINITE_DIFFERENCE,
+    _stacked_equilibrium,
     decompose,
     reduce_two_player,
     sensitivities,
@@ -26,7 +27,12 @@ from .oracle import (
     grid_maximize,
     iterate_open_access,
 )
-from .regulation import national_welfare, welfare_channels
+from .regulation import (
+    _channel_inputs,
+    _channels,
+    _stacked_welfare,
+    national_welfare,
+)
 from .sampling import sample_scenario
 from .scenario import Scenario, TaxSchedule, sector_profit
 from .treaty import (
@@ -135,22 +141,30 @@ def check_sensitivity_agreement(bundles: list[Bundle]) -> OracleReport:
     return _report("sensitivity_agreement", worst, bad)
 
 
-def _fd_fleets_tax(scenario, taxes, abatement, sector, market):
-    rate = taxes.rate(sector, market)
-    h = 1e-6 * max(1.0, abs(rate))
-    hi = solve_equilibrium(scenario, taxes.with_rate(sector, market, rate + h), abatement)
-    lo = solve_equilibrium(scenario, taxes.with_rate(sector, market, rate - h), abatement)
-    return (hi.fleet_array - lo.fleet_array) / (2.0 * h)
+def _one_rate_probes(rates: np.ndarray, moved: np.ndarray) -> np.ndarray:
+    """Copies of ``rates`` (n, m) with rate [i][j] set to ``moved[i, j, l]``.
+
+    One copy per entry of ``moved`` (n, m, k), in (sector, market, l) order.
+    """
+    n, m, k = moved.shape
+    stack = np.repeat(rates[None], n * m * k, axis=0).reshape(n, m, k, n, m)
+    i, j = np.indices((n, m), sparse=True)
+    stack[i, j, :, i, j] = moved
+    return stack.reshape(-1, n, m)
 
 
-def _fd_fleets_abatement(scenario, taxes, abatement):
-    h = 1e-6 * max(1.0, abs(abatement))
-    hi = solve_equilibrium(scenario, taxes, abatement + h)
-    lo = solve_equilibrium(scenario, taxes, abatement - h)
-    return (
-        (hi.fleet_array - lo.fleet_array) / (2.0 * h),
-        (hi.debris.stock - lo.debris.stock) / (2.0 * h),
-    )
+def _stencil(scenario: Scenario, rates: np.ndarray, abatement: np.ndarray):
+    """Stacked equilibria of a stencil, refusing it as the per-probe loop would.
+
+    If some probe's survival leaves [0, 1], the first such probe is re-solved
+    by :func:`solve_equilibrium`, which raises its own PhysicallyInvalidError.
+    """
+    fleets, survival, stock = _stacked_equilibrium(scenario, rates, abatement)
+    invalid = np.flatnonzero(~((0.0 <= survival) & (survival <= 1.0)))
+    if invalid.size:
+        row = invalid[0]
+        solve_equilibrium(scenario, TaxSchedule.from_array(rates[row]), float(abatement[row]))
+    return fleets, survival, stock
 
 
 def check_sign_suite(bundles: list[Bundle]) -> OracleReport:
@@ -158,18 +172,44 @@ def check_sign_suite(bundles: list[Bundle]) -> OracleReport:
 
     Own-tax contraction, cross-sector rebound, dominated rebound (total
     fleet and required abatement fall), abatement-driven expansion with a
-    tax-damped slope, and debris falling in abatement.
+    tax-damped slope, and debris falling in abatement. Each bundle's
+    2 + 6 n m probes are solved as one stack.
     """
     bad = []
     for index, (scenario, taxes, abatement) in enumerate(bundles):
-        d_ab, d_debris = _fd_fleets_abatement(scenario, taxes, abatement)
+        n, n_markets = scenario.n_sectors, scenario.n_markets
+        rates = taxes.as_array
+        h = 1e-6 * np.maximum(1.0, np.abs(rates))       # own-tax stencil
+        wide = 1e-4 * np.maximum(1.0, np.abs(rates))    # cross-derivative stencil
+        h_ab = 1e-6 * max(1.0, abs(abatement))
+        up, down = abatement + h_ab, abatement - h_ab
+        # Probes in the order a per-probe loop takes them, so the first
+        # invalid one raises that loop's error: Q +- h_ab at the base rates,
+        # then per (sector, market) rate +- h at Q, rate + wide at Q +- h_ab
+        # and rate - wide at Q +- h_ab.
+        moved = np.stack(
+            [rates + h, rates - h, rates + wide, rates + wide, rates - wide, rates - wide],
+            axis=-1,
+        )
+        fleets, _, stock = _stencil(
+            scenario,
+            np.concatenate([rates[None], rates[None], _one_rate_probes(rates, moved)]),
+            np.array([up, down] + [abatement, abatement, up, down, up, down] * (n * n_markets)),
+        )
+        d_ab = (fleets[0] - fleets[1]) / (2.0 * h_ab)
         if not np.all(d_ab > 0.0):
             bad.append((index, "dfleet_dabatement not positive"))
-        if d_debris >= 0.0:
+        if (stock[0] - stock[1]) / (2.0 * h_ab) >= 0.0:
             bad.append((index, "ddebris_dabatement not negative"))
-        for sector in range(scenario.n_sectors):
-            for market in range(scenario.n_markets):
-                grad = _fd_fleets_tax(scenario, taxes, abatement, sector, market)
+        probes = fleets[2:].reshape(n, n_markets, 6, n)
+        grads = (probes[:, :, 0] - probes[:, :, 1]) / (2.0 * h)[:, :, None]
+        # Cross effect: abatement expansion flattens as the tax rises.
+        slopes = (probes[:, :, 2::2] - probes[:, :, 3::2]) / (2.0 * h_ab)
+        i, j = np.indices((n, n_markets), sparse=True)
+        cross = (slopes[i, j, 0, i] - slopes[i, j, 1, i]) / (2.0 * wide)
+        for sector in range(n):
+            for market in range(n_markets):
+                grad = grads[sector, market]
                 if grad[sector] >= 0.0:
                     bad.append((index, sector, market, "own fleet does not fall"))
                 others = np.delete(grad, sector)
@@ -177,52 +217,43 @@ def check_sign_suite(bundles: list[Bundle]) -> OracleReport:
                     bad.append((index, sector, market, "rebound not positive"))
                 if grad.sum() >= 0.0:
                     bad.append((index, sector, market, "total fleet does not fall"))
-                # Cross effect: abatement expansion flattens as the tax rises.
-                rate = taxes.rate(sector, market)
-                h = 1e-4 * max(1.0, abs(rate))
-                up, _ = _fd_fleets_abatement(
-                    scenario, taxes.with_rate(sector, market, rate + h), abatement
-                )
-                down, _ = _fd_fleets_abatement(
-                    scenario, taxes.with_rate(sector, market, rate - h), abatement
-                )
-                if (up[sector] - down[sector]) / (2.0 * h) >= 0.0:
+                if cross[sector, market] >= 0.0:
                     bad.append((index, sector, market, "cross derivative not negative"))
     return _report("comparative_statics_signs", float(len(bad)), bad)
 
 
-def _fd_welfare_tax(scenario, taxes, abatement, sector, market) -> float:
-    """Richardson-extrapolated central difference of one market's welfare.
-
-    The plain central difference at h = 1e-6 cannot resolve the 1e-9
-    absolute identity tolerance once welfare reaches O(100); two stencils
-    at h and h/2 combined to fourth order can.
-    """
-    rate = taxes.rate(sector, market)
-    h = 1e-3 * max(1.0, abs(rate))
-
-    def central(step: float) -> float:
-        hi = national_welfare(
-            scenario, taxes.with_rate(sector, market, rate + step), abatement
-        ).welfare[market]
-        lo = national_welfare(
-            scenario, taxes.with_rate(sector, market, rate - step), abatement
-        ).welfare[market]
-        return (hi - lo) / (2.0 * step)
-
-    return (4.0 * central(h / 2.0) - central(h)) / 3.0
-
-
 def check_channel_identity(bundles: list[Bundle]) -> OracleReport:
-    """cleanup + expansion - reduction equals the FD welfare derivative."""
+    """cleanup + expansion - reduction equals the FD welfare derivative.
+
+    The derivative is Richardson-extrapolated: the plain central difference
+    at h = 1e-6 cannot resolve the 1e-9 absolute identity tolerance once
+    welfare reaches O(100); central differences at h = 1e-3 max(1, |rate|)
+    and h/2 combined to fourth order can. Each bundle's 4 n m welfare
+    probes are solved as one stack.
+    """
     worst = 0.0
     bad = []
     for index, (scenario, taxes, abatement) in enumerate(bundles):
-        for sector in range(scenario.n_sectors):
-            for market in range(scenario.n_markets):
-                channels = welfare_channels(scenario, taxes, abatement, sector, market)
-                fd = _fd_welfare_tax(scenario, taxes, abatement, sector, market)
-                gap = abs(channels.total - fd)
+        inputs = _channel_inputs(scenario, taxes, abatement)
+        n, n_markets = scenario.n_sectors, scenario.n_markets
+        rates = taxes.as_array
+        h = 1e-3 * np.maximum(1.0, np.abs(rates))
+        half = h / 2.0
+        stack = _one_rate_probes(
+            rates, np.stack([rates + half, rates - half, rates + h, rates - h], axis=-1)
+        )
+        fleets, survival, _ = _stencil(scenario, stack, np.full(len(stack), abatement))
+        welfare = _stacked_welfare(scenario, stack, fleets, survival)
+        i, j = np.indices((n, n_markets), sparse=True)
+        own = welfare.reshape(n, n_markets, 4, n_markets)[i, j, :, j]
+        fd = (
+            4.0 * ((own[:, :, 0] - own[:, :, 1]) / (2.0 * half))
+            - (own[:, :, 2] - own[:, :, 3]) / (2.0 * h)
+        ) / 3.0
+        for sector in range(n):
+            for market in range(n_markets):
+                channels = _channels(scenario, taxes, inputs, sector, market)
+                gap = abs(channels.total - float(fd[sector, market]))
                 worst = max(worst, gap)
                 if gap > 1e-9:
                     bad.append((index, sector, market, gap))
@@ -235,11 +266,12 @@ def check_welfare_quadratic(bundles: list[Bundle]) -> OracleReport:
     bad = []
     step = 0.5
     for index, (scenario, taxes, abatement) in enumerate(bundles):
-        stencil = [abatement + step * n for n in range(5)]
+        stencil = np.array([abatement + step * n for n in range(5)])
+        rates = np.repeat(taxes.as_array[None], stencil.size, axis=0)
+        fleets, survival, _ = _stencil(scenario, rates, stencil)
+        welfare = _stacked_welfare(scenario, rates, fleets, survival)
         for market in range(scenario.n_markets):
-            values = [
-                national_welfare(scenario, taxes, q).welfare[market] for q in stencil
-            ]
+            values = welfare[:, market].tolist()
             second = [
                 values[n] - 2.0 * values[n + 1] + values[n + 2] for n in range(3)
             ]

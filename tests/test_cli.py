@@ -158,6 +158,27 @@ class TestCommands:
             '1.071429 outside [0, 1] at debris stock -0.714286"}\n'
         )
 
+    def test_regulate_from_an_invalid_start_exits_1(self, capsys):
+        # The start leaves the stock negative; the iteration from it used to
+        # converge to zero taxes.
+        code, out, err = run_cli(
+            capsys, "regulate", "--scenario", str(FIXTURE), "--set", "abatement=3.5",
+            "--set", "tax.1.1=0.5", "--set", "tax.1.2=0.5",
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "PhysicallyInvalidError"
+
+    def test_regulate_over_the_candidate_budget_exits_1(self, capsys, tmp_path):
+        data = json.loads(FIXTURE.read_text())
+        n = 20
+        data["scenario"].update(n_markets=n, n_sectors=n, prices=[1.0] * n, costs=[1.0] * n)
+        data["taxes"] = [[0.0] * n for _ in range(n)]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "regulate", "--scenario", str(path))
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "BudgetExceededError"
+
     def test_treaty_emits_divergence(self, capsys):
         code, out, _ = run_cli(capsys, "treaty", "--scenario", str(FIXTURE))
         assert code == 0

@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbituse import (
     HIDEB,
+    BudgetExceededError,
     SOLO,
     SYM2,
     OrbitUseError,
@@ -311,7 +314,44 @@ class TestBestResponse:
                 assert value(probe) <= achieved + 1e-8
 
 
+class TestCandidateBudget:
+    @staticmethod
+    def symmetric(n):
+        return replace(SYM2, n_markets=n, n_sectors=n, prices=(1.0,) * n, costs=(1.0,) * n)
+
+    def test_twenty_sectors_raise_before_building_anything(self):
+        scenario = self.symmetric(20)
+        taxes = TaxSchedule.zeros(20, 20)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(BudgetExceededError, match="20-sector"):
+                best_response_taxes(scenario, taxes, 0.0, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 1 << 20
+
+    def test_twelve_sectors_still_run(self):
+        scenario = self.symmetric(12)
+        column = best_response_taxes(scenario, TaxSchedule.zeros(12, 12), 0.0, 0)
+        assert column.shape == (12,)
+        with pytest.raises(BudgetExceededError):
+            best_response_taxes(self.symmetric(13), TaxSchedule.zeros(13, 13), 0.0, 0)
+
+
 class TestRegulatoryEquilibrium:
+    def test_invalid_start_raises_its_own_error(self):
+        # From this start the iteration used to converge to zero taxes;
+        # the start itself leaves the stock negative.
+        start = TaxSchedule.from_array([[0.5, 0.5], [0.0, 0.0]])
+        with pytest.raises(PhysicallyInvalidError) as expected:
+            national_welfare(SYM2, start, 3.5)
+        with pytest.raises(PhysicallyInvalidError) as raised:
+            regulatory_equilibrium(SYM2, 3.5, start)
+        assert str(raised.value) == str(expected.value)
+
     def test_solo_converges_immediately(self):
         result = regulatory_equilibrium(SOLO, 0.0, ZERO1)
         assert result.converged

@@ -186,6 +186,26 @@ def test_effective_prices_monotone_in_taxes(rng):
         assert bumped[other] == base[other]
 
 
+def test_with_rate_and_with_column_equal_a_fresh_schedule():
+    base = TaxSchedule(((0.1, 0.2, 0.3), (0.0, 0.5, 1.0), (0.25, 0.75, 0.5)))
+    cases = [
+        (base.with_rate(1, 2, 3), ((0.1, 0.2, 0.3), (0.0, 0.5, 3.0), (0.25, 0.75, 0.5))),
+        (base.with_rate(0, 0, np.float64(0.4)), ((0.4, 0.2, 0.3), (0.0, 0.5, 1.0), (0.25, 0.75, 0.5))),
+        (base.with_rate(-1, -1, 1), ((0.1, 0.2, 0.3), (0.0, 0.5, 1.0), (0.25, 0.75, 1.0))),
+        (base.with_column(1, [1, np.float64(0.5), 0]), ((0.1, 1.0, 0.3), (0.0, 0.5, 1.0), (0.25, 0.0, 0.5))),
+        (base.with_column(2, np.array([0.9, 0.8, 0.7])), ((0.1, 0.2, 0.9), (0.0, 0.5, 0.8), (0.25, 0.75, 0.7))),
+    ]
+    for changed, rows in cases:
+        fresh = TaxSchedule(rows)
+        assert changed == fresh
+        assert hash(changed) == hash(fresh)
+        assert all(type(v) is float for row in changed.rates for v in row)
+        assert changed.as_array.tolist() == fresh.as_array.tolist()
+    assert base.rates == ((0.1, 0.2, 0.3), (0.0, 0.5, 1.0), (0.25, 0.75, 0.5))
+    with pytest.raises(IndexError):
+        base.with_rate(3, 0, 0.5)
+
+
 def test_abatement_profile_total_consistency():
     profile = AbatementProfile.from_contributions((0.25, 0.5, 0.25))
     assert profile.total == 1.0
