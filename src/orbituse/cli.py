@@ -61,19 +61,6 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_ASSUMPTION = 4
 
 
-@dataclasses.dataclass
-class RunConfig:
-    command: str
-    scenario_path: str
-    overrides: list[str]
-    sweep_axis: tuple[str, float, float, int] | None
-    output_format: str
-    strict: bool
-    out: str | None
-    seed: int | None
-    random_count: int
-
-
 def _error_object(error: Exception) -> dict:
     payload = {"error": type(error).__name__, "message": str(error)}
     if isinstance(error, ScenarioValidationError):
@@ -206,15 +193,15 @@ def _sweep_rows(bundle: LoadedBundle, axis) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def execute(config: RunConfig) -> int:
-    """Run one command; returns the process exit code."""
+def execute(args: argparse.Namespace) -> int:
+    """Run one parsed command; returns the process exit code."""
     try:
-        bundle = load_scenario(config.scenario_path, config.overrides)
+        bundle = load_scenario(args.scenario, args.overrides)
     except (ScenarioParseError, ScenarioValidationError, OverrideError) as error:
         sys.stderr.write(json.dumps(_error_object(error)) + "\n")
         return EXIT_VALIDATION
 
-    if config.strict:
+    if args.strict:
         flags = check_assumptions(bundle.scenario, bundle.taxes)
         if not flags.bounded_marginal_risk or not all(flags.no_crowding_out):
             sys.stderr.write(
@@ -231,21 +218,21 @@ def execute(config: RunConfig) -> int:
             return EXIT_ASSUMPTION
 
     try:
-        if config.command == "solve":
+        if args.command == "solve":
             report = _solve_report(bundle)
-            _emit(_report_text(report, config.output_format), config.out)
+            _emit(_report_text(report, args.output_format), args.out)
             return EXIT_OK
-        if config.command == "regulate":
+        if args.command == "regulate":
             report, converged = _regulate_report(bundle)
-            _emit(_report_text(report, config.output_format), config.out)
+            _emit(_report_text(report, args.output_format), args.out)
             return EXIT_OK if converged else EXIT_NO_CONVERGENCE
-        if config.command == "treaty":
+        if args.command == "treaty":
             report = _treaty_report(bundle)
-            _emit(_report_text(report, config.output_format), config.out)
+            _emit(_report_text(report, args.output_format), args.out)
             return EXIT_OK
-        if config.command == "sweep":
-            header, rows = _sweep_rows(bundle, config.sweep_axis)
-            if config.output_format == "json":
+        if args.command == "sweep":
+            header, rows = _sweep_rows(bundle, args.sweep)
+            if args.output_format == "json":
                 # Strict JSON has no NaN or Infinity: failed cells become null.
                 payload = [
                     {
@@ -254,12 +241,12 @@ def execute(config: RunConfig) -> int:
                     }
                     for row in rows
                 ]
-                _emit(json.dumps(payload, indent=2), config.out)
+                _emit(json.dumps(payload, indent=2), args.out)
             else:
-                _emit(rows_to_csv(header, rows), config.out)
+                _emit(rows_to_csv(header, rows), args.out)
             return EXIT_OK
-        if config.command == "verify":
-            if config.seed is None:
+        if args.command == "verify":
+            if args.seed is None:
                 sys.stderr.write(
                     json.dumps(
                         {
@@ -274,11 +261,11 @@ def execute(config: RunConfig) -> int:
                 bundle.scenario,
                 bundle.taxes,
                 bundle.abatement,
-                seed=config.seed,
-                random_count=config.random_count,
+                seed=args.seed,
+                random_count=args.random_count,
             )
             digest = {
-                "seed": config.seed,
+                "seed": args.seed,
                 "reports": [dataclasses.asdict(r) for r in reports],
             }
             for item in reports:
@@ -287,9 +274,9 @@ def execute(config: RunConfig) -> int:
                     f"{status} {item.target} max_residual={item.max_residual:.3e} "
                     f"counterexamples={len(item.counterexamples)}\n"
                 )
-            _emit(json.dumps(digest, indent=2, default=str), config.out)
+            _emit(json.dumps(digest, indent=2, default=str), args.out)
             return EXIT_OK if all(r.passed for r in reports) else EXIT_ERROR
-        raise ValueError(f"unknown command {config.command!r}")
+        raise ValueError(f"unknown command {args.command!r}")
     except NoConvergenceError as error:
         sys.stderr.write(json.dumps(_error_object(error)) + "\n")
         return EXIT_NO_CONVERGENCE
@@ -306,6 +293,13 @@ def _parse_sweep(raw: str) -> tuple[str, float, float, int]:
     if steps < 2:
         raise argparse.ArgumentTypeError("sweep needs at least 2 steps")
     return key, start, stop, steps
+
+
+def _parse_count(raw: str) -> int:
+    count = int(raw)
+    if count < 1:
+        raise argparse.ArgumentTypeError("random count must be at least 1")
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,24 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "sweep":
             sub.add_argument("--sweep", required=True, type=_parse_sweep, metavar="PARAM:FROM:TO:STEPS")
         if name == "verify":
-            sub.add_argument("--random-count", type=int, default=40)
+            sub.add_argument("--random-count", type=_parse_count, default=40)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        scenario_path=args.scenario,
-        overrides=args.overrides,
-        sweep_axis=getattr(args, "sweep", None),
-        output_format=args.output_format,
-        strict=args.strict,
-        out=args.out,
-        seed=getattr(args, "seed", None),
-        random_count=getattr(args, "random_count", 40),
-    )
-    return execute(config)
+    return execute(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ActiveSetChangeError, PhysicallyInvalidError
-from .oracle import pivot_open_access
+from .oracle import finite_difference, pivot_open_access
 from .scenario import (
     DebrisState,
     Scenario,
@@ -39,8 +39,6 @@ from .scenario import (
     debris_stock,
     effective_prices,
 )
-
-FD_RELATIVE_STEP = 1e-6
 
 ANALYTIC = "analytic"
 FINITE_DIFFERENCE = "finite-difference"
@@ -333,10 +331,6 @@ def _analytic_sensitivities(
     )
 
 
-def _fd_step(value: float) -> float:
-    return FD_RELATIVE_STEP * max(1.0, abs(value))
-
-
 def _fd_sensitivities(
     scenario: Scenario, taxes: TaxSchedule, abatement: float
 ) -> SensitivityReport:
@@ -347,34 +341,34 @@ def _fd_sensitivities(
         raise ActiveSetChangeError(
             "finite-difference sensitivities need every sector interior"
         )
+
+    def fleets(schedule: TaxSchedule, q: float, stencil: str) -> np.ndarray:
+        solved = pivot_open_access(scenario, schedule, q)
+        if not np.array_equal(solved > 0.0, active):
+            raise ActiveSetChangeError(f"active set changed inside the {stencil}")
+        return solved
+
     n, n_markets = scenario.n_sectors, scenario.n_markets
     dfleet_dtax = np.zeros((n, n, n_markets))
     for i in range(n):
         for j in range(n_markets):
-            rate = taxes.rate(i, j)
-            h = _fd_step(rate)
-            hi = pivot_open_access(scenario, taxes.with_rate(i, j, rate + h), abatement)
-            lo = pivot_open_access(scenario, taxes.with_rate(i, j, rate - h), abatement)
-            if not (np.array_equal(hi > 0.0, active) and np.array_equal(lo > 0.0, active)):
-                raise ActiveSetChangeError(
-                    f"active set changed inside the stencil for tax [{i}][{j}]"
-                )
-            dfleet_dtax[:, i, j] = (hi - lo) / (2.0 * h)
-    h = _fd_step(abatement)
-    hi = pivot_open_access(scenario, taxes, abatement + h)
-    lo = pivot_open_access(scenario, taxes, abatement - h)
-    if not (np.array_equal(hi > 0.0, active) and np.array_equal(lo > 0.0, active)):
-        raise ActiveSetChangeError("active set changed inside the abatement stencil")
-    dfleet_dabatement = (hi - lo) / (2.0 * h)
-    ddebris = (
-        debris_stock(scenario, float(hi.sum()), abatement + h).stock
-        - debris_stock(scenario, float(lo.sum()), abatement - h).stock
-    ) / (2.0 * h)
+            dfleet_dtax[:, i, j] = finite_difference(
+                lambda rate: fleets(
+                    taxes.with_rate(i, j, rate), abatement, f"stencil for tax [{i}][{j}]"
+                ),
+                taxes.rate(i, j),
+            )
+
+    def fleets_and_stock(q: float) -> np.ndarray:
+        solved = fleets(taxes, q, "abatement stencil")
+        return np.append(solved, debris_stock(scenario, float(solved.sum()), q).stock)
+
+    slopes = finite_difference(fleets_and_stock, abatement)
     drequired = scenario.debris_per_sat * dfleet_dtax.sum(axis=0)
     return SensitivityReport(
         dfleet_dtax=dfleet_dtax,
-        dfleet_dabatement=dfleet_dabatement,
-        ddebris_dabatement=float(ddebris),
+        dfleet_dabatement=slopes[:-1],
+        ddebris_dabatement=float(slopes[-1]),
         drequired_dtax=drequired,
         method=FINITE_DIFFERENCE,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,19 +32,7 @@ FIELD_ALIASES = {
     "parties": "treaty_parties",
 }
 
-SCENARIO_FIELDS = {
-    "n_markets",
-    "n_sectors",
-    "prices",
-    "costs",
-    "collision_coeff",
-    "debris_per_sat",
-    "legacy_debris",
-    "catastrophe_threshold",
-    "catastrophe_damages",
-    "abatement_cost",
-    "treaty_parties",
-}
+SCENARIO_FIELDS = {field.name for field in fields(Scenario)}
 
 
 @dataclass
@@ -162,21 +150,8 @@ def bundle_from_data(data: dict, overrides: list[str] | None = None) -> LoadedBu
 
 def dump_bundle(bundle: LoadedBundle) -> dict:
     """Serializable form of a bundle; load(dump(x)) is value-identical."""
-    scenario = bundle.scenario
     return {
-        "scenario": {
-            "n_markets": scenario.n_markets,
-            "n_sectors": scenario.n_sectors,
-            "prices": list(scenario.prices),
-            "costs": list(scenario.costs),
-            "collision_coeff": scenario.collision_coeff,
-            "debris_per_sat": scenario.debris_per_sat,
-            "legacy_debris": scenario.legacy_debris,
-            "catastrophe_threshold": scenario.catastrophe_threshold,
-            "catastrophe_damages": scenario.catastrophe_damages,
-            "abatement_cost": scenario.abatement_cost,
-            "treaty_parties": scenario.treaty_parties,
-        },
+        "scenario": asdict(bundle.scenario),
         "taxes": [list(row) for row in bundle.taxes.rates],
         "abatement": bundle.abatement,
     }

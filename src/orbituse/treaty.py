@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ActiveSetChangeError
 from .open_access import _rho_form, _share, required_abatement, solve_equilibrium
+from .oracle import finite_difference
 from .regulation import national_welfare
 from .scenario import AbatementProfile, Scenario, TaxSchedule
 
@@ -225,44 +226,21 @@ def treaty_response(
     )
 
 
-def _best_zero_profile_gain(
-    scenario: Scenario, coeff: BenefitCoefficients, qbar: float
+def _best_payoff(
+    scenario: Scenario, coeff: BenefitCoefficients, others: float, qbar: float
 ) -> float:
-    """Best unilateral payoff gain available from the all-zero profile."""
-    c = scenario.abatement_cost
-    damages = scenario.catastrophe_damages
-    if qbar <= 0.0:
-        return 0.0
-    gains = [damages - coeff.beta * qbar - 0.5 * c * qbar**2]  # avert alone
-    if coeff.beta < 0.0:
-        q = min(-coeff.beta / c, qbar)
-        gains.append(-coeff.beta * q - 0.5 * c * q**2)         # free-ride uphill
-    return max(0.0, *gains)
+    """Best payoff of one party against the others' total contribution.
 
-
-def _best_symmetric_deviation_gain(
-    scenario: Scenario, coeff: BenefitCoefficients, qbar: float, parties: int
-) -> float:
-    """Best unilateral payoff gain from the equal-burden averting profile."""
-    c = scenario.abatement_cost
-    damages = scenario.catastrophe_damages
-    if qbar <= 0.0:
-        return 0.0
-    burden = qbar / parties
-    candidates = [0.0]
-    if coeff.beta < 0.0:
-        candidates.append(min(-coeff.beta / c, burden))
-    best = 0.0
-    for q in candidates:
-        if q >= burden:
-            continue
-        gain = (
-            coeff.beta * (burden - q)
-            - damages
-            + 0.5 * c * (burden**2 - q**2)
-        )
-        best = max(best, gain)
-    return best
+    Below the threshold the payoff is concave in the own contribution q
+    with its peak at ``-beta/c``; from the threshold on it only falls in q.
+    So the best reply is one of ``0``, ``clip(-beta/c, 0, room)`` and
+    ``room``, where ``room = max(qbar - others, 0)`` averts exactly.
+    """
+    room = max(qbar - others, 0.0)
+    peak = min(max(-coeff.beta / scenario.abatement_cost, 0.0), room)
+    return max(
+        abatement_payoff(scenario, coeff, q, others + q, qbar) for q in (0.0, peak, room)
+    )
 
 
 def analyze_treaty(
@@ -274,8 +252,10 @@ def analyze_treaty(
     """Full abatement-game analysis: Nash profiles, responses, enforcement.
 
     Candidate Nash profiles (all-zero and equal-burden) are listed only
-    when they survive exact unilateral-deviation analysis; the textbook
-    no-defection bound is reported regardless so the two can be compared.
+    when no party's exact best reply beats its share; the same best reply
+    against the remaining signatories' response decides whether a party
+    prefers the treaty. The textbook no-defection bound is reported
+    regardless so the two can be compared.
     """
     parties = scenario.treaty_parties
     c = scenario.abatement_cost
@@ -293,12 +273,16 @@ def analyze_treaty(
         d.model if variant == MODEL_DERIVED else d.closed_form for d in divergences
     )
 
+    # A profile is Nash when no party's best reply beats its own share.
     zero_ok = all(
-        _best_zero_profile_gain(scenario, coeff, qbar) <= NASH_GAIN_TOLERANCE
+        _best_payoff(scenario, coeff, 0.0, qbar)
+        - abatement_payoff(scenario, coeff, 0.0, 0.0, qbar)
+        <= NASH_GAIN_TOLERANCE
         for coeff in coefficients
     )
-    symmetric_ok = all(
-        _best_symmetric_deviation_gain(scenario, coeff, qbar, parties)
+    symmetric_ok = qbar <= 0.0 or all(
+        _best_payoff(scenario, coeff, qbar - burden, qbar)
+        - abatement_payoff(scenario, coeff, burden, qbar, qbar)
         <= NASH_GAIN_TOLERANCE
         for coeff in coefficients
     )
@@ -325,25 +309,14 @@ def analyze_treaty(
         for coeff in coefficients
     )
 
-    payoff_prefers = []
-    for coeff, response in zip(coefficients, responses):
-        in_treaty = coeff.marginal_benefit(qbar) - 0.5 * c * burden**2
-        avert_alone = coeff.marginal_benefit(qbar) - 0.5 * c * (qbar - response.q_rest) ** 2
-        best_defection = avert_alone
-        room = qbar - response.q_rest
-        if room > 0.0:
-            free_ride_qs = [0.0]
-            if coeff.beta < 0.0:
-                free_ride_qs.append(min(-coeff.beta / c, room * (1.0 - 1e-12)))
-            for q in free_ride_qs:
-                if q < room:
-                    value = (
-                        coeff.marginal_benefit(response.q_rest + q)
-                        - damages
-                        - 0.5 * c * q**2
-                    )
-                    best_defection = max(best_defection, value)
-        payoff_prefers.append(bool(in_treaty >= best_defection - 1e-12))
+    # A defector faces the remaining signatories' response, not the treaty.
+    payoff_prefers = tuple(
+        bool(
+            abatement_payoff(scenario, coeff, burden, qbar, qbar)
+            >= _best_payoff(scenario, coeff, response.q_rest, qbar) - 1e-12
+        )
+        for coeff, response in zip(coefficients, responses)
+    )
 
     return TreatyAnalysis(
         variant=variant,
@@ -353,13 +326,13 @@ def analyze_treaty(
         divergences=divergences,
         nash_equilibria=tuple(profiles),
         zero_profile_is_nash=zero_ok,
-        symmetric_profile_is_nash=symmetric_ok,
+        symmetric_profile_is_nash=bool(symmetric_ok),
         no_defection_bound=float(no_defection_bound),
         averting_sustainable=bool(averting_sustainable),
         responses=responses,
         condition27=condition27,
         self_enforcing=bool(all(condition27)),
-        payoff_prefers_treaty=tuple(payoff_prefers),
+        payoff_prefers_treaty=payoff_prefers,
     )
 
 
@@ -386,95 +359,68 @@ class BetaSensitivityReport:
         raise KeyError(name)
 
 
-def _closed_form_beta_value(scenario: Scenario, taxes: TaxSchedule, sector: int) -> float:
-    return _closed_form_coefficients(scenario, taxes, sector).beta
-
-
 def beta_sensitivity(
     scenario: Scenario, taxes: TaxSchedule, party: int
 ) -> BetaSensitivityReport:
     """Closed-form beta derivatives: finite differences vs analytic formulas.
 
     Defined for two-sector scenarios, where the other player's taxes are
-    primitive quantities. With ``rev = (1 - tau) @ p``, ``den = kd*rev + m``
-    and ``shared = kd*m_j*rev_i + m_i*den_j``, the closed-form slope reduces
-    to ``beta_i = 2 k^3 d rev_i^3 m_j^2 / (den_i^2 den_j shared)``, so
+    primitive quantities. In the rho-form (``rho = rev/m``, ``kd = k d``,
+    ``share = 1 + kd (rho_own + rho_rest)``) the closed-form slope is
+    ``beta = 2 k^2 kd rho_own^3/((1 + kd rho_own)^2 (1 + kd rho_rest) share)``, so
 
-    * ``d ln beta_i / d rev_i = 3/rev_i - 2kd/den_i - kd*m_j/shared``,
-    * ``d ln beta_i / d rev_j = -kd/den_j - kd*m_i/shared < 0``,
-    * ``d ln beta_i / d m_i = -2/den_i - den_j/shared < 0``.
+    * ``d ln beta / d rho_own = g_own = 3/rho_own - 2kd/(1 + kd rho_own) - kd/share > 0``,
+    * ``d ln beta / d rho_rest = g_rest = -kd/(1 + kd rho_rest) - kd/share < 0``.
 
-    A tax lowers revenue by the market's price, so the other player's taxes
-    raise beta_i. Disagreements between the finite differences and these
-    formulas are flagged, not asserted away: the finite differences are the
-    arbiter.
+    A tax on sector s in market j lowers ``rho_s`` by ``p_j/m_s``, so its
+    slope is ``-beta g p_j/m_s``; the own cost lowers ``rho_own`` by
+    ``rho_own/m_own``, with slope ``-beta g_own rho_own/m_own``. So the own
+    taxes and cost lower beta and the other player's taxes raise it.
+    Disagreements between the finite differences and these formulas are
+    flagged, not asserted away: the finite differences are the arbiter.
     """
     if scenario.n_sectors != 2:
         raise ValueError("beta sensitivity is defined for two-sector scenarios")
     if not 0 <= party < 2:
         raise IndexError("party must index one of the two sectors")
     i, j = party, 1 - party
-    k = scenario.collision_coeff
-    kd = k * scenario.debris_per_sat
-    d = scenario.debris_per_sat
-    m_i, m_j = scenario.costs[i], scenario.costs[j]
-    rates = taxes.as_array
-    rev_i = float((1.0 - rates[i]) @ scenario.price_array)
-    rev_j = float((1.0 - rates[j]) @ scenario.price_array)
-    den_i = kd * rev_i + m_i
-    den_j = kd * rev_j + m_j
-
-    shared = kd * m_j * rev_i + m_i * den_j
-    if rev_i > 0.0 and rev_j > 0.0:
-        t_own = (
-            2.0 * k**3 * d * m_i * m_j**2 * rev_i**2
-            * (3.0 * m_i * den_j + kd * rev_i * (3.0 * m_j + kd * rev_j))
-            / (den_i**3 * den_j * shared**2)
-        )
-        t_other = (
-            -2.0 * k**4 * d**2 * m_j**2 * rev_i**3
-            * (kd * m_j * rev_i + 2.0 * m_i * den_j)
-            / ((den_i * den_j * shared) ** 2)
-        )
-        d_cost = (
-            -2.0 * k**3 * d * m_j**2 * rev_i**3
-            * (3.0 * m_i * den_j + kd * rev_i * (3.0 * m_j + kd * rev_j))
-            / (den_i**3 * den_j * shared**2)
-        )
+    _, rho, _, kd = _rho_form(scenario, taxes)
+    beta = _closed_form_coefficients(scenario, taxes, i).beta
+    if rho[i] > 0.0 and rho[j] > 0.0:
+        share = 1.0 + kd * (rho[i] + rho[j])
+        g_own = 3.0 / rho[i] - 2.0 * kd / (1.0 + kd * rho[i]) - kd / share
+        g_rest = -kd / (1.0 + kd * rho[j]) - kd / share
     else:
-        t_own = t_other = d_cost = 0.0
-
+        g_own = g_rest = 0.0
+    p, m = scenario.prices, scenario.costs
     analytic = {
-        "tax_own_home": -scenario.prices[i] * t_own,      # tax on sector i in market i
-        "tax_own_away": -scenario.prices[j] * t_own,      # tax on sector i in market j
-        "tax_other_home": -scenario.prices[i] * t_other,  # tax on sector j in market i
-        "tax_other_away": -scenario.prices[j] * t_other,  # tax on sector j in market j
-        "own_cost": d_cost,
+        "tax_own_home": -beta * g_own * p[i] / m[i],     # tax on sector i in market i
+        "tax_own_away": -beta * g_own * p[j] / m[i],     # tax on sector i in market j
+        "tax_other_home": -beta * g_rest * p[i] / m[j],  # tax on sector j in market i
+        "tax_other_away": -beta * g_rest * p[j] / m[j],  # tax on sector j in market j
+        "own_cost": -beta * g_own * rho[i] / m[i],
     }
 
     def fd_tax(sector: int, market: int) -> float:
-        rate = taxes.rate(sector, market)
-        h = 1e-6 * max(1.0, abs(rate))
-        hi = _closed_form_beta_value(scenario, taxes.with_rate(sector, market, rate + h), i)
-        lo = _closed_form_beta_value(scenario, taxes.with_rate(sector, market, rate - h), i)
-        return (hi - lo) / (2.0 * h)
-
-    h_m = 1e-6 * max(1.0, m_i)
-    costs_hi = list(scenario.costs)
-    costs_lo = list(scenario.costs)
-    costs_hi[i] += h_m
-    costs_lo[i] -= h_m
-    fd_cost = (
-        _closed_form_beta_value(replace(scenario, costs=tuple(costs_hi)), taxes, i)
-        - _closed_form_beta_value(replace(scenario, costs=tuple(costs_lo)), taxes, i)
-    ) / (2.0 * h_m)
+        return finite_difference(
+            lambda rate: _closed_form_coefficients(
+                scenario, taxes.with_rate(sector, market, rate), i
+            ).beta,
+            taxes.rate(sector, market),
+        )
 
     finite = {
         "tax_own_home": fd_tax(i, i),
         "tax_own_away": fd_tax(i, j),
         "tax_other_home": fd_tax(j, i),
         "tax_other_away": fd_tax(j, j),
-        "own_cost": fd_cost,
+        "own_cost": finite_difference(
+            lambda costs: _closed_form_coefficients(
+                replace(scenario, costs=tuple(costs)), taxes, i
+            ).beta,
+            scenario.cost_array,
+            index=i,
+        ),
     }
 
     entries = []
@@ -519,30 +465,18 @@ def treaty_support_check(
     damages = scenario.catastrophe_damages
     parties = scenario.treaty_parties
 
-    def bound_terms(schedule: TaxSchedule) -> tuple[float, float]:
-        beta = _closed_form_beta_value(scenario, schedule, party)
-        qbar = required_abatement(scenario, schedule)
-        return beta, qbar
+    def conditions(rate: float) -> np.ndarray:
+        # The no-defection bound's right-hand side and the punishment margin.
+        schedule = taxes.with_rate(party, market, rate)
+        beta = _closed_form_coefficients(scenario, schedule, party).beta
+        burden = required_abatement(scenario, schedule) / parties
+        return np.array([
+            beta * burden + 0.5 * c * burden**2,
+            -burden - (beta - math.sqrt(beta**2 + 2.0 * c * damages)) / c,
+        ])
 
-    def aversion(schedule: TaxSchedule) -> float:
-        beta, qbar = bound_terms(schedule)
-        burden = qbar / parties
-        return beta * burden + 0.5 * c * burden**2
-
-    def defection_margin(schedule: TaxSchedule) -> float:
-        beta, qbar = bound_terms(schedule)
-        return -qbar / parties - (
-            beta - math.sqrt(beta**2 + 2.0 * c * damages)
-        ) / c
-
-    rate = taxes.rate(party, market)
-    h = 1e-6 * max(1.0, abs(rate))
-    hi = taxes.with_rate(party, market, rate + h)
-    lo = taxes.with_rate(party, market, rate - h)
-    aversion_slope = (aversion(hi) - aversion(lo)) / (2.0 * h)
-    defection_slope = (defection_margin(hi) - defection_margin(lo)) / (2.0 * h)
-
-    beta = _closed_form_beta_value(scenario, taxes, party)
+    aversion_slope, defection_slope = finite_difference(conditions, taxes.rate(party, market))
+    beta = _closed_form_coefficients(scenario, taxes, party).beta
     side = math.sqrt(beta**2 + 2.0 * c * damages) - c * beta > 0.0
     return TreatySupportReport(
         aversion_slope=float(aversion_slope),

@@ -362,6 +362,16 @@ class TestCommands:
         assert len(digest_lines) == 9
         assert all(line.startswith("PASS") for line in digest_lines)
 
+    @pytest.mark.parametrize("count", ["-5", "0"])
+    def test_verify_rejects_a_random_count_below_one(self, capsys, count):
+        # An empty batch would hand the checkers no bundle and pass vacuously.
+        with pytest.raises(SystemExit) as stop:
+            main(["verify", "--scenario", str(FIXTURE), "--seed", "1", "--random-count", count])
+        assert stop.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "random count must be at least 1" in captured.err
+
     def test_module_entry_point(self):
         result = subprocess.run(
             [sys.executable, "-m", "orbituse", "solve", "--scenario", str(FIXTURE)],
@@ -388,3 +398,24 @@ class TestCommands:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "0 []\n"
+
+
+def test_scripts_run_and_the_legacy_sweep_flips_at_two(tmp_path):
+    scripts = FIXTURE.parent.parent / "scripts"
+    sweep = subprocess.run(
+        [sys.executable, str(scripts / "legacy_debris_sweep.py"), "--out", str(tmp_path / "sweep.csv")],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert sweep.returncode == 0, sweep.stderr
+    assert "condition flip at legacy debris 2.000:" in sweep.stdout
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 18
+    report = subprocess.run(
+        [sys.executable, str(scripts / "reference_report.py")],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert report.returncode == 0, report.stderr
+    assert report.stdout.count("== ") == 3

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 from orbituse import (
     HIDEB,
@@ -21,8 +22,10 @@ from orbituse import (
 )
 from orbituse import open_access
 from orbituse.open_access import FINITE_DIFFERENCE, STATIC
+from orbituse.errors import OrbitUseError
 from orbituse.oracle import pivot_open_access
 from orbituse.sampling import sample_scenario
+from orbituse.scenario import debris_stock
 
 from conftest import assert_exact, exact_rho_form
 
@@ -38,6 +41,59 @@ def deny_sector(taxes, sector, n_markets):
     for j in range(n_markets):
         taxes = taxes.with_rate(sector, j, 1.0)
     return taxes
+
+
+def reference_fd_sensitivities(scenario, taxes, abatement):
+    """Per-entry central stencils on the dense solver, written out by hand."""
+    active = pivot_open_access(scenario, taxes, abatement) > 0.0
+    if not active.all():
+        raise ActiveSetChangeError(
+            "finite-difference sensitivities need every sector interior"
+        )
+    n, n_markets = scenario.n_sectors, scenario.n_markets
+    dfleet_dtax = np.zeros((n, n, n_markets))
+    for i in range(n):
+        for j in range(n_markets):
+            rate = taxes.rate(i, j)
+            h = 1e-6 * max(1.0, abs(rate))
+            hi = pivot_open_access(scenario, taxes.with_rate(i, j, rate + h), abatement)
+            lo = pivot_open_access(scenario, taxes.with_rate(i, j, rate - h), abatement)
+            if not (np.array_equal(hi > 0.0, active) and np.array_equal(lo > 0.0, active)):
+                raise ActiveSetChangeError(
+                    f"active set changed inside the stencil for tax [{i}][{j}]"
+                )
+            dfleet_dtax[:, i, j] = (hi - lo) / (2.0 * h)
+    h = 1e-6 * max(1.0, abs(abatement))
+    hi = pivot_open_access(scenario, taxes, abatement + h)
+    lo = pivot_open_access(scenario, taxes, abatement - h)
+    if not (np.array_equal(hi > 0.0, active) and np.array_equal(lo > 0.0, active)):
+        raise ActiveSetChangeError("active set changed inside the abatement stencil")
+    ddebris = (
+        debris_stock(scenario, float(hi.sum()), abatement + h).stock
+        - debris_stock(scenario, float(lo.sum()), abatement - h).stock
+    ) / (2.0 * h)
+    return (
+        dfleet_dtax,
+        (hi - lo) / (2.0 * h),
+        float(ddebris),
+        scenario.debris_per_sat * dfleet_dtax.sum(axis=0),
+    )
+
+
+def fd_outcome(function, scenario, taxes, abatement):
+    """The stencil results as raw bytes, or the error a stencil raised."""
+    try:
+        result = function(scenario, taxes, abatement)
+    except OrbitUseError as error:
+        return f"{type(error).__name__}: {error}"
+    if not isinstance(result, tuple):
+        result = (
+            result.dfleet_dtax,
+            result.dfleet_dabatement,
+            result.ddebris_dabatement,
+            result.drequired_dtax,
+        )
+    return [np.asarray(part, dtype=float).tobytes() for part in result]
 
 
 class TestAssembleSystem:
@@ -226,6 +282,30 @@ class TestSensitivities:
     def test_pinned_sector_raises(self):
         with pytest.raises(ActiveSetChangeError):
             sensitivities(SYM2, deny_sector(ZERO2, 0, 2), 0.0)
+
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.5))
+    @settings(max_examples=100, deadline=None)
+    def test_finite_differences_match_the_per_entry_stencils_bitwise(self, seed, abatement):
+        rng = np.random.default_rng(seed)
+        scenario, taxes = sample_scenario(rng, with_taxes=True, sector_range=(1, 4))
+        reference = fd_outcome(reference_fd_sensitivities, scenario, taxes, abatement)
+        fd = lambda *args: sensitivities(*args, method=FINITE_DIFFERENCE)
+        assert fd_outcome(fd, scenario, taxes, abatement) == reference
+
+    def test_stencil_errors_match_the_per_entry_stencils(self):
+        fd = lambda *args: sensitivities(*args, method=FINITE_DIFFERENCE)
+        # A tax probe past 1 drops sector 1; an abatement probe below
+        # phi = 0 leaves survival negative.
+        almost_denied = ZERO2.with_rate(1, 0, 1.0 - 5e-7).with_rate(1, 1, 1.0 - 5e-7)
+        edge = replace(SYM2, legacy_debris=10.0)
+        cases = [
+            (SYM2, almost_denied, 0.0, "ActiveSetChangeError"),
+            (edge, ZERO2, 5e-7, "PhysicallyInvalidError"),
+        ]
+        for scenario, taxes, abatement, error in cases:
+            reference = fd_outcome(reference_fd_sensitivities, scenario, taxes, abatement)
+            assert reference.startswith(error)
+            assert fd_outcome(fd, scenario, taxes, abatement) == reference
 
 
 class TestRequiredAbatement:

@@ -385,3 +385,168 @@ class TestTreatySupport:
         report = treaty_support_check(relaxed, ZERO2, 0, 1)
         assert report.aversion_slope == pytest.approx(0.0, abs=1e-12)
         assert report.defection_slope == pytest.approx(0.0, abs=1e-12)
+
+
+# -- the hand-derived incentive scans and beta slopes the best-reply rule and
+# the rho-form replaced, kept as references ---------------------------------
+def reference_zero_profile_gain(scenario, coeff, qbar):
+    c = scenario.abatement_cost
+    damages = scenario.catastrophe_damages
+    if qbar <= 0.0:
+        return 0.0
+    gains = [damages - coeff.beta * qbar - 0.5 * c * qbar**2]  # avert alone
+    if coeff.beta < 0.0:
+        q = min(-coeff.beta / c, qbar)
+        gains.append(-coeff.beta * q - 0.5 * c * q**2)         # free-ride uphill
+    return max(0.0, *gains)
+
+
+def reference_symmetric_deviation_gain(scenario, coeff, qbar, parties):
+    c = scenario.abatement_cost
+    damages = scenario.catastrophe_damages
+    if qbar <= 0.0:
+        return 0.0
+    burden = qbar / parties
+    candidates = [0.0]
+    if coeff.beta < 0.0:
+        candidates.append(min(-coeff.beta / c, burden))
+    best = 0.0
+    for q in candidates:
+        if q >= burden:
+            continue
+        best = max(best, coeff.beta * (burden - q) - damages + 0.5 * c * (burden**2 - q**2))
+    return best
+
+
+def reference_prefers_treaty(scenario, coeff, response, qbar, burden):
+    c = scenario.abatement_cost
+    in_treaty = coeff.marginal_benefit(qbar) - 0.5 * c * burden**2
+    best_defection = coeff.marginal_benefit(qbar) - 0.5 * c * (qbar - response.q_rest) ** 2
+    room = qbar - response.q_rest
+    if room > 0.0:
+        free_ride_qs = [0.0]
+        if coeff.beta < 0.0:
+            free_ride_qs.append(min(-coeff.beta / c, room * (1.0 - 1e-12)))
+        for q in free_ride_qs:
+            if q < room:
+                value = (
+                    coeff.marginal_benefit(response.q_rest + q)
+                    - scenario.catastrophe_damages
+                    - 0.5 * c * q**2
+                )
+                best_defection = max(best_defection, value)
+    return bool(in_treaty >= best_defection - 1e-12)
+
+
+def reference_flags(scenario, analysis):
+    """The zero-profile, equal-burden and prefers-treaty flags by the old scans."""
+    qbar, burden = analysis.qbar, analysis.per_party_burden
+    parties = scenario.treaty_parties
+    coefficients = analysis.coefficients
+    return (
+        all(reference_zero_profile_gain(scenario, k, qbar) <= 1e-9 for k in coefficients),
+        all(
+            reference_symmetric_deviation_gain(scenario, k, qbar, parties) <= 1e-9
+            for k in coefficients
+        ),
+        tuple(
+            reference_prefers_treaty(scenario, k, response, qbar, burden)
+            for k, response in zip(coefficients, analysis.responses)
+        ),
+    )
+
+
+def reference_beta_slopes(scenario, taxes, party):
+    """Closed-form beta derivatives in the rev/den/shared form."""
+    i, j = party, 1 - party
+    k = scenario.collision_coeff
+    d = scenario.debris_per_sat
+    kd = k * d
+    m_i, m_j = scenario.costs[i], scenario.costs[j]
+    rates = taxes.as_array
+    rev_i = float((1.0 - rates[i]) @ scenario.price_array)
+    rev_j = float((1.0 - rates[j]) @ scenario.price_array)
+    den_i = kd * rev_i + m_i
+    den_j = kd * rev_j + m_j
+    shared = kd * m_j * rev_i + m_i * den_j
+    if rev_i > 0.0 and rev_j > 0.0:
+        common = 3.0 * m_i * den_j + kd * rev_i * (3.0 * m_j + kd * rev_j)
+        t_own = (
+            2.0 * k**3 * d * m_i * m_j**2 * rev_i**2 * common
+            / (den_i**3 * den_j * shared**2)
+        )
+        t_other = (
+            -2.0 * k**4 * d**2 * m_j**2 * rev_i**3
+            * (kd * m_j * rev_i + 2.0 * m_i * den_j)
+            / ((den_i * den_j * shared) ** 2)
+        )
+        d_cost = -2.0 * k**3 * d * m_j**2 * rev_i**3 * common / (den_i**3 * den_j * shared**2)
+    else:
+        t_own = t_other = d_cost = 0.0
+    return {
+        "tax_own_home": -scenario.prices[i] * t_own,
+        "tax_own_away": -scenario.prices[j] * t_own,
+        "tax_other_home": -scenario.prices[i] * t_other,
+        "tax_other_away": -scenario.prices[j] * t_other,
+        "own_cost": d_cost,
+    }
+
+
+class TestAgainstReferences:
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_best_reply_flags_match_the_scans(self, seed, wide, with_taxes):
+        # Half the draws widen damages, abatement cost and party counts so
+        # every flag takes both values.
+        rng = np.random.default_rng(seed)
+        scenario, taxes = sample_scenario(
+            rng, sector_range=(1, 5), with_taxes=with_taxes, require_kessler_risk=True
+        )
+        if wide:
+            scenario = replace(
+                scenario,
+                catastrophe_damages=float(10 ** rng.uniform(-3.0, 1.5)),
+                abatement_cost=float(10 ** rng.uniform(-2.0, 2.0)),
+                treaty_parties=int(rng.integers(1, 7)),
+            )
+        for variant in (MODEL_DERIVED, CLOSED_FORM):
+            analysis = analyze_treaty(scenario, taxes, variant)
+            assert (
+                analysis.zero_profile_is_nash,
+                analysis.symmetric_profile_is_nash,
+                analysis.payoff_prefers_treaty,
+            ) == reference_flags(scenario, analysis)
+
+    def test_sym2_flags_match_the_scans(self):
+        timid = replace(SYM2, catastrophe_damages=0.01)
+        costly = replace(SYM2, abatement_cost=100.0)
+        for scenario in (SYM2, timid, costly):
+            for variant in (MODEL_DERIVED, CLOSED_FORM):
+                analysis = analyze_treaty(scenario, ZERO2, variant)
+                assert (
+                    analysis.zero_profile_is_nash,
+                    analysis.symmetric_profile_is_nash,
+                    analysis.payoff_prefers_treaty,
+                ) == reference_flags(scenario, analysis)
+            # qbar <= 0 keeps both candidate profiles certified.
+            for qbar in (0.0, -0.5):
+                analysis = analyze_treaty(scenario, ZERO2, MODEL_DERIVED, qbar=qbar)
+                assert analysis.zero_profile_is_nash and analysis.symmetric_profile_is_nash
+                assert analysis.payoff_prefers_treaty == reference_flags(scenario, analysis)[2]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 1), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_rho_form_beta_slopes_match_the_rev_den_shared_form(self, seed, party, deny_rest):
+        rng = np.random.default_rng(seed)
+        scenario, taxes = sample_scenario(
+            rng, n_sectors=2, with_taxes=True, collision_range=(0.0, 0.4)
+        )
+        if deny_rest:
+            # A fully taxed other sector: both forms report zero slopes.
+            other = 1 - party
+            for market in range(scenario.n_markets):
+                taxes = taxes.with_rate(other, market, 1.0)
+        reference = reference_beta_slopes(scenario, taxes, party)
+        for entry in beta_sensitivity(scenario, taxes, party).entries:
+            expect = reference[entry.name]
+            assert abs(entry.analytic - expect) <= 1e-12 * abs(expect), entry.name
