@@ -20,7 +20,9 @@ and abatement. The fleet system ``(diag(1+s) - s 1^T) f = phi r`` with
 ``r_i = rev_i/(kd rev_i + m_i)`` and ``s = -kd r`` is still assembled for
 inspection; its determinant ``share/prod(1 + kd rho_i)`` is positive for
 every validated input, so it is reported but never a failure. The dense
-pivoting solve lives in :mod:`orbituse.oracle` as the independent reference.
+solves live in :mod:`orbituse.oracle` as the independent reference: the
+pivoting one per call, and a stacked one that the finite-difference
+sensitivities solve their stencils with.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ActiveSetChangeError, PhysicallyInvalidError
-from .oracle import finite_difference, pivot_open_access
+from .oracle import interior_open_access, pivot_open_access
 from .scenario import (
     DebrisState,
     Scenario,
@@ -214,6 +216,18 @@ def _stacked_fleets(scenario: Scenario, rates: np.ndarray, phi, kd: float):
     return phi * on / share, phi / share
 
 
+def _one_rate_probes(rates: np.ndarray, moved: np.ndarray) -> np.ndarray:
+    """Copies of ``rates`` (n, m) with rate [i][j] set to ``moved[i, j, l]``.
+
+    One copy per entry of ``moved`` (n, m, k), in (sector, market, l) order.
+    """
+    n, m, k = moved.shape
+    stack = np.repeat(rates[None], n * m * k, axis=0).reshape(n, m, k, n, m)
+    i, j = np.indices((n, m), sparse=True)
+    stack[i, j, :, i, j] = moved
+    return stack.reshape(-1, n, m)
+
+
 def _stacked_equilibrium(
     scenario: Scenario, rates: np.ndarray, abatement: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -334,41 +348,46 @@ def _analytic_sensitivities(
 def _fd_sensitivities(
     scenario: Scenario, taxes: TaxSchedule, abatement: float
 ) -> SensitivityReport:
-    # Stencils re-solve with the oracle's dense solver, so this path audits
-    # the closed-form kernel instead of sharing it.
-    active = pivot_open_access(scenario, taxes, abatement) > 0.0
-    if not active.all():
+    # Stencils re-solve with the oracle's dense LU, so this path audits the
+    # closed-form kernel instead of sharing it. The 2 n m + 2 probes are one
+    # stack, in the order a per-probe loop takes them: rate [i][j] + h, then
+    # - h, for each (i, j); then Q + h, Q - h.
+    if not np.all(pivot_open_access(scenario, taxes, abatement) > 0.0):
         raise ActiveSetChangeError(
             "finite-difference sensitivities need every sector interior"
         )
-
-    def fleets(schedule: TaxSchedule, q: float, stencil: str) -> np.ndarray:
-        solved = pivot_open_access(scenario, schedule, q)
-        if not np.array_equal(solved > 0.0, active):
-            raise ActiveSetChangeError(f"active set changed inside the {stencil}")
-        return solved
-
     n, n_markets = scenario.n_sectors, scenario.n_markets
-    dfleet_dtax = np.zeros((n, n, n_markets))
-    for i in range(n):
-        for j in range(n_markets):
-            dfleet_dtax[:, i, j] = finite_difference(
-                lambda rate: fleets(
-                    taxes.with_rate(i, j, rate), abatement, f"stencil for tax [{i}][{j}]"
-                ),
-                taxes.rate(i, j),
-            )
+    rates = taxes.as_array
+    h = 1e-6 * np.maximum(1.0, np.abs(rates))
+    h_ab = 1e-6 * max(1.0, abs(abatement))
+    moved = np.stack([rates + h, rates - h], axis=-1)
+    probes = np.concatenate([_one_rate_probes(rates, moved), rates[None], rates[None]])
+    levels = np.full(len(probes), float(abatement))
+    levels[-2:] = abatement + h_ab, abatement - h_ab
+    fleets, ok = interior_open_access(scenario, probes, levels)
 
-    def fleets_and_stock(q: float) -> np.ndarray:
-        solved = fleets(taxes, q, "abatement stencil")
-        return np.append(solved, debris_stock(scenario, float(solved.sum()), q).stock)
+    # A refused row is re-solved per probe; every earlier row succeeded, so
+    # the first one raises the per-probe loop's error and message.
+    for row in np.flatnonzero(~ok):
+        solved = pivot_open_access(
+            scenario, TaxSchedule.from_array(probes[row]), float(levels[row])
+        )
+        if not np.all(solved > 0.0):
+            stencil = "abatement stencil"
+            if row < 2 * n * n_markets:
+                stencil = "stencil for tax [{}][{}]".format(*divmod(row // 2, n_markets))
+            raise ActiveSetChangeError(f"active set changed inside the {stencil}")
+        fleets[row] = solved
 
-    slopes = finite_difference(fleets_and_stock, abatement)
+    dfleet_dtax = (fleets[0:-2:2] - fleets[1:-2:2]) / (2.0 * h.reshape(-1, 1))
+    dfleet_dtax = np.ascontiguousarray(dfleet_dtax.T).reshape(n, n, n_markets)
+    total = fleets[-2:].sum(axis=1)
+    stock = scenario.debris_per_sat * total + scenario.legacy_debris - levels[-2:]
     drequired = scenario.debris_per_sat * dfleet_dtax.sum(axis=0)
     return SensitivityReport(
         dfleet_dtax=dfleet_dtax,
-        dfleet_dabatement=slopes[:-1],
-        ddebris_dabatement=float(slopes[-1]),
+        dfleet_dabatement=(fleets[-2] - fleets[-1]) / (2.0 * h_ab),
+        ddebris_dabatement=float((stock[0] - stock[1]) / (2.0 * h_ab)),
         drequired_dtax=drequired,
         method=FINITE_DIFFERENCE,
     )
@@ -383,8 +402,11 @@ def sensitivities(
     """Equilibrium responses to every tax rate and to abatement.
 
     The analytic path differentiates ``f = phi rho/share`` directly; the
-    finite-difference path re-solves central stencils
-    with the oracle's dense solver and exists to audit the analytic one.
+    finite-difference path solves its central stencils (step
+    ``1e-6 max(1, |x|)``) as one stack with the oracle's dense LU and
+    exists to audit the analytic one. A probe whose active set changes or
+    whose survival leaves [0, 1] raises as a per-probe loop would, at the
+    first such probe.
     """
     if method == ANALYTIC:
         return _analytic_sensitivities(scenario, taxes, abatement)

@@ -1,13 +1,14 @@
 """Independent brute-force verifiers for the solvers.
 
 Everything here deliberately avoids the code paths it audits: the fleet
-iteration applies the raw best-response formula and the pivot solver
+iteration applies the raw best-response formula, the pivot solver
 factorizes the dense fleet system instead of using the closed-form
-kernel, the grid maximizer enumerates instead of calling the local
-optimizer, and the deviation search spells out the abatement payoff
-inline. A passing grid report certifies optimality on the grid only,
-which is weaker than continuous optimality; tests state the radius they
-certify.
+kernel (``interior_open_access`` factorizes a whole stack of such systems
+in one LU pass, for rows where every sector is active), the grid
+maximizer enumerates instead of calling the local optimizer, and the
+deviation search spells out the abatement payoff inline. A passing grid
+report certifies optimality on the grid only, which is weaker than
+continuous optimality; tests state the radius they certify.
 """
 
 from __future__ import annotations
@@ -155,6 +156,41 @@ def pivot_open_access(
             debris=debris,
         )
     return fleets
+
+
+def interior_open_access(
+    scenario: Scenario, rates: np.ndarray, abatement: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fleets ``(B, n)`` of a ``(B, n, m)`` stack of tax rates, all sectors active.
+
+    Row b builds ``I - M`` and ``phi r`` at ``rates[b]`` and ``abatement[b]``
+    as :func:`pivot_open_access` does and solves the whole stack with one
+    LU pass, without pivoting. ``ok[b]`` holds when ``|det| >
+    SINGULARITY_THRESHOLD``, every fleet is positive and survival lies in
+    [0, 1]: exactly the rows where the pivot solve returns with every
+    sector active, and there it returns the same fleets bit for bit. Other
+    rows are the caller's to refuse; their fleets are NaN where the system
+    is singular.
+    """
+    n = scenario.n_sectors
+    k = scenario.collision_coeff
+    kd = k * scenario.debris_per_sat
+    revenue = (1.0 - rates) @ scenario.price_array
+    r = revenue / (kd * revenue + scenario.cost_array)
+    phi = 1.0 + k * (abatement - scenario.legacy_debris)
+    interaction = np.repeat(-kd * r[:, :, None], n, axis=2)
+    interaction[:, np.arange(n), np.arange(n)] = 0.0
+    reduced = np.eye(n) - interaction
+
+    regular = np.abs(np.linalg.det(reduced)) > SINGULARITY_THRESHOLD
+    fleets = np.full(r.shape, np.nan)
+    fleets[regular] = np.linalg.solve(
+        reduced[regular], (phi[:, None] * r)[regular][:, :, None]
+    )[:, :, 0]
+    stock = scenario.debris_per_sat * fleets.sum(axis=1) + scenario.legacy_debris - abatement
+    survival = 1.0 - k * stock
+    ok = regular & np.all(fleets > 0.0, axis=1) & (0.0 <= survival) & (survival <= 1.0)
+    return fleets, ok
 
 
 def _grid_axis(step: float, lower: float, upper: float) -> np.ndarray:

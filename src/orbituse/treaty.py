@@ -378,6 +378,13 @@ def beta_sensitivity(
     taxes and cost lower beta and the other player's taxes raise it.
     Disagreements between the finite differences and these formulas are
     flagged, not asserted away: the finite differences are the arbiter.
+
+    When the other sector is fully taxed (``rho_rest = 0``) the own entries
+    keep their formulas, but the other-tax entries sit on the kink where
+    ``rho_rest`` leaves the sum: raising that tax leaves beta unchanged,
+    lowering it moves beta at ``-beta g_rest p_j/m_s``. Their analytic
+    value is the zero slope from above, and the central difference
+    straddles the kink, so both stay flagged.
     """
     if scenario.n_sectors != 2:
         raise ValueError("beta sensitivity is defined for two-sector scenarios")
@@ -386,12 +393,12 @@ def beta_sensitivity(
     i, j = party, 1 - party
     _, rho, _, kd = _rho_form(scenario, taxes)
     beta = _closed_form_coefficients(scenario, taxes, i).beta
-    if rho[i] > 0.0 and rho[j] > 0.0:
+    g_own = g_rest = 0.0
+    if rho[i] > 0.0:
         share = 1.0 + kd * (rho[i] + rho[j])
         g_own = 3.0 / rho[i] - 2.0 * kd / (1.0 + kd * rho[i]) - kd / share
-        g_rest = -kd / (1.0 + kd * rho[j]) - kd / share
-    else:
-        g_own = g_rest = 0.0
+        if rho[j] > 0.0:
+            g_rest = -kd / (1.0 + kd * rho[j]) - kd / share
     p, m = scenario.prices, scenario.costs
     analytic = {
         "tax_own_home": -beta * g_own * p[i] / m[i],     # tax on sector i in market i

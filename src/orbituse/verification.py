@@ -15,6 +15,7 @@ from .errors import OrbitUseError
 from .open_access import (
     ANALYTIC,
     FINITE_DIFFERENCE,
+    _one_rate_probes,
     _stacked_equilibrium,
     decompose,
     reduce_two_player,
@@ -139,18 +140,6 @@ def check_sensitivity_agreement(bundles: list[Bundle]) -> OracleReport:
         if gap > 1e-5:
             bad.append((index, "ddebris_dabatement", gap))
     return _report("sensitivity_agreement", worst, bad)
-
-
-def _one_rate_probes(rates: np.ndarray, moved: np.ndarray) -> np.ndarray:
-    """Copies of ``rates`` (n, m) with rate [i][j] set to ``moved[i, j, l]``.
-
-    One copy per entry of ``moved`` (n, m, k), in (sector, market, l) order.
-    """
-    n, m, k = moved.shape
-    stack = np.repeat(rates[None], n * m * k, axis=0).reshape(n, m, k, n, m)
-    i, j = np.indices((n, m), sparse=True)
-    stack[i, j, :, i, j] = moved
-    return stack.reshape(-1, n, m)
 
 
 def _stencil(scenario: Scenario, rates: np.ndarray, abatement: np.ndarray):

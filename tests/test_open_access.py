@@ -287,20 +287,26 @@ class TestSensitivities:
     @settings(max_examples=100, deadline=None)
     def test_finite_differences_match_the_per_entry_stencils_bitwise(self, seed, abatement):
         rng = np.random.default_rng(seed)
-        scenario, taxes = sample_scenario(rng, with_taxes=True, sector_range=(1, 4))
+        scenario, taxes = sample_scenario(rng, with_taxes=True, sector_range=(1, 6))
         reference = fd_outcome(reference_fd_sensitivities, scenario, taxes, abatement)
         fd = lambda *args: sensitivities(*args, method=FINITE_DIFFERENCE)
         assert fd_outcome(fd, scenario, taxes, abatement) == reference
 
     def test_stencil_errors_match_the_per_entry_stencils(self):
         fd = lambda *args: sensitivities(*args, method=FINITE_DIFFERENCE)
-        # A tax probe past 1 drops sector 1; an abatement probe below
-        # phi = 0 leaves survival negative.
+        # Each way a stacked probe is refused: a tax probe's + h side
+        # pushes rate [1][0] past 1 and drops sector 1; the abatement
+        # probe's - h side lands exactly on phi = 0, where every fleet is 0
+        # and survival 0 is valid; an abatement probe below phi = 0 leaves
+        # survival negative; and just below survival 1, the + h side of
+        # tax [0][0] lifts survival past 1.
         almost_denied = ZERO2.with_rate(1, 0, 1.0 - 5e-7).with_rate(1, 1, 1.0 - 5e-7)
         edge = replace(SYM2, legacy_debris=10.0)
         cases = [
             (SYM2, almost_denied, 0.0, "ActiveSetChangeError"),
+            (edge, ZERO2, 1e-6, "ActiveSetChangeError"),
             (edge, ZERO2, 5e-7, "PhysicallyInvalidError"),
+            (SYM2, ZERO2, 4.0 - 1e-7, "PhysicallyInvalidError"),
         ]
         for scenario, taxes, abatement, error in cases:
             reference = fd_outcome(reference_fd_sensitivities, scenario, taxes, abatement)

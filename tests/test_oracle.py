@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 from orbituse import (
     MODEL_DERIVED,
@@ -8,6 +9,7 @@ from orbituse import (
     SYM2,
     AbatementProfile,
     BudgetExceededError,
+    OrbitUseError,
     TaxSchedule,
     benefit_coefficients,
     national_welfare,
@@ -17,8 +19,11 @@ from orbituse.oracle import (
     deviation_search_abatement,
     finite_difference,
     grid_maximize,
+    interior_open_access,
     iterate_open_access,
+    pivot_open_access,
 )
+from orbituse.sampling import sample_scenario
 
 ZERO2 = TaxSchedule.zeros(2, 2)
 ZERO1 = TaxSchedule.zeros(1, 1)
@@ -53,6 +58,43 @@ class TestIteration:
         a = iterate_open_access(SYM2, ZERO2, 0.5)
         b = iterate_open_access(SYM2, ZERO2, 0.5)
         assert np.array_equal(a, b)
+
+
+class TestInteriorOpenAccess:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_match_the_pivot_solve_where_every_sector_is_active(self, seed):
+        rng = np.random.default_rng(seed)
+        scenario, taxes = sample_scenario(rng, with_taxes=True, sector_range=(1, 6))
+        n, m = taxes.shape
+        # Rates a little past [0, 1], some sectors fully taxed, and
+        # abatement from phi < 0 (exactly 0 in one row) to survival > 1.
+        rates = np.repeat(taxes.as_array[None], 12, axis=0)
+        rates[1:6] = rng.uniform(-0.05, 1.05, (5, n, m))
+        rates[6:9, int(rng.integers(n))] = 1.0
+        k, debris = scenario.collision_coeff, scenario.legacy_debris
+        levels = rng.uniform(-0.5, 2.0, 12) * (debris + 1.0 / k)
+        levels[0] = 0.0
+        levels[9] = debris - 1.0 / k
+        fleets, ok = interior_open_access(scenario, rates, levels)
+        for row in range(len(rates)):
+            try:
+                solved = pivot_open_access(
+                    scenario, TaxSchedule.from_array(rates[row]), float(levels[row])
+                )
+            except OrbitUseError:
+                solved = None
+            interior = solved is not None and bool(np.all(solved > 0.0))
+            assert ok[row] == interior, row
+            if interior:
+                assert fleets[row].tobytes() == solved.tobytes(), row
+
+    def test_rows_are_refused_as_the_pivot_solve_refuses_them(self):
+        # Interior, a pinned sector, phi < 0 and survival above 1.
+        rates = np.array([[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]]] * 2)
+        fleets, ok = interior_open_access(SYM2, rates, np.array([0.0, 0.0, -20.0, 5.0]))
+        assert ok.tolist() == [True, False, False, False]
+        np.testing.assert_allclose(fleets[0], [10.0 / 7.0] * 2, atol=1e-14)
 
 
 class TestGridMaximize:

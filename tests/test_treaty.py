@@ -362,6 +362,20 @@ class TestBetaSensitivity:
         ):
             assert report.entry(name).analytic == pytest.approx(expect, rel=0.0, abs=1e-12)
 
+    def test_fully_taxed_other_sector_keeps_the_own_slopes(self):
+        # rho_rest = 0: beta = 1/108 and g_own = 5/4 stay positive, so the
+        # own entries match their finite differences; the other-tax
+        # entries sit on the kink where rho_rest leaves the sum.
+        report = beta_sensitivity(SYM2, TaxSchedule(((0.0, 0.0), (1.0, 1.0))), 0)
+        for name in ("tax_own_home", "tax_own_away", "own_cost"):
+            assert not report.entry(name).flagged, name
+        own = report.entry("tax_own_home")
+        assert own.finite_difference == pytest.approx(-0.011574, abs=1e-6)
+        assert own.analytic == pytest.approx(-5.0 / 432.0, rel=1e-12)
+        assert report.entry("own_cost").analytic == pytest.approx(-5.0 / 216.0, rel=1e-12)
+        assert report.entry("tax_other_home").flagged
+        assert report.entry("tax_other_away").flagged
+
     def test_no_collisions_zero_everything(self):
         report = beta_sensitivity(NO_COLLISIONS, ZERO2, 0)
         for entry in report.entries:
@@ -469,20 +483,20 @@ def reference_beta_slopes(scenario, taxes, party):
     den_i = kd * rev_i + m_i
     den_j = kd * rev_j + m_j
     shared = kd * m_j * rev_i + m_i * den_j
-    if rev_i > 0.0 and rev_j > 0.0:
+    t_own = t_other = d_cost = 0.0
+    if rev_i > 0.0:
         common = 3.0 * m_i * den_j + kd * rev_i * (3.0 * m_j + kd * rev_j)
         t_own = (
             2.0 * k**3 * d * m_i * m_j**2 * rev_i**2 * common
             / (den_i**3 * den_j * shared**2)
         )
+        d_cost = -2.0 * k**3 * d * m_j**2 * rev_i**3 * common / (den_i**3 * den_j * shared**2)
+    if rev_i > 0.0 and rev_j > 0.0:
         t_other = (
             -2.0 * k**4 * d**2 * m_j**2 * rev_i**3
             * (kd * m_j * rev_i + 2.0 * m_i * den_j)
             / ((den_i * den_j * shared) ** 2)
         )
-        d_cost = -2.0 * k**3 * d * m_j**2 * rev_i**3 * common / (den_i**3 * den_j * shared**2)
-    else:
-        t_own = t_other = d_cost = 0.0
     return {
         "tax_own_home": -scenario.prices[i] * t_own,
         "tax_own_away": -scenario.prices[j] * t_own,
@@ -542,7 +556,8 @@ class TestAgainstReferences:
             rng, n_sectors=2, with_taxes=True, collision_range=(0.0, 0.4)
         )
         if deny_rest:
-            # A fully taxed other sector: both forms report zero slopes.
+            # A fully taxed other sector: both forms keep the own slopes
+            # and report zero other-tax slopes, the kink's slope from above.
             other = 1 - party
             for market in range(scenario.n_markets):
                 taxes = taxes.with_rate(other, market, 1.0)
