@@ -1,14 +1,15 @@
 """Independent brute-force verifiers for the solvers.
 
 Everything here deliberately avoids the code paths it audits: the fleet
-iteration applies the raw best-response formula, the pivot solver
-factorizes the dense fleet system instead of using the closed-form
-kernel (``interior_open_access`` factorizes a whole stack of such systems
-in one LU pass, for rows where every sector is active), the grid
-maximizer enumerates instead of calling the local optimizer, and the
-deviation search spells out the abatement payoff inline. A passing grid
-report certifies optimality on the grid only, which is weaker than
-continuous optimality; tests state the radius they certify.
+iteration applies the raw best-response formula on Python floats, bit for
+bit as the numpy array loop the tests keep; the pivot solver factorizes
+the dense fleet system instead of using the closed-form kernel
+(``interior_open_access`` factorizes a whole stack of such systems in one
+LU pass, for rows where every sector is active); the grid maximizer
+enumerates instead of calling the local optimizer; and the deviation
+search spells out the abatement payoff inline. A passing grid report
+certifies optimality on the grid only, which is weaker than continuous
+optimality; tests state the radius they certify.
 """
 
 from __future__ import annotations
@@ -62,6 +63,12 @@ def iterate_open_access(
     Negative best responses clamp to zero. Converges whenever the damped
     map contracts; strongly coupled many-sector systems can cycle instead,
     which surfaces as NoConvergenceError rather than a wrong answer.
+
+    The loop runs on Python floats, as numpy's dispatch outweighs the
+    arithmetic at the few sectors ``verify`` draws. It follows the operation
+    order of the numpy array loop in ``tests/test_oracle.py``, so results
+    equal that loop bit for bit, errors included. numpy sums eight or more
+    fleets in interleaved partial sums, so those totals go through numpy.
     """
     rates = taxes.as_array
     prices = scenario.price_array
@@ -71,24 +78,28 @@ def iterate_open_access(
     revenue = (1.0 - rates) @ prices
     denom = k * d * revenue + costs
 
-    fleets = np.zeros(scenario.n_sectors)
-    delta = np.inf
+    debris, keep, abatement = scenario.legacy_debris, 1.0 - damping, float(abatement)
+    # A zero denominator stays np.float64, so it divides to inf or NaN as an array does.
+    sectors = [(rev, den or np.float64(den)) for rev, den in zip(revenue.tolist(), denom.tolist())]
+    fleets, total, delta = [0.0] * scenario.n_sectors, 0.0, np.inf
     for _ in range(max_iterations):
-        rest = fleets.sum() - fleets
-        response = revenue * (
-            1.0 - k * (d * rest + scenario.legacy_debris - abatement)
-        ) / denom
-        np.maximum(response, 0.0, out=response)
-        updated = (1.0 - damping) * fleets + damping * response
-        delta = float(np.max(np.abs(updated - fleets)))
-        fleets = updated
+        updated, moved, delta = [], 0.0, 0.0
+        for f, (rev, den) in zip(fleets, sectors):
+            response = rev * (1.0 - k * (d * (total - f) + debris - abatement)) / den
+            # The clamp keeps -0.0 and NaN, and a NaN gap sticks, as in numpy.
+            update = keep * f + damping * (0.0 if response < 0.0 else response)
+            updated.append(update)
+            moved += update
+            gap = abs(update - f)
+            delta = gap if gap > delta or gap != gap else delta
+        fleets, total = updated, moved if len(updated) < 8 else float(np.sum(updated))
         if delta < tolerance:
-            return fleets
+            return np.array(fleets)
     raise NoConvergenceError(
         f"best-response iteration still moving {delta:.3e} after "
         f"{max_iterations} iterations",
-        last_iterate=fleets,
-        update_norm=delta,
+        last_iterate=np.array(fleets),
+        update_norm=float(delta),
     )
 
 

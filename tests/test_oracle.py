@@ -1,15 +1,20 @@
+import ast
 import numpy as np
 import pytest
 from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
+import orbituse.oracle
+import orbituse.verification
 from orbituse import (
     MODEL_DERIVED,
     SOLO,
     SYM2,
     AbatementProfile,
     BudgetExceededError,
+    NoConvergenceError,
     OrbitUseError,
+    Scenario,
     TaxSchedule,
     benefit_coefficients,
     national_welfare,
@@ -24,9 +29,54 @@ from orbituse.oracle import (
     pivot_open_access,
 )
 from orbituse.sampling import sample_scenario
+from orbituse.verification import run_verification
 
 ZERO2 = TaxSchedule.zeros(2, 2)
 ZERO1 = TaxSchedule.zeros(1, 1)
+SIX = Scenario(6, 6, (10.0,) * 6, (0.1,) * 6, 0.05, 20.0, 0.0, 2.0, 1.0, 1.0)
+
+
+def reference_iterate_open_access(
+    scenario, taxes, abatement=0.0, damping=0.5, tolerance=1e-12, max_iterations=100_000
+):
+    """The damped best-response iteration as a numpy array loop, one ufunc per step."""
+    rates = taxes.as_array
+    prices = scenario.price_array
+    costs = scenario.cost_array
+    k = scenario.collision_coeff
+    d = scenario.debris_per_sat
+    revenue = (1.0 - rates) @ prices
+    denom = k * d * revenue + costs
+
+    fleets = np.zeros(scenario.n_sectors)
+    delta = np.inf
+    for _ in range(max_iterations):
+        rest = fleets.sum() - fleets
+        response = revenue * (
+            1.0 - k * (d * rest + scenario.legacy_debris - abatement)
+        ) / denom
+        np.maximum(response, 0.0, out=response)
+        updated = (1.0 - damping) * fleets + damping * response
+        delta = float(np.max(np.abs(updated - fleets)))
+        fleets = updated
+        if delta < tolerance:
+            return fleets
+    raise NoConvergenceError(
+        f"best-response iteration still moving {delta:.3e} after "
+        f"{max_iterations} iterations",
+        last_iterate=fleets,
+        update_norm=delta,
+    )
+
+
+def iteration_outcome(function, *args, **kwargs):
+    """The fleets as raw bytes, or the error's message, iterate and norm."""
+    with np.errstate(all="ignore"):
+        try:
+            return function(*args, **kwargs).tobytes()
+        except NoConvergenceError as error:
+            last, norm = error.last_iterate, error.update_norm
+            return (str(error), type(last), last.tobytes(), type(norm), norm.hex())
 
 
 class TestIteration:
@@ -58,6 +108,87 @@ class TestIteration:
         a = iterate_open_access(SYM2, ZERO2, 0.5)
         b = iterate_open_access(SYM2, ZERO2, 0.5)
         assert np.array_equal(a, b)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_array_loop_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        scenario, taxes = sample_scenario(rng, with_taxes=True, sector_range=(1, 7))
+        rates = taxes.as_array.copy()
+        if rng.random() < 0.4:  # a denied sector: zero revenue
+            rates[int(rng.integers(scenario.n_sectors))] = 1.0
+        if rng.random() < 0.2:
+            scenario = replace(scenario, collision_coeff=0.0)
+        elif rng.random() < 0.3:  # legacy debris past 1/k clamps responses to 0
+            scenario = replace(scenario, legacy_debris=rng.uniform(0.5, 2.0) / scenario.collision_coeff)
+        abatement = float(rng.uniform(0.0, 2.0)) if rng.random() < 0.5 else 0.0
+        args = (scenario, TaxSchedule.from_array(rates), abatement)
+        reference = iteration_outcome(reference_iterate_open_access, *args, max_iterations=2000)
+        assert iteration_outcome(iterate_open_access, *args, max_iterations=2000) == reference
+
+    def test_matches_the_array_loop_from_eight_sectors(self):
+        # numpy's eight interleaved partial sums start here.
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            scenario, taxes = sample_scenario(rng, with_taxes=True, sector_range=(8, 12))
+            reference = iteration_outcome(reference_iterate_open_access, scenario, taxes, 0.0)
+            assert iteration_outcome(iterate_open_access, scenario, taxes, 0.0) == reference
+
+    def test_matches_the_array_loop_on_a_verify_batch(self, monkeypatch):
+        seen = []
+
+        def recorded(*args):
+            seen.append(args)
+            return iterate_open_access(*args)
+
+        monkeypatch.setattr(orbituse.verification, "iterate_open_access", recorded)
+        run_verification(SYM2, ZERO2, 0.0, seed=1)
+        assert len(seen) == 41  # the loaded bundle and the general batch
+        for args in seen:
+            reference = iteration_outcome(reference_iterate_open_access, *args)
+            assert iteration_outcome(iterate_open_access, *args) == reference
+
+    @pytest.mark.parametrize(
+        "scenario, taxes",
+        [
+            # Cycles: damping 0.5 does not contract when kd·sum(rho) is large.
+            (SIX, TaxSchedule.zeros(6, 6)),
+            # A zero denominator divides to inf or NaN instead of raising.
+            (replace(SYM2, costs=(-0.2, 1.0)), ZERO2),
+            # Both sectors denied: 0/0 makes one sector's update NaN while
+            # the other's stays 0, so the NaN alone counts as still moving.
+            (replace(SYM2, costs=(0.0, 1.0)), TaxSchedule.from_array(np.ones((2, 2)))),
+            (replace(SYM2, costs=(1.0, 0.0)), TaxSchedule.from_array(np.ones((2, 2)))),
+        ],
+    )
+    def test_failures_match_the_array_loop(self, scenario, taxes):
+        reference = iteration_outcome(
+            reference_iterate_open_access, scenario, taxes, 0.0, max_iterations=2000
+        )
+        assert isinstance(reference, tuple)
+        assert iteration_outcome(
+            iterate_open_access, scenario, taxes, 0.0, max_iterations=2000
+        ) == reference
+
+    def test_imports_nothing_from_the_kernel(self):
+        tree = ast.parse(open(orbituse.oracle.__file__).read())
+        relative = {
+            "." * node.level + (node.module or "")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+        }
+        absolute = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+        } | {
+            node.module
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and not node.level
+        }
+        assert relative == {".errors", ".scenario"}
+        assert not any(name.split(".")[0] == "orbituse" for name in absolute)
 
 
 class TestInteriorOpenAccess:
