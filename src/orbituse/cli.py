@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -331,8 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Building the tree costs about 25x a parse, and parsing leaves it as it was.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    return execute(build_parser().parse_args(argv))
+    return execute(_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

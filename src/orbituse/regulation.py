@@ -6,7 +6,9 @@ the others, and cleans the orbital environment; the three channels are
 exposed separately and their sum is held to the finite-difference
 derivative of welfare. Markets best-respond with box-constrained tax
 columns, and the global regulatory equilibrium is the fixed point of
-damped simultaneous best responses.
+damped simultaneous best responses. Each iteration evaluates every
+market's candidate columns in one stacked numpy pass, with markets grouped
+so that no pass stacks more than ``CANDIDATE_BUDGET`` tax rates.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .open_access import (
 from .scenario import Scenario, TaxSchedule
 
 BEST_RESPONSE_VALUE_TIE = 1e-10
-# Most tax rates one best-response call may stack, (n + 2) 2^(n-1) n m at
-# worst: twelve sectors fit up to 24 markets, thirteen never do.
+# Most tax rates one best-response pass may stack, (n + 2) 2^(n-1) n m per
+# market: twelve sectors fit up to 24 markets, thirteen never do.
 CANDIDATE_BUDGET = 2**23
 # The stock = 0 crossing is taken where share = phi (1 + CROSSING_MARGIN).
 CROSSING_MARGIN = 64.0 * np.finfo(float).eps
@@ -228,9 +230,29 @@ def best_response_taxes(
     incoming schedule is raised.
     There are at most (n + 2) 2^(n-1) candidates for n sectors, so the cost
     grows exponentially: about 0.1 ms per call up to six sectors and 2 ms
-    at ten on one core of a 2-vCPU x86-64 host. BudgetExceededError is
-    raised, before anything is built, when the candidates could hold more
-    than ``CANDIDATE_BUDGET`` tax rates.
+    at ten on one core of a 2-vCPU x86-64 host. :func:`regulatory_equilibrium`
+    evaluates every market's candidates in one such pass per iteration,
+    grouping markets so that no pass stacks more than ``CANDIDATE_BUDGET``
+    tax rates. BudgetExceededError is raised, before anything is built,
+    when one market's candidates could hold more than that.
+    """
+    return _best_responses(scenario, taxes.as_array, abatement, (market,))[:, 0]
+
+
+def _best_responses(
+    scenario: Scenario, rates: np.ndarray, abatement: float, markets
+) -> np.ndarray:
+    """Best-response columns ``(n, len(markets))`` of ``markets`` at ``rates`` (n, m)."""
+    return _responder(scenario, abatement, markets)(rates)
+
+
+def _responder(scenario: Scenario, abatement: float, markets):
+    """Check the budget, build what no schedule changes, and return the rule
+    of :func:`best_response_taxes` from rates ``(n, m)`` to ``(n, len(markets))``.
+
+    A pass stacks as many markets as fit in ``CANDIDATE_BUDGET`` tax rates.
+    Each edge keeps a crossing row, at its start vertex and masked out where
+    the crossing is not in (0, 1): fixed shapes keep every value bitwise.
     """
     n, n_markets = scenario.n_sectors, scenario.n_markets
     size = (n + 2) * 2 ** (n - 1) * n * n_markets
@@ -239,40 +261,70 @@ def best_response_taxes(
             f"{n}-sector best responses could stack {size} tax rates, "
             f"over the {CANDIDATE_BUDGET} budget"
         )
+    group = CANDIDATE_BUDGET // size
     phi, kd = _phi(scenario, abatement)
-    p_j = scenario.prices[market]
+    bound = phi * (1.0 + CROSSING_MARGIN)
     costs = scenario.cost_array
-    other = 1.0 - taxes.as_array
-    other[:, market] = 0.0
-    a = other @ scenario.price_array
-
     vertices, starts, free = _box_edges(n)
-    # Sums run over every sector. When phi > 0 the inactive ones have
-    # rho = 0 and add nothing; when phi <= 0 survival phi/share is 0 or
-    # negative whatever the share, and no crossing lies in (0, 1).
-    e0 = 1.0 + kd * ((a + p_j * starts) / costs).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (phi * (1.0 + CROSSING_MARGIN) - e0) / (kd * p_j / costs[free])
-    inside = (t > 0.0) & (t < 1.0)
-    points = starts[inside]
-    points[np.arange(points.shape[0]), free[inside]] = t[inside]
-    columns = 1.0 - np.concatenate([vertices, points])
+    n_vertices = vertices.shape[0]
+    # Candidate columns 1 - x: the vertices, then one row per edge, which
+    # each pass moves to that edge's crossing.
+    template = 1.0 - np.concatenate([vertices, starts])
+    crossings = n_vertices + np.arange(starts.shape[0])
+    markets = np.asarray(markets)
+    p = scenario.price_array[markets]
+    p_starts = p[:, None, None] * starts
+    slopes = kd * p[:, None] / costs[free]
 
-    rates = np.repeat(taxes.as_array[None], columns.shape[0], axis=0)
-    rates[:, :, market] = columns
-    fleets, survival = _stacked_fleets(scenario, rates, phi, kd)
-    survival = survival[:, 0]
-    value = survival * (p_j * ((1.0 - columns) * fleets).sum(axis=1))
-    value = np.where((0.0 <= survival) & (survival <= 1.0), value, -np.inf)
+    def respond(rates: np.ndarray) -> np.ndarray:
+        responses = np.empty((n, markets.size))
+        for lo in range(0, markets.size, group):
+            part = slice(lo, lo + group)
+            ms = markets[part]
+            g = ms.size
+            own = np.arange(g)
+            # Revenue from the other markets as (1 - rates, own column
+            # zeroed) @ p: the total less the own market's term rounds
+            # differently.
+            other = np.repeat((1.0 - rates)[None], g, axis=0)
+            other[own, :, ms] = 0.0
+            a = other @ scenario.price_array
+            # Sums run over every sector. When phi > 0 the inactive ones have
+            # rho = 0 and add nothing; when phi <= 0 survival phi/share is 0
+            # or negative whatever the share, and no crossing lies in (0, 1).
+            e0 = 1.0 + kd * ((a[:, None, :] + p_starts[part]) / costs).sum(axis=-1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = (bound - e0) / slopes[part]
+            inside = (t > 0.0) & (t < 1.0)
+            columns = np.repeat(template[None], g, axis=0)
+            columns[:, crossings, free] = 1.0 - np.where(inside, t, 0.0)
+            stack = np.empty((*columns.shape, n_markets))
+            stack[...] = rates
+            stack[own, :, :, ms] = columns
+            fleets, survival = _stacked_fleets(
+                scenario, stack.reshape(-1, n, n_markets), phi, kd
+            )
+            survival = survival.reshape(g, -1)
+            value = survival * (
+                p[part, None]
+                * ((1.0 - columns) * fleets.reshape(columns.shape)).sum(axis=-1)
+            )
+            feasible = (0.0 <= survival) & (survival <= 1.0)
+            feasible[:, n_vertices:] &= inside
+            value = np.where(feasible, value, -np.inf)
+            for k in range(g):
+                best = value[k].max()
+                if best == -np.inf:
+                    # Feasible columns are those with share >= phi > 0, so
+                    # the zero-tax vertex (largest share) is feasible if any
+                    # column is. None is, the incoming column included:
+                    # this raises.
+                    solve_equilibrium(scenario, TaxSchedule.from_array(rates), abatement)
+                tied = columns[k][value[k] >= best - BEST_RESPONSE_VALUE_TIE]
+                responses[:, lo + k] = tied[np.lexsort(tied.T[::-1])[0]]
+        return responses
 
-    best = value.max()
-    if best == -np.inf:
-        # Feasible columns are those with share >= phi > 0, so the zero-tax
-        # vertex (largest share) is feasible if any column is. None is, the
-        # incoming column included: this raises.
-        solve_equilibrium(scenario, taxes, abatement)
-    tied = columns[value >= best - BEST_RESPONSE_VALUE_TIE]
-    return tied[np.lexsort(tied.T[::-1])[0]]
+    return respond
 
 
 def regulatory_equilibrium(
@@ -290,28 +342,27 @@ def regulatory_equilibrium(
     Non-convergence is reported honestly in the returned record rather
     than raised: the existence argument is non-constructive, so a failed
     search is a diagnostic, not a bug. A physically invalid start raises
-    its PhysicallyInvalidError before any step.
+    its PhysicallyInvalidError before any step. Each step evaluates every
+    market's best response in one stacked pass (see
+    :func:`best_response_taxes`).
     """
     solve_equilibrium(scenario, start, abatement)
-    taxes = start
+    rates = start.as_array
     trace: list[float] = []
     converged = False
     max_update = np.inf
     iterations = 0
+    if max_iterations > 0:  # no step, no best response and no budget check
+        respond = _responder(scenario, abatement, range(scenario.n_markets))
     for iterations in range(1, max_iterations + 1):
-        old = taxes.as_array
-        responses = old.copy()
-        for market in range(scenario.n_markets):
-            responses[:, market] = best_response_taxes(
-                scenario, taxes, abatement, market
-            )
-        blended = (1.0 - damping) * old + damping * responses
-        max_update = float(np.max(np.abs(blended - old)))
+        blended = (1.0 - damping) * rates + damping * respond(rates)
+        max_update = float(np.max(np.abs(blended - rates)))
         trace.append(max_update)
-        taxes = TaxSchedule.from_array(blended)
+        rates = blended
         if max_update < tolerance:
             converged = True
             break
+    taxes = TaxSchedule.from_array(rates)
     return RegulatoryEquilibrium(
         taxes=taxes,
         equilibrium=solve_equilibrium(scenario, taxes, abatement),

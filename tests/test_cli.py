@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from orbituse import HIDEB, OverrideError, ScenarioValidationError, national_welfare
+from orbituse import cli
 from orbituse.cli import main
 from orbituse.reporting import dump_bundle, load_scenario
 
@@ -371,6 +372,21 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "random count must be at least 1" in captured.err
+
+    def test_repeated_calls_share_one_parser_and_no_state(self, capsys):
+        plain = ["solve", "--scenario", str(FIXTURE)]
+        first = run_cli(capsys, *plain)
+        overridden = run_cli(capsys, *plain, "--set", "scenario.k=0.2", "--set", "tax.1.1=0.5")
+        assert overridden[0] == 0 and overridden[1] != first[1]
+        assert run_cli(capsys, *plain) == first
+        for _ in range(2):
+            with pytest.raises(SystemExit) as stop:
+                main(["solve", "--scenario", str(FIXTURE), "--bogus"])
+            assert stop.value.code == 2
+            assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert run_cli(capsys, *plain) == first
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
 
     def test_module_entry_point(self):
         result = subprocess.run(

@@ -22,7 +22,15 @@ from orbituse import (
     regulatory_equilibrium,
     welfare_channels,
 )
+import orbituse.regulation as regulation
+from orbituse.open_access import _phi, _stacked_fleets, solve_equilibrium
 from orbituse.oracle import grid_maximize
+from orbituse.regulation import (
+    BEST_RESPONSE_VALUE_TIE,
+    CROSSING_MARGIN,
+    _best_responses,
+    _box_edges,
+)
 from orbituse.sampling import sample_scenario
 from orbituse.verification import certify_regulatory_equilibrium
 
@@ -143,6 +151,168 @@ def exact_or_none(scenario, taxes, abatement, market):
     fractional = int(np.count_nonzero((0.0 < column) & (column < 1.0)))
     assert fractional == 0 or (fractional == 1 and report.survival > 1.0 - 1e-12), column
     return report.welfare[market]
+
+
+def reference_best_response_taxes(scenario, taxes, abatement, market):
+    """One market's best response in a pass of its own that stacks only the
+    crossings inside (0, 1): the per-market form the stacked kernel equals."""
+    n, n_markets = scenario.n_sectors, scenario.n_markets
+    size = (n + 2) * 2 ** (n - 1) * n * n_markets
+    if size > regulation.CANDIDATE_BUDGET:
+        raise BudgetExceededError(
+            f"{n}-sector best responses could stack {size} tax rates, "
+            f"over the {regulation.CANDIDATE_BUDGET} budget"
+        )
+    phi, kd = _phi(scenario, abatement)
+    p_j = scenario.prices[market]
+    costs = scenario.cost_array
+    other = 1.0 - taxes.as_array
+    other[:, market] = 0.0
+    a = other @ scenario.price_array
+
+    vertices, starts, free = _box_edges(n)
+    e0 = 1.0 + kd * ((a + p_j * starts) / costs).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (phi * (1.0 + CROSSING_MARGIN) - e0) / (kd * p_j / costs[free])
+    inside = (t > 0.0) & (t < 1.0)
+    points = starts[inside]
+    points[np.arange(points.shape[0]), free[inside]] = t[inside]
+    columns = 1.0 - np.concatenate([vertices, points])
+
+    rates = np.repeat(taxes.as_array[None], columns.shape[0], axis=0)
+    rates[:, :, market] = columns
+    fleets, survival = _stacked_fleets(scenario, rates, phi, kd)
+    survival = survival[:, 0]
+    value = survival * (p_j * ((1.0 - columns) * fleets).sum(axis=1))
+    value = np.where((0.0 <= survival) & (survival <= 1.0), value, -np.inf)
+
+    best = value.max()
+    if best == -np.inf:
+        solve_equilibrium(scenario, taxes, abatement)
+    tied = columns[value >= best - BEST_RESPONSE_VALUE_TIE]
+    return tied[np.lexsort(tied.T[::-1])[0]]
+
+
+def reference_regulatory_equilibrium(
+    scenario, abatement, start, damping=0.5, tolerance=1e-8, max_iterations=10_000
+):
+    """The damped loop on schedules, one reference best response per market."""
+    solve_equilibrium(scenario, start, abatement)
+    taxes = start
+    trace = []
+    converged = False
+    max_update = np.inf
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        old = taxes.as_array
+        responses = old.copy()
+        for market in range(scenario.n_markets):
+            responses[:, market] = reference_best_response_taxes(
+                scenario, taxes, abatement, market
+            )
+        blended = (1.0 - damping) * old + damping * responses
+        max_update = float(np.max(np.abs(blended - old)))
+        trace.append(max_update)
+        taxes = TaxSchedule.from_array(blended)
+        if max_update < tolerance:
+            converged = True
+            break
+    return regulation.RegulatoryEquilibrium(
+        taxes=taxes,
+        equilibrium=solve_equilibrium(scenario, taxes, abatement),
+        iterations=iterations,
+        converged=converged,
+        max_update=max_update,
+        update_trace=tuple(trace),
+    )
+
+
+def outcome(function, *args, **kwargs):
+    """An array as its shape and raw bytes, a record as its repr (every
+    float round-trips), or the error's type and message."""
+    try:
+        result = function(*args, **kwargs)
+    except OrbitUseError as error:
+        return type(error), str(error)
+    if isinstance(result, np.ndarray):
+        return result.shape, result.tobytes()
+    return repr(result)
+
+
+def reference_responses(scenario, rates, abatement, markets):
+    taxes = TaxSchedule.from_array(rates)
+    return np.column_stack(
+        [reference_best_response_taxes(scenario, taxes, abatement, j) for j in markets]
+    )
+
+
+@st.composite
+def response_cases(draw):
+    """1-4 sectors, n or n + 1 markets, rates in {0, 1, U[0, 1]}.
+
+    A sixth of the draws have k = 0, a sixth put phi = 1 + k(Q - D0) at or
+    below 0 at Q = 0, a sixth have Q = 0, and half abate until the stock
+    bound cuts off the best column of some market, most of them keeping
+    every market's untaxed column (see ``binding_abatement``): only there
+    can a crossing win, and only a crossing reads the revenue ``a``.
+    """
+    n_s = draw(st.integers(1, 4))
+    n_m = n_s + draw(st.integers(0, 1))
+    log = st.floats(-3.0, 3.0)
+    prices = tuple(math.exp(draw(log)) for _ in range(n_m))
+    costs = tuple(math.exp(draw(log)) for _ in range(n_s))
+    k = math.exp(draw(st.floats(-4.0, 0.0)))
+    d = math.exp(draw(st.floats(-1.0, 1.0)))
+    rate = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+    rates = np.array([[draw(rate) for _ in range(n_m)] for _ in range(n_s)])
+    kind = draw(st.sampled_from(("k = 0", "phi <= 0", "Q = 0") + ("Q binds",) * 3))
+    legacy = draw(st.floats(0.0, 0.9)) / k
+    if kind == "k = 0":
+        k = 0.0
+    elif kind == "phi <= 0":
+        legacy = draw(st.one_of(st.just(1.0), st.floats(1.0, 1.5))) / k
+    scenario = Scenario(
+        n_markets=n_m,
+        n_sectors=n_s,
+        prices=prices,
+        costs=costs,
+        collision_coeff=k,
+        debris_per_sat=d,
+        legacy_debris=legacy,
+        catastrophe_threshold=2.0,
+        catastrophe_damages=1.0,
+        abatement_cost=1.0,
+    )
+    abatement = 0.0
+    if kind == "Q binds":
+        abatement = binding_abatement(scenario, rates, draw(st.floats(0.0, 1.05)))
+    return scenario, rates, abatement
+
+
+def binding_abatement(scenario, rates, u):
+    """Abatement putting phi = 1 + k(Q - D0) a share u of the way from the
+    least share of a market's best column to the least share of a market's
+    untaxed column.
+
+    Fleets scale with phi and survival is phi/share, so without the stock
+    bound the best columns do not depend on Q, and at Q = D0 a column's
+    share is 1/survival. Once phi passes a column's share the bound cuts it
+    off; past every untaxed column's share some market has no valid column.
+    """
+    taxes = TaxSchedule.from_array(rates)
+    legacy = scenario.legacy_debris
+
+    def share(market, column):
+        schedule = taxes.with_column(market, column)
+        return 1.0 / solve_equilibrium(scenario, schedule, legacy).debris.survival
+
+    markets = range(scenario.n_markets)
+    best = min(
+        share(j, reference_best_response_taxes(scenario, taxes, legacy, j)) for j in markets
+    )
+    untaxed = min(share(j, np.zeros(scenario.n_sectors)) for j in markets)
+    phi = best + u * (untaxed - best)
+    return legacy + (phi - 1.0) / scenario.collision_coeff
 
 
 class TestNationalWelfare:
@@ -341,6 +511,64 @@ class TestCandidateBudget:
             best_response_taxes(self.symmetric(13), TaxSchedule.zeros(13, 13), 0.0, 0)
 
 
+class TestStackedBestResponses:
+    @given(response_cases())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_per_market_reference_bitwise(self, case):
+        scenario, rates, abatement = case
+        markets = range(scenario.n_markets)
+        reference = outcome(reference_responses, scenario, rates, abatement, markets)
+        assert outcome(_best_responses, scenario, rates, abatement, markets) == reference
+        market = scenario.n_markets - 1
+        single = outcome(
+            reference_best_response_taxes,
+            scenario, TaxSchedule.from_array(rates), abatement, market,
+        )
+        assert outcome(
+            best_response_taxes, scenario, TaxSchedule.from_array(rates), abatement, market
+        ) == single
+
+    @pytest.mark.parametrize("n, k, draws", [(8, 0.3, 30), (12, 0.1, 1)])
+    def test_matches_the_reference_from_eight_sectors(self, n, k, draws):
+        # numpy sums eight or more entries in interleaved partial sums, and
+        # a crossing reads such sums where it wins.
+        scenario = replace(TestCandidateBudget.symmetric(n), collision_coeff=k)
+        rng = np.random.default_rng(n)
+        markets = range(n)
+        crossings = 0
+        for _ in range(draws):
+            rates = np.where(rng.random((n, n)) < 0.3, 1.0, rng.uniform(0.0, 1.0, (n, n)))
+            binding = binding_abatement(scenario, rates, 0.05)
+            for abatement in (0.0, binding):
+                reference = outcome(reference_responses, scenario, rates, abatement, markets)
+                assert outcome(_best_responses, scenario, rates, abatement, markets) == reference
+            if reference[0] is not PhysicallyInvalidError:
+                columns = _best_responses(scenario, rates, binding, markets)
+                crossings += bool(np.any((0.0 < columns) & (columns < 1.0)))
+        assert crossings >= min(draws, 5)
+
+    def test_one_market_per_pass_under_a_small_budget(self, monkeypatch):
+        scenario, taxes = sample_scenario(np.random.default_rng(3), n_sectors=3, with_taxes=True)
+        n, m = scenario.n_sectors, scenario.n_markets
+        rates = taxes.as_array
+        abatements = (0.0, binding_abatement(scenario, rates, 0.05))
+        expected = [outcome(_best_responses, scenario, rates, q, range(m)) for q in abatements]
+        loop = outcome(regulatory_equilibrium, scenario, 0.0, taxes)
+        stacked = []
+
+        def recorded(scenario, rates, phi, kd):
+            stacked.append(rates.size)
+            return _stacked_fleets(scenario, rates, phi, kd)
+
+        budget = (n + 2) * 2 ** (n - 1) * n * m
+        monkeypatch.setattr(regulation, "CANDIDATE_BUDGET", budget)
+        monkeypatch.setattr(regulation, "_stacked_fleets", recorded)
+        assert [outcome(_best_responses, scenario, rates, q, range(m)) for q in abatements] == expected
+        assert stacked == [budget] * (2 * m)
+        assert outcome(regulatory_equilibrium, scenario, 0.0, taxes) == loop
+        assert max(stacked) == budget
+
+
 class TestRegulatoryEquilibrium:
     def test_invalid_start_raises_its_own_error(self):
         # From this start the iteration used to converge to zero taxes;
@@ -385,6 +613,62 @@ class TestRegulatoryEquilibrium:
         result = regulatory_equilibrium(SYM2, 0.0, start)
         assert result.converged
         assert result.max_update < 1e-8
+
+    @pytest.mark.parametrize(
+        "scenario, start",
+        [
+            (SYM2, ZERO2),
+            (SYM2, TaxSchedule.from_array([[0.3, 0.2], [0.1, 0.4]])),
+            (HIDEB, ZERO2),
+            (SOLO, ZERO1),
+        ],
+    )
+    def test_matches_the_per_market_loop_bitwise(self, scenario, start):
+        reference = outcome(reference_regulatory_equilibrium, scenario, 0.0, start)
+        assert outcome(regulatory_equilibrium, scenario, 0.0, start) == reference
+
+    def test_matches_the_per_market_loop_on_sampled_scenarios(self, rng):
+        for _ in range(12):
+            scenario, taxes = sample_scenario(rng, sector_range=(2, 3), with_taxes=True)
+            abatement = float(rng.choice([0.0, 0.5]))
+            reference = outcome(reference_regulatory_equilibrium, scenario, abatement, taxes)
+            assert outcome(regulatory_equilibrium, scenario, abatement, taxes) == reference
+
+    def test_the_one_third_cycle_is_kept(self):
+        # Best responses flip between denial and access each step, so the
+        # damped schedule cycles between rates 1/3 and 2/3.
+        scenario = replace(
+            SYM2,
+            prices=(1.7456358594859416, 1.9723762546357726),
+            costs=(0.25168967781691304, 0.30662579956092023),
+            collision_coeff=0.6111056137478023,
+            debris_per_sat=1.2221910648329655,
+        )
+        args = (scenario, 2.8740931074830227, TaxSchedule(((1.0, 0.0), (1.0, 0.0))))
+        result = regulatory_equilibrium(*args, max_iterations=200)
+        assert not result.converged
+        assert result.update_trace[-1] == 0.33333333333333337
+        assert repr(result) == outcome(reference_regulatory_equilibrium, *args, max_iterations=200)
+
+    def test_errors_match_the_per_market_loop(self):
+        invalid = TaxSchedule.from_array([[0.5, 0.5], [0.0, 0.0]])
+        symmetric = TestCandidateBudget.symmetric
+        cases = [
+            (SYM2, 3.5, invalid),                                # invalid start
+            (SYM2, 5.0, ZERO2),                                  # infeasible box
+            (symmetric(13), 0.0, TaxSchedule.zeros(13, 13)),     # over budget
+            (replace(symmetric(13), legacy_debris=12.0), 0.0, TaxSchedule.zeros(13, 13)),
+        ]
+        for scenario, abatement, start in cases:
+            reference = outcome(reference_regulatory_equilibrium, scenario, abatement, start)
+            assert outcome(regulatory_equilibrium, scenario, abatement, start) == reference
+            assert isinstance(reference, tuple)
+        # The invalid start raises before the budget is checked.
+        assert outcome(regulatory_equilibrium, *cases[3])[0] is PhysicallyInvalidError
+        # No step runs no best response, so nothing checks the budget.
+        assert outcome(
+            regulatory_equilibrium, *cases[2], max_iterations=0
+        ) == outcome(reference_regulatory_equilibrium, *cases[2], max_iterations=0)
 
 
 class TestAssumptionThree:
