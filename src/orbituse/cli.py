@@ -52,7 +52,7 @@ from .reporting import (
     rows_to_csv,
     treaty_report,
 )
-from .treaty import MODEL_DERIVED, CLOSED_FORM, analyze_treaty
+from .treaty import MODEL_DERIVED, CLOSED_FORM, _both_variants
 from .verification import run_verification
 
 EXIT_OK = 0
@@ -113,10 +113,7 @@ def _regulate_report(bundle: LoadedBundle) -> tuple[dict, bool]:
 
 
 def _treaty_report(bundle: LoadedBundle) -> dict:
-    model = analyze_treaty(bundle.scenario, bundle.taxes, MODEL_DERIVED)
-    closed = analyze_treaty(
-        bundle.scenario, bundle.taxes, CLOSED_FORM, qbar=model.qbar
-    )
+    model, closed = _both_variants(bundle.scenario, bundle.taxes)
     return {
         "inputs": dump_bundle(bundle),
         "qbar_responsive": model.qbar,
@@ -161,10 +158,7 @@ def _sweep_rows(bundle: LoadedBundle, axis) -> tuple[list[str], list[list]]:
             probe = bundle_from_data(base, [data_override])
             equilibrium = solve_equilibrium(probe.scenario, probe.taxes, probe.abatement)
             welfare = national_welfare(probe.scenario, probe.taxes, probe.abatement)
-            model = analyze_treaty(probe.scenario, probe.taxes, MODEL_DERIVED)
-            closed = analyze_treaty(
-                probe.scenario, probe.taxes, CLOSED_FORM, qbar=model.qbar
-            )
+            model, closed = _both_variants(probe.scenario, probe.taxes)
             row += [float(f) for f in equilibrium.fleets]
             row += [equilibrium.debris.stock, equilibrium.debris.survival]
             row += [float(w) for w in welfare.welfare]

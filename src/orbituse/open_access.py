@@ -349,19 +349,18 @@ def _fd_sensitivities(
     scenario: Scenario, taxes: TaxSchedule, abatement: float
 ) -> SensitivityReport:
     # Stencils re-solve with the oracle's dense LU, so this path audits the
-    # closed-form kernel instead of sharing it. The 2 n m + 2 probes are one
-    # stack, in the order a per-probe loop takes them: rate [i][j] + h, then
-    # - h, for each (i, j); then Q + h, Q - h.
-    if not np.all(pivot_open_access(scenario, taxes, abatement) > 0.0):
-        raise ActiveSetChangeError(
-            "finite-difference sensitivities need every sector interior"
-        )
+    # closed-form kernel instead of sharing it. The base schedule and the
+    # 2 n m + 2 probes are one stack, in the order a per-probe loop takes
+    # them: the base, then rate [i][j] + h, then - h, for each (i, j); then
+    # Q + h, Q - h.
     n, n_markets = scenario.n_sectors, scenario.n_markets
     rates = taxes.as_array
     h = 1e-6 * np.maximum(1.0, np.abs(rates))
     h_ab = 1e-6 * max(1.0, abs(abatement))
     moved = np.stack([rates + h, rates - h], axis=-1)
-    probes = np.concatenate([_one_rate_probes(rates, moved), rates[None], rates[None]])
+    probes = np.concatenate(
+        [rates[None], _one_rate_probes(rates, moved), rates[None], rates[None]]
+    )
     levels = np.full(len(probes), float(abatement))
     levels[-2:] = abatement + h_ab, abatement - h_ab
     fleets, ok = interior_open_access(scenario, probes, levels)
@@ -373,11 +372,16 @@ def _fd_sensitivities(
             scenario, TaxSchedule.from_array(probes[row]), float(levels[row])
         )
         if not np.all(solved > 0.0):
+            if row == 0:
+                raise ActiveSetChangeError(
+                    "finite-difference sensitivities need every sector interior"
+                )
             stencil = "abatement stencil"
-            if row < 2 * n * n_markets:
-                stencil = "stencil for tax [{}][{}]".format(*divmod(row // 2, n_markets))
+            if row <= 2 * n * n_markets:
+                stencil = "stencil for tax [{}][{}]".format(*divmod((row - 1) // 2, n_markets))
             raise ActiveSetChangeError(f"active set changed inside the {stencil}")
         fleets[row] = solved
+    fleets = fleets[1:]
 
     dfleet_dtax = (fleets[0:-2:2] - fleets[1:-2:2]) / (2.0 * h.reshape(-1, 1))
     dfleet_dtax = np.ascontiguousarray(dfleet_dtax.T).reshape(n, n, n_markets)

@@ -14,11 +14,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ActiveSetChangeError
-from .open_access import _rho_form, _share, required_abatement, solve_equilibrium
+from .open_access import (
+    OpenAccessEquilibrium,
+    _rho_form,
+    _share,
+    required_abatement,
+    solve_equilibrium,
+)
 from .oracle import finite_difference
 from .regulation import national_welfare
 from .scenario import AbatementProfile, Scenario, TaxSchedule
@@ -85,39 +92,62 @@ class TreatyAnalysis:
     payoff_prefers_treaty: tuple[bool, ...]
 
 
-def _model_coefficients(
-    scenario: Scenario, taxes: TaxSchedule, party: int
-) -> BenefitCoefficients:
-    """Read the coefficients off the exact quadratic W(Q) = W(0) (phi(Q)/phi0)^2.
+class _Curve(NamedTuple):
+    """What every party's exact quadratic W(Q) = W(0) (phi(Q)/phi0)^2 is read off."""
+
+    base: OpenAccessEquilibrium   # the solve at Q = 0
+    share: float
+    q: float                      # the fit_residual probe
+    welfare: tuple[float, ...]    # every market's welfare at q
+
+
+def _welfare_curve(
+    scenario: Scenario, taxes: TaxSchedule, base: OpenAccessEquilibrium | None = None
+) -> _Curve:
+    """The :class:`_Curve` of one schedule, from ``base`` (solved unless given).
 
     Fleets are ``phi(Q) rho/share`` and survival is ``phi(Q)/share`` with
-    ``phi(Q) = phi0 + kQ``, so one solve at Q = 0 fixes the whole curve.
-    ``fit_residual`` checks it against a direct welfare solve at
-    ``q = 0.5 min(1, stock0 share)``: debris falls by ``1/share`` per unit
-    of abatement, so the stock stays at least half its zero-abatement level.
+    ``phi(Q) = phi0 + kQ``, so one solve at Q = 0 fixes every party's
+    curve. ``fit_residual`` checks each against one direct welfare solve at
+    ``q = 0.5 min(1, stock0 share)``, which no party changes: debris falls
+    by ``1/share`` per unit of abatement, so the stock stays at least half
+    its zero-abatement level.
     """
-    if party >= scenario.n_markets:
-        return BenefitCoefficients(0.0, 0.0, MODEL_DERIVED, 0.0)
-    base = solve_equilibrium(scenario, taxes, 0.0)
-    k = scenario.collision_coeff
-    phi0 = 1.0 - k * scenario.legacy_debris
+    if base is None:
+        base = solve_equilibrium(scenario, taxes, 0.0)
+    phi0 = 1.0 - scenario.collision_coeff * scenario.legacy_debris
     if phi0 == 0.0 and any(x > 0.0 for x in base.r):
         raise ActiveSetChangeError(
             "sectors pinned at zero abatement (phi0 == 0) enter once abatement "
             "is positive; the welfare curve is only piecewise quadratic there"
         )
-    kept = (1.0 - taxes.as_array[:, party]) @ base.fleet_array
-    w0 = base.debris.survival * scenario.prices[party] * kept
+    _, rho, _, kd = _rho_form(scenario, taxes)
+    _, share = _share(rho, 1.0, kd)  # the share once abatement makes phi positive
+    q = 0.5 * min(1.0, base.debris.stock * share)
+    welfare = national_welfare(scenario, taxes, q).welfare
+    return _Curve(base, share, q, welfare)
+
+
+def _model_coefficients(
+    scenario: Scenario, taxes: TaxSchedule, party: int, curve: _Curve | None = None
+) -> BenefitCoefficients:
+    """One party's pair from the :func:`_welfare_curve` (built here unless given)."""
+    if party >= scenario.n_markets:
+        return BenefitCoefficients(0.0, 0.0, MODEL_DERIVED, 0.0)
+    if curve is None:
+        curve = _welfare_curve(scenario, taxes)
+    k = scenario.collision_coeff
+    phi0 = 1.0 - k * scenario.legacy_debris
+    kept = (1.0 - taxes.as_array[:, party]) @ curve.base.fleet_array
+    w0 = curve.base.debris.survival * scenario.prices[party] * kept
     if k == 0.0 or w0 == 0.0:
         alpha = beta = 0.0  # flat curve; also keeps -0.0 out of the reports
     else:
         alpha = 2.0 * k * w0 / phi0
         beta = -2.0 * k * k * w0 / phi0**2
-    _, rho, _, kd = _rho_form(scenario, taxes)
-    _, share = _share(rho, 1.0, kd)  # the share once abatement makes phi positive
-    q = 0.5 * min(1.0, base.debris.stock * share)
+    q = curve.q
     predicted = w0 + alpha * q - 0.5 * beta * q * q
-    residual = abs(national_welfare(scenario, taxes, q).welfare[party] - predicted)
+    residual = abs(curve.welfare[party] - predicted)
     return BenefitCoefficients(float(alpha), float(beta), MODEL_DERIVED, float(residual))
 
 
@@ -170,7 +200,13 @@ def coefficient_divergence(
     scenario: Scenario, taxes: TaxSchedule, party: int
 ) -> CoefficientDivergence:
     """Both coefficient variants for one party, with their gaps."""
-    model = _model_coefficients(scenario, taxes, party)
+    return _divergence(scenario, taxes, party)
+
+
+def _divergence(
+    scenario: Scenario, taxes: TaxSchedule, party: int, curve: _Curve | None = None
+) -> CoefficientDivergence:
+    model = _model_coefficients(scenario, taxes, party, curve)
     closed = _closed_form_coefficients(scenario, taxes, party)
     alpha_gap = abs(model.alpha - closed.alpha)
     beta_gap = abs(model.beta - closed.beta)
@@ -181,6 +217,24 @@ def coefficient_divergence(
         alpha_gap=alpha_gap,
         beta_gap=beta_gap,
         agree=bool(alpha_gap <= COEFFICIENT_AGREEMENT and beta_gap <= COEFFICIENT_AGREEMENT),
+    )
+
+
+def _coefficient_pass(
+    scenario: Scenario, taxes: TaxSchedule, base: OpenAccessEquilibrium | None = None
+) -> tuple[float, tuple[CoefficientDivergence, ...]]:
+    """Responsive required abatement and every party's divergence record.
+
+    One :func:`_welfare_curve` serves every party, and its solve and
+    ``share`` give :func:`required_abatement`'s responsive root by the same
+    arithmetic, so the whole pass costs one solve at Q = 0 and one probe.
+    """
+    curve = _welfare_curve(scenario, taxes, base)
+    gap = curve.base.debris.stock - scenario.catastrophe_threshold
+    qbar = float(gap * curve.share) if gap > 0.0 else 0.0
+    return qbar, tuple(
+        _divergence(scenario, taxes, party, curve)
+        for party in range(scenario.treaty_parties)
     )
 
 
@@ -255,20 +309,30 @@ def analyze_treaty(
     when no party's exact best reply beats its share; the same best reply
     against the remaining signatories' response decides whether a party
     prefers the treaty. The textbook no-defection bound is reported
-    regardless so the two can be compared.
+    regardless so the two can be compared. ``qbar`` defaults to the
+    responsive required abatement. Both variants share the divergence
+    records, so :func:`_both_variants` derives the closed-form analysis
+    from the model-derived one's.
     """
+    # Without a given qbar the Q = 0 solve raises before the variant check.
+    base = solve_equilibrium(scenario, taxes, 0.0) if qbar is None else None
+    if variant not in (MODEL_DERIVED, CLOSED_FORM):
+        raise ValueError(f"unknown coefficient variant {variant!r}")
+    required, divergences = _coefficient_pass(scenario, taxes, base)
+    return _analysis(scenario, variant, required if qbar is None else qbar, divergences)
+
+
+def _analysis(
+    scenario: Scenario,
+    variant: str,
+    qbar: float,
+    divergences: tuple[CoefficientDivergence, ...],
+) -> TreatyAnalysis:
+    """:func:`analyze_treaty` of one variant from the shared divergence records."""
     parties = scenario.treaty_parties
     c = scenario.abatement_cost
     damages = scenario.catastrophe_damages
-    if qbar is None:
-        qbar = required_abatement(scenario, taxes)
     burden = qbar / parties
-
-    if variant not in (MODEL_DERIVED, CLOSED_FORM):
-        raise ValueError(f"unknown coefficient variant {variant!r}")
-    divergences = tuple(
-        coefficient_divergence(scenario, taxes, p) for p in range(parties)
-    )
     coefficients = tuple(
         d.model if variant == MODEL_DERIVED else d.closed_form for d in divergences
     )
@@ -336,6 +400,14 @@ def analyze_treaty(
     )
 
 
+def _both_variants(
+    scenario: Scenario, taxes: TaxSchedule
+) -> tuple[TreatyAnalysis, TreatyAnalysis]:
+    """The model-derived and closed-form analyses of one input, from one pass."""
+    model = analyze_treaty(scenario, taxes, MODEL_DERIVED)
+    return model, _analysis(scenario, CLOSED_FORM, model.qbar, model.divergences)
+
+
 @dataclass(frozen=True)
 class BetaSensitivityEntry:
     """One derivative of the closed-form beta: finite difference vs formula."""
@@ -357,6 +429,24 @@ class BetaSensitivityReport:
             if item.name == name:
                 return item
         raise KeyError(name)
+
+
+def _resolution(func, x: float) -> float:
+    """The smallest central difference of ``func`` at ``x`` its stencil resolves.
+
+    The step-h difference of :func:`~orbituse.oracle.finite_difference`
+    carries round-off of about ``eps max|f|/h`` and truncation ``c h^2``,
+    and doubling the step moves it by ``3 c h^2``. A difference no larger
+    than that move plus the round-off is truncation and noise, not a slope:
+    where the true slope is zero and beta is cubic, as at ``rho_own = 0``,
+    doubling the step quadruples the difference.
+    """
+    h = 1e-6 * max(1.0, abs(x))
+    far_lo, lo, hi, far_hi = (func(x + step * h) for step in (-2.0, -1.0, 1.0, 2.0))
+    narrow = (hi - lo) / (2.0 * h)
+    wide = (far_hi - far_lo) / (4.0 * h)
+    noise = np.finfo(float).eps * max(abs(far_lo), abs(lo), abs(hi), abs(far_hi)) / h
+    return abs(wide - narrow) + noise
 
 
 def beta_sensitivity(
@@ -384,7 +474,10 @@ def beta_sensitivity(
     ``rho_rest`` leaves the sum: raising that tax leaves beta unchanged,
     lowering it moves beta at ``-beta g_rest p_j/m_s``. Their analytic
     value is the zero slope from above, and the central difference
-    straddles the kink, so both stay flagged.
+    straddles the kink, so both stay flagged. When the own sector is fully
+    taxed (``rho_own = 0``) beta is cubic in ``rho_own`` and every slope is
+    zero; the own-tax differences read only their truncation error, which
+    :func:`_resolution` tells from a slope.
     """
     if scenario.n_sectors != 2:
         raise ValueError("beta sensitivity is defined for two-sector scenarios")
@@ -408,34 +501,34 @@ def beta_sensitivity(
         "own_cost": -beta * g_own * rho[i] / m[i],
     }
 
-    def fd_tax(sector: int, market: int) -> float:
-        return finite_difference(
-            lambda rate: _closed_form_coefficients(
-                scenario, taxes.with_rate(sector, market, rate), i
-            ).beta,
-            taxes.rate(sector, market),
-        )
+    def beta_at_rate(sector: int, market: int):
+        return lambda rate: _closed_form_coefficients(
+            scenario, taxes.with_rate(sector, market, rate), i
+        ).beta
 
-    finite = {
-        "tax_own_home": fd_tax(i, i),
-        "tax_own_away": fd_tax(i, j),
-        "tax_other_home": fd_tax(j, i),
-        "tax_other_away": fd_tax(j, j),
-        "own_cost": finite_difference(
-            lambda costs: _closed_form_coefficients(
-                replace(scenario, costs=tuple(costs)), taxes, i
-            ).beta,
-            scenario.cost_array,
-            index=i,
-        ),
+    def beta_at_cost(cost: float) -> float:
+        costs = list(scenario.costs)
+        costs[i] = cost
+        return _closed_form_coefficients(replace(scenario, costs=tuple(costs)), taxes, i).beta
+
+    stencils = {
+        "tax_own_home": (beta_at_rate(i, i), taxes.rate(i, i)),
+        "tax_own_away": (beta_at_rate(i, j), taxes.rate(i, j)),
+        "tax_other_home": (beta_at_rate(j, i), taxes.rate(j, i)),
+        "tax_other_away": (beta_at_rate(j, j), taxes.rate(j, j)),
+        "own_cost": (beta_at_cost, scenario.costs[i]),
     }
 
     entries = []
-    for name, fd_value in finite.items():
+    for name, (beta_at, x) in stencils.items():
+        fd_value = finite_difference(beta_at, x)
         formula = analytic[name]
-        scale = max(abs(fd_value), abs(formula), 1e-12)
-        gap = abs(fd_value - formula) / scale
-        sign_agrees = bool(np.sign(fd_value) == np.sign(formula))
+        # A difference below the stencil's resolution is truncation and
+        # round-off, so the sign and gap tests read it as zero.
+        resolved = fd_value if abs(fd_value) > _resolution(beta_at, x) else 0.0
+        scale = max(abs(resolved), abs(formula), 1e-12)
+        gap = abs(resolved - formula) / scale
+        sign_agrees = bool(np.sign(resolved) == np.sign(formula))
         entries.append(
             BetaSensitivityEntry(
                 name=name,

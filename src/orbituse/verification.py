@@ -36,12 +36,7 @@ from .regulation import (
 )
 from .sampling import sample_scenario
 from .scenario import Scenario, TaxSchedule, sector_profit
-from .treaty import (
-    MODEL_DERIVED,
-    CLOSED_FORM,
-    abatement_payoff,
-    analyze_treaty,
-)
+from .treaty import _both_variants, abatement_payoff
 
 Bundle = tuple[Scenario, TaxSchedule, float]
 
@@ -150,6 +145,14 @@ def _stencil(scenario: Scenario, rates: np.ndarray, abatement: np.ndarray):
     return fleets, survival, stock
 
 
+_SIGN_FAILURES = (
+    "own fleet does not fall",
+    "rebound not positive",
+    "total fleet does not fall",
+    "cross derivative not negative",
+)
+
+
 def check_sign_suite(bundles: list[Bundle]) -> OracleReport:
     """Finite-difference comparative statics sign pattern.
 
@@ -190,18 +193,22 @@ def check_sign_suite(bundles: list[Bundle]) -> OracleReport:
         slopes = (probes[:, :, 2::2] - probes[:, :, 3::2]) / (2.0 * h_ab)
         i, j = np.indices((n, n_markets), sparse=True)
         cross = (slopes[i, j, 0, i] - slopes[i, j, 1, i]) / (2.0 * wide)
-        for sector in range(n):
-            for market in range(n_markets):
-                grad = grads[sector, market]
-                if grad[sector] >= 0.0:
-                    bad.append((index, sector, market, "own fleet does not fall"))
-                others = np.delete(grad, sector)
-                if others.size and not np.all(others > 0.0):
-                    bad.append((index, sector, market, "rebound not positive"))
-                if grad.sum() >= 0.0:
-                    bad.append((index, sector, market, "total fleet does not fall"))
-                if cross[sector, market] >= 0.0:
-                    bad.append((index, sector, market, "cross derivative not negative"))
+        # The four tests per (sector, market), in the order they are listed;
+        # a NaN rebound counts as not positive.
+        off_diagonal = ~np.eye(n, dtype=bool)[:, None, :]
+        failed = np.stack(
+            [
+                grads[i, j, i] >= 0.0,
+                np.any(~(grads > 0.0) & off_diagonal, axis=2),
+                grads.sum(axis=2) >= 0.0,
+                cross >= 0.0,
+            ],
+            axis=-1,
+        )
+        bad.extend(
+            (index, sector, market, _SIGN_FAILURES[test])
+            for sector, market, test in np.argwhere(failed).tolist()
+        )
     return _report("comparative_statics_signs", float(len(bad)), bad)
 
 
@@ -271,8 +278,8 @@ def check_treaty_consistency(bundles: list[Bundle]) -> OracleReport:
     bad = []
     guard = 1e-9
     for index, (scenario, taxes, abatement) in enumerate(bundles):
-        for variant in (MODEL_DERIVED, CLOSED_FORM):
-            analysis = analyze_treaty(scenario, taxes, variant)
+        for analysis in _both_variants(scenario, taxes):
+            variant = analysis.variant
             qbar = analysis.qbar
             burden = analysis.per_party_burden
             for party, coeff in enumerate(analysis.coefficients):
@@ -310,15 +317,16 @@ def check_nash_certification(bundles: list[Bundle], step: float = 1e-3) -> Oracl
     worst = 0.0
     bad = []
     for index, (scenario, taxes, abatement) in enumerate(bundles):
-        for variant in (MODEL_DERIVED, CLOSED_FORM):
-            analysis = analyze_treaty(scenario, taxes, variant)
+        for analysis in _both_variants(scenario, taxes):
             for profile in analysis.nash_equilibria:
                 report = deviation_search_abatement(
                     scenario, analysis.coefficients, profile, analysis.qbar, step
                 )
                 worst = max(worst, report.max_residual)
                 if not report.passed:
-                    bad.append((index, variant, profile.contributions, report.counterexamples))
+                    bad.append(
+                        (index, analysis.variant, profile.contributions, report.counterexamples)
+                    )
     return _report("nash_certification", worst, bad)
 
 

@@ -313,6 +313,23 @@ class TestSensitivities:
             assert reference.startswith(error)
             assert fd_outcome(fd, scenario, taxes, abatement) == reference
 
+    def test_refused_base_raises_the_base_solve_error(self):
+        # The base schedule is row 0 of the stack; when it is refused, the
+        # dense solve of the base raises what it raised before any probe:
+        # a sector with zero fleet, survival outside [0, 1] (phi < 0 at
+        # D0 = 20) and a numerically singular system.
+        fd = lambda *args: sensitivities(*args, method=FINITE_DIFFERENCE)
+        cases = [
+            (SYM2, deny_sector(ZERO2, 0, 2), 0.0,
+             "ActiveSetChangeError: finite-difference sensitivities need every sector interior"),
+            (replace(SYM2, legacy_debris=20.0), ZERO2, 0.0, "PhysicallyInvalidError: "),
+            (SIX, TaxSchedule.zeros(6, 6), 0.0, "SingularSystemError: "),
+        ]
+        for scenario, taxes, abatement, error in cases:
+            reference = fd_outcome(reference_fd_sensitivities, scenario, taxes, abatement)
+            assert reference.startswith(error)
+            assert fd_outcome(fd, scenario, taxes, abatement) == reference
+
 
 class TestRequiredAbatement:
     def test_sym2_responsive_root(self):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,9 +25,15 @@ from orbituse import (
     treaty_response,
     treaty_support_check,
 )
+from orbituse import cli, open_access, regulation, treaty, verification
+from orbituse.cli import main
+from orbituse.open_access import _rho_form, _share, required_abatement, solve_equilibrium
 from orbituse.oracle import deviation_search_abatement, finite_difference
 from orbituse.sampling import sample_scenario
+from orbituse.treaty import BenefitCoefficients, CoefficientDivergence
+from orbituse.verification import _batch
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 ZERO2 = TaxSchedule.zeros(2, 2)
 NO_COLLISIONS = Scenario(2, 2, (1.0, 1.0), (1.0, 1.0), 0.0, 1.0, 0.0, 2.0, 1.0, 1.0)
 
@@ -376,6 +383,18 @@ class TestBetaSensitivity:
         assert report.entry("tax_other_home").flagged
         assert report.entry("tax_other_away").flagged
 
+    def test_fully_taxed_own_sector_is_not_flagged(self):
+        # rho_own = 0: beta ~ rho_own^3 has zero slope, and the central
+        # differences of the own taxes read only their truncation error,
+        # about -1.4e-15, which doubling the step quadruples.
+        report = beta_sensitivity(SYM2, TaxSchedule(((0.0, 0.0), (1.0, 1.0))), 1)
+        for name in ("tax_own_home", "tax_own_away"):
+            entry = report.entry(name)
+            assert -1e-14 < entry.finite_difference < 0.0
+            assert entry.analytic == 0.0
+            assert entry.sign_agrees and not entry.flagged, name
+        assert not any(entry.flagged for entry in report.entries)
+
     def test_no_collisions_zero_everything(self):
         report = beta_sensitivity(NO_COLLISIONS, ZERO2, 0)
         for entry in report.entries:
@@ -565,3 +584,254 @@ class TestAgainstReferences:
         for entry in beta_sensitivity(scenario, taxes, party).entries:
             expect = reference[entry.name]
             assert abs(entry.analytic - expect) <= 1e-12 * abs(expect), entry.name
+
+
+# -- the per-party coefficient loop and per-variant analysis the shared
+# coefficient pass replaced, kept as references ------------------------------
+def reference_model_coefficients(scenario, taxes, party):
+    """One party's model-derived pair from its own Q = 0 solve and probe."""
+    if party >= scenario.n_markets:
+        return BenefitCoefficients(0.0, 0.0, MODEL_DERIVED, 0.0)
+    base = solve_equilibrium(scenario, taxes, 0.0)
+    k = scenario.collision_coeff
+    phi0 = 1.0 - k * scenario.legacy_debris
+    if phi0 == 0.0 and any(x > 0.0 for x in base.r):
+        raise ActiveSetChangeError(
+            "sectors pinned at zero abatement (phi0 == 0) enter once abatement "
+            "is positive; the welfare curve is only piecewise quadratic there"
+        )
+    kept = (1.0 - taxes.as_array[:, party]) @ base.fleet_array
+    w0 = base.debris.survival * scenario.prices[party] * kept
+    if k == 0.0 or w0 == 0.0:
+        alpha = beta = 0.0
+    else:
+        alpha = 2.0 * k * w0 / phi0
+        beta = -2.0 * k * k * w0 / phi0**2
+    _, rho, _, kd = _rho_form(scenario, taxes)
+    _, share = _share(rho, 1.0, kd)
+    q = 0.5 * min(1.0, base.debris.stock * share)
+    predicted = w0 + alpha * q - 0.5 * beta * q * q
+    residual = abs(national_welfare(scenario, taxes, q).welfare[party] - predicted)
+    return BenefitCoefficients(float(alpha), float(beta), MODEL_DERIVED, float(residual))
+
+
+def reference_divergence(scenario, taxes, party):
+    model = reference_model_coefficients(scenario, taxes, party)
+    closed = benefit_coefficients(scenario, taxes, party, CLOSED_FORM)
+    alpha_gap = abs(model.alpha - closed.alpha)
+    beta_gap = abs(model.beta - closed.beta)
+    return CoefficientDivergence(
+        party=party,
+        model=model,
+        closed_form=closed,
+        alpha_gap=alpha_gap,
+        beta_gap=beta_gap,
+        agree=bool(alpha_gap <= 1e-6 and beta_gap <= 1e-6),
+    )
+
+
+def reference_analyze_treaty(scenario, taxes, variant=MODEL_DERIVED, qbar=None):
+    """``required_abatement`` plus a divergence record per party, per variant.
+
+    The game analysis that follows the coefficients did not change, so the
+    reference hands its records to the same core.
+    """
+    parties = scenario.treaty_parties
+    if qbar is None:
+        qbar = required_abatement(scenario, taxes)
+    if variant not in (MODEL_DERIVED, CLOSED_FORM):
+        raise ValueError(f"unknown coefficient variant {variant!r}")
+    divergences = tuple(reference_divergence(scenario, taxes, p) for p in range(parties))
+    return treaty._analysis(scenario, variant, qbar, divergences)
+
+
+def reference_both_variants(scenario, taxes):
+    model = reference_analyze_treaty(scenario, taxes, MODEL_DERIVED)
+    return model, reference_analyze_treaty(scenario, taxes, CLOSED_FORM, qbar=model.qbar)
+
+
+def treaty_outcome(function, *args):
+    """The result's repr (so float types and -0.0 count), or the error's class and message."""
+    try:
+        result = function(*args)
+    except Exception as error:  # ValueError and ZeroDivisionError count as well
+        return (type(error).__name__, str(error)), None
+    return repr(result), result
+
+
+def assert_matches_reference(scenario, taxes, qbar=None):
+    for variant in (MODEL_DERIVED, CLOSED_FORM, "bogus"):
+        got, result = treaty_outcome(analyze_treaty, scenario, taxes, variant, qbar)
+        expect, reference = treaty_outcome(reference_analyze_treaty, scenario, taxes, variant, qbar)
+        assert got == expect
+        assert result == reference
+    if qbar is None:
+        got, result = treaty_outcome(treaty._both_variants, scenario, taxes)
+        expect, reference = treaty_outcome(reference_both_variants, scenario, taxes)
+        assert got == expect
+        assert result == reference
+    for party in range(scenario.treaty_parties + 1):
+        assert treaty_outcome(coefficient_divergence, scenario, taxes, party)[0] == (
+            treaty_outcome(reference_divergence, scenario, taxes, party)[0]
+        )
+        assert treaty_outcome(benefit_coefficients, scenario, taxes, party)[0] == (
+            treaty_outcome(reference_model_coefficients, scenario, taxes, party)[0]
+        )
+
+
+@st.composite
+def treaty_inputs(draw):
+    """A scenario, a schedule and maybe a given qbar, drawn wide.
+
+    Parties run above and below the market count; markets may outnumber
+    sectors; k may be 0; one family sits at phi0 == 0; rates are often 0
+    or 1, so whole markets or sectors are taxed away.
+    """
+    n_s = draw(st.integers(1, 3))
+    n_m = draw(st.integers(n_s, 4))
+    log = st.floats(-2.0, 2.0)
+    if draw(st.integers(0, 4)) == 0:
+        k, legacy = 0.1, 10.0                       # phi0 == 0.0 exactly
+    else:
+        k = draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0)))
+        legacy = draw(st.floats(0.0, 1.2)) / max(k, 0.1)
+    scenario = Scenario(
+        n_markets=n_m,
+        n_sectors=n_s,
+        prices=tuple(math.exp(draw(log)) for _ in range(n_m)),
+        costs=tuple(math.exp(draw(log)) for _ in range(n_s)),
+        collision_coeff=k,
+        debris_per_sat=math.exp(draw(st.floats(-1.0, 1.0))),
+        legacy_debris=legacy,
+        catastrophe_threshold=draw(st.floats(0.1, 5.0)),
+        catastrophe_damages=draw(st.floats(0.0, 5.0)),
+        abatement_cost=draw(st.floats(0.1, 5.0)),
+        treaty_parties=draw(st.integers(1, n_m + 2)),
+    )
+    rate = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+    taxes = TaxSchedule.from_array(
+        [[draw(rate) for _ in range(n_m)] for _ in range(n_s)]
+    )
+    qbar = draw(st.one_of(st.none(), st.just(0.0), st.floats(-1.0, 5.0)))
+    return scenario, taxes, qbar
+
+
+class TestSharedCoefficientPass:
+    @given(treaty_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_analyses_equal_the_per_party_reference(self, case):
+        assert_matches_reference(*case)
+
+    def test_edges_equal_the_per_party_reference(self):
+        wide = Scenario(3, 2, (1.0, 2.0, 0.5), (1.0, 1.5), 0.1, 1.0, 0.0, 2.0, 1.0, 1.0)
+        wide_taxes = TaxSchedule.from_array([[0.2, 0.0, 0.5], [0.0, 0.3, 0.0]])
+        cases = [
+            (SYM2, ZERO2, None),
+            (HIDEB, ZERO2, None),
+            # treaty parties below and above the market count
+            (replace(SYM2, treaty_parties=1), ZERO2, None),
+            (replace(SYM2, treaty_parties=4), ZERO2, None),
+            (wide, wide_taxes, None),
+            (replace(wide, treaty_parties=2), wide_taxes, None),
+            (replace(wide, treaty_parties=5), wide_taxes, None),
+            # k = 0
+            (NO_COLLISIONS, ZERO2, None),
+            # market 0 keeps nothing (w0 = 0), and every sector taxed away
+            (SYM2, TaxSchedule.from_array([[1.0, 0.0], [1.0, 0.0]]), None),
+            (SYM2, TaxSchedule.from_array([[1.0, 1.0], [1.0, 1.0]]), None),
+            (SYM2, TaxSchedule.from_array([[0.0, 0.0], [1.0, 1.0]]), None),
+            # a given qbar
+            (SYM2, ZERO2, 0.0),
+            (SYM2, ZERO2, 0.7),
+            (SYM2, ZERO2, -0.5),
+            (replace(wide, treaty_parties=5), wide_taxes, 2.5),
+            # phi0 == 0 raises, with and without a given qbar
+            (replace(SYM2, legacy_debris=10.0), ZERO2, None),
+            (replace(SYM2, legacy_debris=10.0), ZERO2, 1.0),
+            (replace(SYM2, legacy_debris=10.0), TaxSchedule.from_array([[1.0, 1.0], [1.0, 1.0]]), None),
+            # survival below 0 at Q = 0: the solve raises before the variant
+            # check unless qbar is given
+            (replace(SYM2, legacy_debris=20.0), ZERO2, None),
+            (replace(SYM2, legacy_debris=20.0), ZERO2, 1.0),
+            # the fit_residual probe's stock stays valid
+            (replace(SYM2, prices=(0.05, 0.05)), ZERO2, None),
+        ]
+        for scenario, taxes, qbar in cases:
+            assert_matches_reference(scenario, taxes, qbar)
+        got, _ = treaty_outcome(analyze_treaty, replace(SYM2, legacy_debris=10.0), ZERO2)
+        assert got[0] == "ActiveSetChangeError" and "phi0 == 0" in got[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["treaty", "--scenario", str(SCENARIOS / "sym2.json")],
+            ["treaty", "--scenario", str(SCENARIOS / "sym2.json"), "--format", "csv"],
+            ["treaty", "--scenario", str(SCENARIOS / "solo.json")],
+            ["treaty", "--scenario", str(SCENARIOS / "solo.json"), "--format", "csv"],
+            ["sweep", "--scenario", str(SCENARIOS / "sym2.json"),
+             "--sweep", "scenario.D0:0:20:200", "--format", "csv"],
+            ["sweep", "--scenario", str(SCENARIOS / "sym2.json"),
+             "--sweep", "scenario.D0:0:20:200", "--format", "json"],
+            ["sweep", "--scenario", str(SCENARIOS / "sym2.json"),
+             "--sweep", "scenario.D0:0:20:3", "--format", "csv"],
+        ],
+    )
+    def test_cli_output_is_byte_identical(self, argv, capsys, monkeypatch):
+        code = main(argv)
+        shared = capsys.readouterr()
+        monkeypatch.setattr(cli, "_both_variants", reference_both_variants)
+        assert main(argv) == code == 0
+        reference = capsys.readouterr()
+        assert (shared.out, shared.err) == (reference.out, reference.err)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_treaty_checkers_equal_the_per_variant_reference(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        bundles = _batch(
+            rng, 10, with_taxes=True, require_kessler_risk=True, sector_range=(1, 4)
+        )
+        checkers = (verification.check_treaty_consistency, verification.check_nash_certification)
+        shared = [repr(checker(bundles)) for checker in checkers]
+        monkeypatch.setattr(verification, "_both_variants", reference_both_variants)
+        assert shared == [repr(checker(bundles)) for checker in checkers]
+
+
+class TestCallCounts:
+    """One analysis solves the equilibrium twice; each checker analyses a bundle once."""
+
+    @staticmethod
+    def count(monkeypatch, module, name, calls):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def test_one_analysis_makes_two_solves(self, monkeypatch):
+        calls = {"solve_equilibrium": 0}
+        for module in (open_access, regulation, treaty):
+            self.count(monkeypatch, module, "solve_equilibrium", calls)
+        wide = Scenario(3, 2, (1.0, 2.0, 0.5), (1.0, 1.5), 0.1, 1.0, 0.0, 2.0, 1.0, 1.0)
+        for scenario, taxes in ((SYM2, ZERO2), (replace(wide, treaty_parties=5), TaxSchedule.zeros(2, 3))):
+            for variant in (MODEL_DERIVED, CLOSED_FORM):
+                for qbar in (None, 0.5):
+                    calls["solve_equilibrium"] = 0
+                    analyze_treaty(scenario, taxes, variant, qbar)
+                    assert calls["solve_equilibrium"] == 2
+            calls["solve_equilibrium"] = 0
+            treaty._both_variants(scenario, taxes)
+            assert calls["solve_equilibrium"] == 2
+
+    def test_each_treaty_checker_analyses_a_bundle_once(self, monkeypatch):
+        calls = {"analyze_treaty": 0}
+        self.count(monkeypatch, treaty, "analyze_treaty", calls)
+        bundles = _batch(
+            np.random.default_rng(3), 6, with_taxes=True, require_kessler_risk=True,
+            sector_range=(1, 4),
+        )
+        for checker in (verification.check_treaty_consistency, verification.check_nash_certification):
+            calls["analyze_treaty"] = 0
+            checker(bundles)
+            assert calls["analyze_treaty"] == len(bundles)

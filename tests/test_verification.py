@@ -22,11 +22,12 @@ from orbituse import SYM2, PhysicallyInvalidError, Scenario, TaxSchedule
 from orbituse import verification
 from orbituse.cli import main
 from orbituse.errors import OrbitUseError
-from orbituse.open_access import _stacked_equilibrium, solve_equilibrium
+from orbituse.open_access import _one_rate_probes, _stacked_equilibrium, solve_equilibrium
 from orbituse.regulation import _stacked_welfare, national_welfare, welfare_channels
 from orbituse.verification import (
     _batch,
     _report,
+    _stencil,
     check_channel_identity,
     check_sign_suite,
     check_welfare_quadratic,
@@ -82,6 +83,50 @@ def reference_sign_suite(bundles):
                     scenario, taxes.with_rate(sector, market, rate - h), abatement
                 )
                 if (up[sector] - down[sector]) / (2.0 * h) >= 0.0:
+                    bad.append((index, sector, market, "cross derivative not negative"))
+    return _report("comparative_statics_signs", float(len(bad)), bad)
+
+
+def loop_sign_suite(bundles):
+    """The stacked sign suite with its former per-(sector, market) loop."""
+    bad = []
+    for index, (scenario, taxes, abatement) in enumerate(bundles):
+        n, n_markets = scenario.n_sectors, scenario.n_markets
+        rates = taxes.as_array
+        h = 1e-6 * np.maximum(1.0, np.abs(rates))
+        wide = 1e-4 * np.maximum(1.0, np.abs(rates))
+        h_ab = 1e-6 * max(1.0, abs(abatement))
+        up, down = abatement + h_ab, abatement - h_ab
+        moved = np.stack(
+            [rates + h, rates - h, rates + wide, rates + wide, rates - wide, rates - wide],
+            axis=-1,
+        )
+        fleets, _, stock = _stencil(
+            scenario,
+            np.concatenate([rates[None], rates[None], _one_rate_probes(rates, moved)]),
+            np.array([up, down] + [abatement, abatement, up, down, up, down] * (n * n_markets)),
+        )
+        d_ab = (fleets[0] - fleets[1]) / (2.0 * h_ab)
+        if not np.all(d_ab > 0.0):
+            bad.append((index, "dfleet_dabatement not positive"))
+        if (stock[0] - stock[1]) / (2.0 * h_ab) >= 0.0:
+            bad.append((index, "ddebris_dabatement not negative"))
+        probes = fleets[2:].reshape(n, n_markets, 6, n)
+        grads = (probes[:, :, 0] - probes[:, :, 1]) / (2.0 * h)[:, :, None]
+        slopes = (probes[:, :, 2::2] - probes[:, :, 3::2]) / (2.0 * h_ab)
+        i, j = np.indices((n, n_markets), sparse=True)
+        cross = (slopes[i, j, 0, i] - slopes[i, j, 1, i]) / (2.0 * wide)
+        for sector in range(n):
+            for market in range(n_markets):
+                grad = grads[sector, market]
+                if grad[sector] >= 0.0:
+                    bad.append((index, sector, market, "own fleet does not fall"))
+                others = np.delete(grad, sector)
+                if others.size and not np.all(others > 0.0):
+                    bad.append((index, sector, market, "rebound not positive"))
+                if grad.sum() >= 0.0:
+                    bad.append((index, sector, market, "total fleet does not fall"))
+                if cross[sector, market] >= 0.0:
                     bad.append((index, sector, market, "cross derivative not negative"))
     return _report("comparative_statics_signs", float(len(bad)), bad)
 
@@ -251,6 +296,61 @@ def test_stacked_checkers_match_on_degenerate_bundles():
     for stacked, reference in PAIRS:
         for end in (1, 2, 3):
             assert outcome(stacked, bundles[:end]) == outcome(reference, bundles[:end])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_masked_sign_suite_matches_the_loop(seed):
+    rng = np.random.default_rng(seed)
+    sampled = [
+        _batch(rng, 12, with_taxes=True, sector_range=(2, 6)),
+        _batch(rng, 12, with_taxes=True, sector_range=(1, 1)),
+        _batch(rng, 12, with_taxes=True, require_kessler_risk=True, sector_range=(1, 4)),
+    ]
+    for bundles in sampled + [shifted(b) for b in sampled]:
+        assert outcome(check_sign_suite, bundles) == outcome(loop_sign_suite, bundles)
+
+
+def test_masked_sign_suite_matches_the_loop_on_failing_bundles():
+    # k = 0 fails the abatement, rebound and cross tests; a sector taxed
+    # past its whole revenue stays idle on both sides of its own stencils,
+    # so its own and total fleets do not fall; n = 1 has no rebound to test.
+    solo = Scenario(1, 1, (1.0,), (1.0,), 0.1, 1.0, 0.0, 2.0, 1.0, 1.0)
+    three = Scenario(3, 2, (1.0, 2.0, 0.5), (1.0, 1.5), 0.1, 1.0, 0.0, 2.0, 1.0, 1.0)
+    bundles = [
+        (replace(SYM2, collision_coeff=0.0), TaxSchedule.from_array([[0.2, 0.0], [0.5, 1.0]]), 0.0),
+        (SYM2, TaxSchedule.from_array([[1.5, 1.0], [0.0, 0.3]]), 0.0),
+        (solo, TaxSchedule.zeros(1, 1), 0.0),
+        (replace(solo, collision_coeff=0.0), TaxSchedule.zeros(1, 1), 0.0),
+        (three, TaxSchedule.from_array([[0.0, 0.5, 1.0], [1.0, 1.0, 1.0]]), 0.0),
+    ]
+    report = check_sign_suite(bundles)
+    assert not report.passed
+    assert {entry[-1] for entry in report.counterexamples} >= {
+        "own fleet does not fall",
+        "rebound not positive",
+        "total fleet does not fall",
+        "cross derivative not negative",
+    }
+    assert outcome(check_sign_suite, bundles) == outcome(loop_sign_suite, bundles)
+    for end in range(1, len(bundles)):
+        assert outcome(check_sign_suite, bundles[:end]) == outcome(loop_sign_suite, bundles[:end])
+
+
+def test_masked_sign_suite_counts_a_nan_rebound_as_failing(monkeypatch):
+    # The kernel yields no NaN fleets, so the stencil's are poisoned.
+    bundles = [(SYM2, TaxSchedule.from_array([[0.1, 0.2], [0.3, 0.0]]), 0.0)]
+    stencil = verification._stencil
+
+    def poisoned(scenario, rates, abatement):
+        fleets, survival, stock = stencil(scenario, rates, abatement)
+        fleets[2::6, 1] = np.nan     # sector 1 at every rate + h probe
+        return fleets, survival, stock
+
+    monkeypatch.setattr(verification, "_stencil", poisoned)
+    stacked = check_sign_suite(bundles)
+    monkeypatch.setitem(loop_sign_suite.__globals__, "_stencil", poisoned)
+    assert repr(stacked) == repr(loop_sign_suite(bundles))
+    assert (0, 0, 0, "rebound not positive") in stacked.counterexamples
 
 
 def test_invalid_probe_reports_the_same_error_through_run_verification(monkeypatch):
