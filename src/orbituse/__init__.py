@@ -26,16 +26,13 @@ from .scenario import (
     debris_stock,
     effective_prices,
     sector_profit,
-    survival_probability,
     validate_scenario,
     validate_taxes,
 )
 from .open_access import (
     AssumptionFlags,
-    LinearSystem,
     OpenAccessEquilibrium,
     SensitivityReport,
-    assemble_system,
     check_assumptions,
     decompose,
     reduce_two_player,

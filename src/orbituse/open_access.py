@@ -16,13 +16,13 @@ with the same arithmetic, bit for bit), collapses
 any number of sectors to an exact two-player game by aggregating the rest of
 the world into one ``rho``, splits fleets into the abatement-sensitive and
 abatement-free factors, and differentiates everything with respect to taxes
-and abatement. The fleet system ``(diag(1+s) - s 1^T) f = phi r`` with
-``r_i = rev_i/(kd rev_i + m_i)`` and ``s = -kd r`` is still assembled for
-inspection; its determinant ``share/prod(1 + kd rho_i)`` is positive for
-every validated input, so it is reported but never a failure. The dense
-solves live in :mod:`orbituse.oracle` as the independent reference: the
-pivoting one per call, and a stacked one that the finite-difference
-sensitivities solve their stencils with.
+and abatement. No linear system is assembled here: the determinant
+``share/prod(1 + kd rho_i)`` of the fleet system
+``(diag(1+s) - s 1^T) f = phi r`` (``r_i = rev_i/(kd rev_i + m_i)``,
+``s = -kd r``) is positive for every validated input, so it is reported
+but never a failure. The dense solves live in :mod:`orbituse.oracle` as
+the independent reference: the pivoting one per call, and a stacked one
+that the finite-difference sensitivities solve their stencils with.
 """
 
 from __future__ import annotations
@@ -44,19 +44,6 @@ from .scenario import (
 
 ANALYTIC = "analytic"
 FINITE_DIFFERENCE = "finite-difference"
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    """Best-response system in stacked form: fleet_i = A_i + B_i * rest_i."""
-
-    intercepts: tuple[float, ...]
-    slopes: tuple[float, ...]
-    determinant: float
-
-    def interaction_matrix(self) -> np.ndarray:
-        """Row i holds copies of slope i with a zero diagonal."""
-        return _interaction_matrix(np.array(self.slopes, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -126,36 +113,6 @@ def _share(rho: list[float], phi: float, kd: float) -> tuple[list[bool], float]:
 def _determinant(rho: list[float], kd: float) -> float:
     """det(diag(1+s) - s 1^T) = (1 + kd sum rho)/prod(1 + kd rho), as 1+s = 1/(1 + kd rho)."""
     return (1.0 + kd * sum(rho)) / math.prod(1.0 + kd * x for x in rho)
-
-
-def _system_arrays(scenario: Scenario, taxes: TaxSchedule, abatement: float):
-    revenue = effective_prices(scenario, taxes)
-    kd = scenario.collision_coeff * scenario.debris_per_sat
-    denom = kd * revenue + scenario.cost_array
-    r = revenue / denom
-    phi = 1.0 + scenario.collision_coeff * (abatement - scenario.legacy_debris)
-    intercepts = phi * r
-    slopes = -kd * r
-    return revenue, denom, r, phi, intercepts, slopes
-
-
-def _interaction_matrix(slopes: np.ndarray) -> np.ndarray:
-    matrix = np.tile(slopes[:, None], (1, slopes.size))
-    np.fill_diagonal(matrix, 0.0)
-    return matrix
-
-
-def assemble_system(
-    scenario: Scenario, taxes: TaxSchedule, abatement: float
-) -> LinearSystem:
-    """Intercepts, slopes, and determinant of the stacked best-response system."""
-    _, _, _, _, intercepts, slopes = _system_arrays(scenario, taxes, abatement)
-    _, rho, _, kd = _rho_form(scenario, taxes, abatement)
-    return LinearSystem(
-        intercepts=tuple(intercepts.tolist()),
-        slopes=tuple(slopes.tolist()),
-        determinant=_determinant(rho, kd),
-    )
 
 
 def _equilibrium(

@@ -331,14 +331,13 @@ def regulatory_equilibrium(
     scenario: Scenario,
     abatement: float,
     start: TaxSchedule,
-    damping: float = DAMPING,
-    tolerance: float = CONVERGENCE_TOLERANCE,
     max_iterations: int = MAX_ITERATIONS,
 ) -> RegulatoryEquilibrium:
     """Damped simultaneous best-response iteration over all markets.
 
     Simultaneous undamped updates cycle in symmetric scenarios, so each
-    step blends half the old schedule with half the best responses.
+    step blends half the old schedule with half the best responses
+    (``DAMPING``), until no rate moves by ``CONVERGENCE_TOLERANCE`` or more.
     Non-convergence is reported honestly in the returned record rather
     than raised: the existence argument is non-constructive, so a failed
     search is a diagnostic, not a bug. A physically invalid start raises
@@ -355,11 +354,11 @@ def regulatory_equilibrium(
     if max_iterations > 0:  # no step, no best response and no budget check
         respond = _responder(scenario, abatement, range(scenario.n_markets))
     for iterations in range(1, max_iterations + 1):
-        blended = (1.0 - damping) * rates + damping * respond(rates)
+        blended = (1.0 - DAMPING) * rates + DAMPING * respond(rates)
         max_update = float(np.max(np.abs(blended - rates)))
         trace.append(max_update)
         rates = blended
-        if max_update < tolerance:
+        if max_update < CONVERGENCE_TOLERANCE:
             converged = True
             break
     taxes = TaxSchedule.from_array(rates)

@@ -42,6 +42,14 @@ class LoadedBundle:
     abatement: float
 
 
+def _number(value, what: str, error: type[Exception]) -> float:
+    """``float(value)``, raising ``error`` where it fails: null, a list, text."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as cause:
+        raise error(f"{what} must be a number, got {value!r}") from cause
+
+
 def _parse_value(raw: str):
     try:
         return json.loads(raw)
@@ -71,10 +79,11 @@ def _apply_override(data: dict, key: str, raw_value: str) -> None:
             raise OverrideError(f"tax override indices must be integers: {key!r}") from error
         if sector < 0 or market < 0:
             raise OverrideError(f"tax override indices are 1-based: {key!r}")
-        data.setdefault("_tax_overrides", []).append((sector, market, float(value)))
+        rate = _number(value, key, OverrideError)
+        data.setdefault("_tax_overrides", []).append((sector, market, rate))
         return
     if parts[0] == "abatement" and len(parts) == 1:
-        data["abatement"] = float(value)
+        data["abatement"] = _number(value, key, OverrideError)
         return
     raise OverrideError(f"unknown override key {key!r}")
 
@@ -128,7 +137,13 @@ def bundle_from_data(data: dict, overrides: list[str] | None = None) -> LoadedBu
         raise ScenarioValidationError(violations)
 
     if "taxes" in data and data["taxes"] is not None:
-        taxes = TaxSchedule.from_array(np.asarray(data["taxes"], dtype=float))
+        try:
+            rates = np.asarray(data["taxes"], dtype=float)
+        except (TypeError, ValueError) as error:
+            raise ScenarioParseError(f"taxes must be a numeric matrix: {error}") from error
+        if rates.ndim > 2:
+            raise ScenarioParseError(f"taxes must be a matrix, got {rates.ndim} dimensions")
+        taxes = TaxSchedule.from_array(rates)
     else:
         taxes = TaxSchedule.zeros(scenario.n_sectors, scenario.n_markets)
     for sector, market, value in data.get("_tax_overrides", []):
@@ -142,7 +157,7 @@ def bundle_from_data(data: dict, overrides: list[str] | None = None) -> LoadedBu
     if tax_violations:
         raise ScenarioValidationError(tax_violations)
 
-    abatement = float(data.get("abatement", 0.0))
+    abatement = _number(data.get("abatement", 0.0), "abatement", ScenarioParseError)
     if not math.isfinite(abatement):
         raise ScenarioValidationError([f"abatement must be finite, got {abatement}"])
     return LoadedBundle(scenario=scenario, taxes=taxes, abatement=abatement)

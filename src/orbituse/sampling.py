@@ -6,8 +6,12 @@ Draws are rejected until they satisfy the structural conditions the
 comparative statics need: bounded marginal risk (kd < 1/2), valid survival
 at the equilibrium, every sector interior, a strictly positive abatement
 intercept, and a best-response map the iteration oracle can actually
-contract on (spectral radius of the damped map below one; the slope bounds
-alone do not guarantee this once four or more sectors interact strongly).
+contract on. That last filter builds the map itself: sector i answers the
+rest of the world's fleet with slope ``-kd r_i``, ``r_i = rev_i/(kd rev_i +
+m_i)``, and the oracle's half-damped map ``I/2 + M/2`` (``M`` holding row
+i's slope off the diagonal) must have spectral radius at most 0.99. The
+slope bounds alone do not guarantee this once four or more sectors
+interact strongly.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OrbitUseError
-from .open_access import _interaction_matrix, _system_arrays, solve_equilibrium
-from .scenario import Scenario, TaxSchedule, validate_scenario
+from .open_access import solve_equilibrium
+from .scenario import Scenario, TaxSchedule, effective_prices, validate_scenario
 
 PRICE_RANGE = (0.1, 10.0)
 COST_RANGE = (0.1, 10.0)
@@ -36,8 +40,14 @@ class SamplingExhausted(OrbitUseError):
     """Rejection sampling failed to produce a scenario within its budget."""
 
 
-def _damped_spectral_radius(slopes: np.ndarray, damping: float = 0.5) -> float:
-    matrix = (1.0 - damping) * np.eye(slopes.size) + damping * _interaction_matrix(slopes)
+def _damped_spectral_radius(scenario: Scenario, taxes: TaxSchedule) -> float:
+    """Spectral radius of the oracle's half-damped best-response map."""
+    kd = scenario.collision_coeff * scenario.debris_per_sat
+    revenue = effective_prices(scenario, taxes)
+    slopes = -kd * (revenue / (kd * revenue + scenario.cost_array))
+    interaction = np.tile(slopes[:, None], (1, slopes.size))
+    np.fill_diagonal(interaction, 0.0)
+    matrix = 0.5 * np.eye(slopes.size) + 0.5 * interaction
     return float(np.max(np.abs(np.linalg.eigvals(matrix))))
 
 
@@ -97,8 +107,7 @@ def sample_scenario(
         else:
             taxes = TaxSchedule.zeros(n_s, n_m)
 
-        _, _, _, _, _, slopes = _system_arrays(scenario, taxes, abatement)
-        if _damped_spectral_radius(slopes) > CONTRACTION_LIMIT:
+        if _damped_spectral_radius(scenario, taxes) > CONTRACTION_LIMIT:
             continue
         try:
             equilibrium = solve_equilibrium(scenario, taxes, abatement)

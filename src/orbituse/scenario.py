@@ -3,7 +3,8 @@
 A :class:`Scenario` bundles every exogenous parameter of one orbit-use
 world; :class:`TaxSchedule` carries the sector-by-market rates that
 markets impose as conditions for access. The functions here are pure:
-the debris law, the survival probability, and sector profit. Solvers
+the debris law (stock, survival ``1 - k stock`` and its validity flag) and
+sector profit. Solvers
 live in :mod:`orbituse.open_access` and above.
 """
 
@@ -242,12 +243,6 @@ def debris_stock(scenario: Scenario, total_fleet: float, abatement: float) -> De
         catastrophe=bool(stock > scenario.catastrophe_threshold),
         physically_valid=0.0 <= survival <= 1.0,
     )
-
-
-def survival_probability(scenario: Scenario, debris: float) -> tuple[float, bool]:
-    """Raw survival probability at a debris stock, plus its validity flag."""
-    value = 1.0 - scenario.collision_coeff * debris
-    return value, 0.0 <= value <= 1.0
 
 
 def sector_profit(

@@ -127,6 +127,40 @@ class TestCommands:
         assert payload["error"] == "ScenarioValidationError"
         assert any(field in v for v in payload["violations"])
 
+    @pytest.mark.parametrize(
+        "override", ["abatement=[1]", 'abatement="x"', "tax.1.1=[0.1]", "tax.1.1=null"]
+    )
+    def test_malformed_override_value_exits_2(self, capsys, override):
+        code, out, err = run_cli(
+            capsys, "solve", "--scenario", str(FIXTURE), "--set", override
+        )
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        payload = json.loads(line, parse_constant=_reject_constant)
+        assert payload["error"] == "OverrideError"
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("taxes", "abc"),
+            ("taxes", [[0.1], [0.1, 0.2]]),
+            ("taxes", [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]),
+            ("abatement", "x"),
+            ("abatement", None),
+            ("abatement", [1]),
+        ],
+    )
+    def test_malformed_file_value_exits_2(self, capsys, tmp_path, key, value):
+        data = json.loads(FIXTURE.read_text())
+        data[key] = value
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "solve", "--scenario", str(broken))
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        payload = json.loads(line, parse_constant=_reject_constant)
+        assert payload["error"] == "ScenarioParseError"
+
     def test_strict_assumption_violation_exits_4(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -12,7 +12,6 @@ from orbituse import (
     Scenario,
     SingularSystemError,
     TaxSchedule,
-    assemble_system,
     check_assumptions,
     decompose,
     reduce_two_player,
@@ -24,10 +23,11 @@ from orbituse import open_access
 from orbituse.open_access import FINITE_DIFFERENCE, STATIC
 from orbituse.errors import OrbitUseError
 from orbituse.oracle import pivot_open_access
-from orbituse.sampling import sample_scenario
+from orbituse.sampling import _damped_spectral_radius, sample_scenario
 from orbituse.scenario import debris_stock
 
 from conftest import assert_exact, exact_rho_form
+from test_properties import reference_slopes
 
 ZERO2 = TaxSchedule.zeros(2, 2)
 ZERO1 = TaxSchedule.zeros(1, 1)
@@ -97,28 +97,33 @@ def fd_outcome(function, scenario, taxes, abatement):
 
 
 class TestAssembleSystem:
+    """The fleet system's exact values, read off the kernel's ``r`` and determinant.
+
+    Intercepts are ``phi r`` and slopes ``-kd r``; the sampling filter builds
+    the interaction matrix of those slopes itself.
+    """
+
     def test_sym2(self):
-        system = assemble_system(SYM2, ZERO2, 0.0)
-        np.testing.assert_allclose(system.intercepts, [5.0 / 3.0] * 2, atol=1e-14)
-        np.testing.assert_allclose(system.slopes, [-1.0 / 6.0] * 2, atol=1e-14)
-        assert system.determinant == pytest.approx(35.0 / 36.0, abs=1e-14)
+        eq = solve_equilibrium(SYM2, ZERO2, 0.0)
+        kd = SYM2.collision_coeff * SYM2.debris_per_sat
+        np.testing.assert_allclose(eq.r, [5.0 / 3.0] * 2, atol=1e-14)
+        np.testing.assert_allclose(-kd * np.array(eq.r), [-1.0 / 6.0] * 2, atol=1e-14)
+        assert eq.determinant == pytest.approx(35.0 / 36.0, abs=1e-14)
 
     def test_denied_sector_has_zero_row(self):
-        system = assemble_system(SYM2, deny_sector(ZERO2, 0, 2), 0.0)
-        assert system.intercepts[0] == 0.0
-        assert system.slopes[0] == 0.0
+        eq = solve_equilibrium(SYM2, deny_sector(ZERO2, 0, 2), 0.0)
+        assert eq.r[0] == 0.0
 
     def test_solo_without_collisions(self):
-        system = assemble_system(SOLO, ZERO1, 0.0)
-        assert system.intercepts == (1.0,)
-        assert system.slopes == (0.0,)
-        assert system.determinant == 1.0
+        eq = solve_equilibrium(SOLO, ZERO1, 0.0)
+        assert eq.r == (1.0,)
+        assert eq.determinant == 1.0
 
     def test_interaction_matrix_has_zero_diagonal(self):
-        system = assemble_system(SYM3, ZERO3, 0.0)
-        matrix = system.interaction_matrix()
-        assert np.all(np.diag(matrix) == 0.0)
-        assert matrix[0, 1] == matrix[0, 2] == system.slopes[0]
+        # SYM3 has slopes s = -3/13, so the half-damped map I/2 + s(J - I)/2
+        # has eigenvalues 1/2 + s and 1/2 - s/2 (twice): radius 8/13. A
+        # diagonal holding s would give 1/2 instead.
+        assert _damped_spectral_radius(SYM3, ZERO3) == pytest.approx(8.0 / 13.0, abs=1e-14)
 
 
 class TestSolveEquilibrium:
@@ -397,8 +402,7 @@ class TestRequiredAbatement:
         # any valid scenario, which is why required_abatement needs no probe.
         for _ in range(15):
             scenario, taxes = sample_scenario(rng, with_taxes=True)
-            system = assemble_system(scenario, taxes, 0.0)
-            w = sum(abs(b) / (1.0 - abs(b)) for b in system.slopes)
+            w = sum(abs(b) / (1.0 - abs(b)) for b in reference_slopes(scenario, taxes))
             report = sensitivities(scenario, taxes, 0.0)
             assert report.ddebris_dabatement == pytest.approx(
                 -1.0 / (1.0 + w), abs=1e-12

@@ -3,7 +3,7 @@
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from orbituse import (
     OrbitUseError,
@@ -18,8 +18,8 @@ from orbituse import (
     solve_equilibrium,
     treaty_response,
 )
-from orbituse.open_access import _interaction_matrix, _system_arrays
 from orbituse.oracle import iterate_open_access, pivot_open_access
+from orbituse.sampling import _damped_spectral_radius
 from orbituse.treaty import BenefitCoefficients, abatement_payoff
 
 from conftest import assert_exact, exact_rho_form
@@ -60,6 +60,26 @@ def scenario_tax_pairs(draw, **kwargs):
     return scenario, TaxSchedule(rows)
 
 
+def reference_slopes(scenario, taxes):
+    """Slopes ``-kd r`` of the fleet system, ``r_i = rev_i/(kd rev_i + m_i)``.
+
+    Assembled as the dense system would be: the reference the kernel's
+    determinant and the sampling filter are checked against.
+    """
+    revenue = effective_prices(scenario, taxes)
+    kd = scenario.collision_coeff * scenario.debris_per_sat
+    denom = kd * revenue + scenario.cost_array
+    r = revenue / denom
+    return -kd * r
+
+
+def reference_interaction_matrix(slopes):
+    """Row i holds copies of slope i with a zero diagonal."""
+    matrix = np.tile(slopes[:, None], (1, slopes.size))
+    np.fill_diagonal(matrix, 0.0)
+    return matrix
+
+
 def try_solve(scenario, taxes, abatement=0.0):
     try:
         return solve_equilibrium(scenario, taxes, abatement)
@@ -72,11 +92,8 @@ def try_solve(scenario, taxes, abatement=0.0):
 def test_interaction_slopes_are_bounded(pair):
     # Positive costs keep every slope strictly above -1: no sector can
     # fully offset the rest of the world's expansion.
-    from orbituse import assemble_system
-
     scenario, taxes = pair
-    system = assemble_system(scenario, taxes, 0.0)
-    for slope in system.slopes:
+    for slope in reference_slopes(scenario, taxes):
         assert -1.0 < slope <= 0.0
 
 
@@ -261,8 +278,8 @@ def test_closed_form_kernel_matches_dense_pivot_solve(case):
     # sectors, or every sector when phi == 0 leaves all fleets at zero.
     phi = 1.0 - scenario.collision_coeff * scenario.legacy_debris
     idx = np.arange(scenario.n_sectors) if phi == 0.0 else np.flatnonzero(dense > 0.0)
-    slopes = _system_arrays(scenario, taxes, 0.0)[5]
-    reduced = np.eye(idx.size) - _interaction_matrix(slopes)[np.ix_(idx, idx)]
+    slopes = reference_slopes(scenario, taxes)
+    reduced = np.eye(idx.size) - reference_interaction_matrix(slopes)[np.ix_(idx, idx)]
     assert abs(kernel.determinant - np.linalg.det(reduced)) <= 1e-12 * abs(kernel.determinant)
 
 
@@ -311,3 +328,24 @@ def test_wide_magnitudes_solve_exactly(case):
     assert_exact(eq.debris.stock, exact["stock"])
     assert_exact(eq.determinant, exact["determinant"])
     assert_exact(required_abatement(scenario, taxes), exact["required_abatement"])
+
+
+SOLO_FREE = Scenario(1, 1, (1.0,), (1.0,), 0.0, 1.0, 0.0, 2.0, 1.0, 1.0)
+SIX = Scenario(6, 6, (10.0,) * 6, (0.1,) * 6, 0.05, 20.0, 0.0, 2.0, 1.0, 1.0)
+
+
+@given(st.one_of(kernel_cases(), wide_cases()))
+@example((SOLO_FREE, TaxSchedule.zeros(1, 1)))
+@example((SIX, TaxSchedule(((1.0,) * 6,) + ((0.0,) * 6,) * 5)))
+@settings(max_examples=300, deadline=None)
+def test_sampling_filter_radius_matches_the_reference_assembly(case):
+    # The contraction filter decides which scenarios verify draws, so its
+    # inline slopes and matrix must give the assembled map's radius exactly.
+    scenario, taxes = case
+    damping = 0.5
+    matrix = (1.0 - damping) * np.eye(scenario.n_sectors) + damping * (
+        reference_interaction_matrix(reference_slopes(scenario, taxes))
+    )
+    reference = float(np.max(np.abs(np.linalg.eigvals(matrix))))
+    radius = _damped_spectral_radius(scenario, taxes)
+    assert np.float64(radius).tobytes() == np.float64(reference).tobytes()

@@ -14,7 +14,6 @@ from orbituse import (
     debris_stock,
     effective_prices,
     sector_profit,
-    survival_probability,
     validate_scenario,
     validate_taxes,
 )
@@ -133,13 +132,17 @@ def test_debris_stock_affine_in_fleet_and_abatement(rng):
 
 
 def test_survival_probability_examples():
-    assert survival_probability(SOLO, 123.0) == (1.0, True)
-    value, valid = survival_probability(SYM2, 20.0 / 7.0)
-    assert value == pytest.approx(5.0 / 7.0, abs=1e-12)
-    assert valid
-    value, valid = survival_probability(SYM2, 11.0)
-    assert value == pytest.approx(-0.1, abs=1e-12)
-    assert not valid
+    # SYM2 has d = 1 and no legacy debris, so the stock is the total fleet.
+    solo = debris_stock(SOLO, 123.0, 0.0)
+    assert (solo.survival, solo.physically_valid) == (1.0, True)
+    state = debris_stock(SYM2, 20.0 / 7.0, 0.0)
+    assert state.stock == 20.0 / 7.0
+    assert state.survival == pytest.approx(5.0 / 7.0, abs=1e-12)
+    assert state.physically_valid
+    state = debris_stock(SYM2, 11.0, 0.0)
+    assert state.stock == 11.0
+    assert state.survival == pytest.approx(-0.1, abs=1e-12)
+    assert not state.physically_valid
 
 
 def test_sector_profit_zero_at_solo_equilibrium():
