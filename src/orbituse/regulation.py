@@ -198,28 +198,11 @@ def best_response_taxes(
 ) -> np.ndarray:
     """Tax column maximizing one market's welfare, others held fixed.
 
-    Write ``x = 1 - tau`` for market j's kept shares, ``a_i`` for sector i's
-    revenue from the other markets and ``phi = 1 + k(Q - D0)``. With
-    ``rho = (a + p_j x)/m``, market j's welfare is
-    ``p_j phi^2 sum x rho/(1 + kd sum rho)^2``. On a slice
-    ``sum x_i/m_i = L`` the denominator is fixed and the numerator convex,
-    so the slice's maximum is one of its vertices, each of which lies on an
-    edge of the box; the stock >= 0 bound (survival <= 1, i.e.
-    ``share >= phi``) depends on L alone. So the best response is the best
-    point on the box's edges. On the edge ``x_i = t`` welfare is
-    ``(c0 + c1 t + c2 t^2)/(e0 + e1 t)^2`` with ``c1 = a_i/m_i``,
-    ``c2 = p_j/m_i``, ``e1 = kd c2`` and ``e0 >= 1 + kd c1``. The numerator
-    of its derivative, ``c1 e0 - 2 c0 e1 + c2 (2 e0 - kd c1) t``, rises in
-    t (``2 e0 - kd c1 >= 2 + kd c1``), so the edge's one stationary point
-    is a minimum and its best point is an end of its feasible part. The
-    candidates are therefore:
-
-    * the 2^n box vertices;
-    * on each of the n 2^(n-1) edges, the stock = 0 crossing
-      ``t = (phi - e0)/e1`` when it lies in (0, 1), taken 64 ulps inside
-      the bound, at ``share = phi (1 + 64 eps)``: rounding at the exact
-      crossing can land past the bound and drop the best column where the
-      bound binds.
+    The candidates are the 2^n box vertices of market j's kept shares
+    ``x = 1 - tau`` and, on each of the n 2^(n-1) box edges, the stock = 0
+    crossing when it lies inside the edge, taken 64 ulps inside the bound
+    (``share = phi (1 + 64 eps)``). README's "Best responses" proves that
+    the best response is one of them.
 
     Every candidate is evaluated at once by the kernel's stacked form
     (fleets ``phi rho/share``, survival ``phi/share``, with the arithmetic

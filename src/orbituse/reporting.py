@@ -50,6 +50,13 @@ def _number(value, what: str, error: type[Exception]) -> float:
         raise error(f"{what} must be a number, got {value!r}") from cause
 
 
+def _count(value, name: str) -> int:
+    """``int(value)``; a number that is not whole is a validation error, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ScenarioValidationError([f"{name} must be a whole number, got {value!r}"])
+    return int(value)
+
+
 def _parse_value(raw: str):
     try:
         return json.loads(raw)
@@ -117,8 +124,8 @@ def bundle_from_data(data: dict, overrides: list[str] | None = None) -> LoadedBu
         raise ScenarioParseError(f"unknown scenario fields: {sorted(unknown)}")
     try:
         scenario = Scenario(
-            n_markets=int(block["n_markets"]),
-            n_sectors=int(block["n_sectors"]),
+            n_markets=_count(block["n_markets"], "n_markets"),
+            n_sectors=_count(block["n_sectors"], "n_sectors"),
             prices=tuple(np.atleast_1d(block["prices"]).astype(float)),
             costs=tuple(np.atleast_1d(block["costs"]).astype(float)),
             collision_coeff=float(block["collision_coeff"]),
@@ -127,7 +134,9 @@ def bundle_from_data(data: dict, overrides: list[str] | None = None) -> LoadedBu
             catastrophe_threshold=float(block["catastrophe_threshold"]),
             catastrophe_damages=float(block["catastrophe_damages"]),
             abatement_cost=float(block["abatement_cost"]),
-            treaty_parties=int(block["treaty_parties"]) if "treaty_parties" in block else None,
+            treaty_parties=(
+                _count(block["treaty_parties"], "treaty_parties") if "treaty_parties" in block else None
+            ),
         )
     except (KeyError, TypeError, ValueError) as error:
         raise ScenarioParseError(f"scenario block incomplete or malformed: {error}") from error

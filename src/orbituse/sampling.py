@@ -6,12 +6,21 @@ Draws are rejected until they satisfy the structural conditions the
 comparative statics need: bounded marginal risk (kd < 1/2), valid survival
 at the equilibrium, every sector interior, a strictly positive abatement
 intercept, and a best-response map the iteration oracle can actually
-contract on. That last filter builds the map itself: sector i answers the
-rest of the world's fleet with slope ``-kd r_i``, ``r_i = rev_i/(kd rev_i +
-m_i)``, and the oracle's half-damped map ``I/2 + M/2`` (``M`` holding row
-i's slope off the diagonal) must have spectral radius at most 0.99. The
-slope bounds alone do not guarantee this once four or more sectors
-interact strongly.
+contract on. The slope bounds alone do not guarantee that last one once
+four or more sectors interact strongly.
+
+The contraction filter: sector i answers the rest of the world's fleet
+with slope ``-delta_i``, ``delta_i = kd rev_i/(kd rev_i + m_i) >= 0``, so the
+oracle's half-damped map is ``I/2 + M/2`` with ``M = D(I - 11^T)``,
+``D = diag(delta)``. ``M`` has the eigenvalues ``mu`` of the rank-one
+downdate ``D - v v^T`` (``v_i = sqrt(delta_i)``), which are real, so the
+map's spectral radius is at most 0.99 exactly when every ``mu`` lies in
+[-2.98, 0.98]. ``D + 2.98 I - v v^T`` is positive semidefinite iff
+``g = sum delta_i/(delta_i + 2.98) <= 1``, and no ``mu`` exceeds
+``max delta``. So a draw is rejected when ``g > 1 + 1e-9`` and accepted
+when ``g < 1 - 1e-9`` and ``max delta < 0.98 - 1e-9``. In the band between,
+or for a negative or non-finite ``delta``, the filter falls back to the
+eigenvalues of the assembled map (:func:`_damped_spectral_radius`).
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ CONTRACTION_LIMIT = 0.99
 INTERIOR_MARGIN = 1e-6
 SURVIVAL_MARGIN = 1e-4
 PHI_MARGIN = 1e-3
+DECISION_BAND = 1e-9
 
 
 class SamplingExhausted(OrbitUseError):
@@ -49,6 +59,25 @@ def _damped_spectral_radius(scenario: Scenario, taxes: TaxSchedule) -> float:
     np.fill_diagonal(interaction, 0.0)
     matrix = 0.5 * np.eye(slopes.size) + 0.5 * interaction
     return float(np.max(np.abs(np.linalg.eigvals(matrix))))
+
+
+def _contracts(scenario: Scenario, taxes: TaxSchedule) -> bool:
+    """``_damped_spectral_radius(...) <= CONTRACTION_LIMIT``, in closed form
+    outside :data:`DECISION_BAND` of the boundary (module docstring)."""
+    kd = scenario.collision_coeff * scenario.debris_per_sat
+    deltas = []
+    for row, cost in zip(taxes.rates, scenario.costs):
+        revenue = sum((1.0 - t) * p for t, p in zip(row, scenario.prices))
+        deltas.append(kd * (revenue / (kd * revenue + cost)))
+    if min(deltas) >= 0.0:
+        # The radius is at most L iff every mu lies in [-(1 + 2L), 2L - 1].
+        floor, ceiling = 1.0 + 2.0 * CONTRACTION_LIMIT, 2.0 * CONTRACTION_LIMIT - 1.0
+        g = sum(delta / (delta + floor) for delta in deltas)
+        if g > 1.0 + DECISION_BAND:
+            return False
+        if g < 1.0 - DECISION_BAND and max(deltas) < ceiling - DECISION_BAND:
+            return True
+    return _damped_spectral_radius(scenario, taxes) <= CONTRACTION_LIMIT
 
 
 def sample_scenario(
@@ -76,8 +105,8 @@ def sample_scenario(
     for _ in range(max_tries):
         n_s = n_sectors if n_sectors is not None else int(rng.integers(sector_range[0], sector_range[1] + 1))
         n_m = n_s + int(rng.integers(0, 2))
-        prices = tuple(rng.uniform(*PRICE_RANGE, size=n_m))
-        costs = tuple(rng.uniform(*COST_RANGE, size=n_s))
+        prices = tuple(rng.uniform(*PRICE_RANGE, size=n_m).tolist())
+        costs = tuple(rng.uniform(*COST_RANGE, size=n_s).tolist())
         k = float(rng.uniform(*collision_range))
         d = float(rng.uniform(*DEBRIS_PER_SAT_RANGE))
         if k * d >= 0.5:
@@ -103,11 +132,12 @@ def sample_scenario(
         if validate_scenario(scenario):
             continue
         if with_taxes:
-            taxes = TaxSchedule.from_array(rng.uniform(0.0, tax_cap, size=(n_s, n_m)))
+            rates = rng.uniform(0.0, tax_cap, size=(n_s, n_m)).tolist()
+            taxes = TaxSchedule._of(tuple(map(tuple, rates)))
         else:
             taxes = TaxSchedule.zeros(n_s, n_m)
 
-        if _damped_spectral_radius(scenario, taxes) > CONTRACTION_LIMIT:
+        if not _contracts(scenario, taxes):
             continue
         try:
             equilibrium = solve_equilibrium(scenario, taxes, abatement)

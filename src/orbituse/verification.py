@@ -272,13 +272,37 @@ def check_welfare_quadratic(bundles: list[Bundle]) -> OracleReport:
     return _report("welfare_quadratic_in_abatement", worst, bad)
 
 
-def check_treaty_consistency(bundles: list[Bundle]) -> OracleReport:
+def _treaty_analyses(bundles: list[Bundle]) -> list:
+    """Both variants' analyses of each bundle in order, up to the first that
+    raises; that bundle's entry is its error."""
+    analyses = []
+    for scenario, taxes, _ in bundles:
+        try:
+            analyses.append(_both_variants(scenario, taxes))
+        except OrbitUseError as error:
+            analyses.append(error)
+            break
+    return analyses
+
+
+def _analysed(bundles: list[Bundle], analyses: list | None):
+    """Each bundle with its pair of analyses, raising a stored error where a
+    per-bundle loop would have; ``analyses`` defaults to deriving them here."""
+    if analyses is None:
+        analyses = _treaty_analyses(bundles)
+    for bundle, pair in zip(bundles, analyses):
+        if isinstance(pair, OrbitUseError):
+            raise pair
+        yield bundle, pair
+
+
+def check_treaty_consistency(bundles: list[Bundle], analyses: list | None = None) -> OracleReport:
     """Threshold treaty conditions match their payoff-level counterparts."""
     worst = 0.0
     bad = []
     guard = 1e-9
-    for index, (scenario, taxes, abatement) in enumerate(bundles):
-        for analysis in _both_variants(scenario, taxes):
+    for index, ((scenario, taxes, abatement), pair) in enumerate(_analysed(bundles, analyses)):
+        for analysis in pair:
             variant = analysis.variant
             qbar = analysis.qbar
             burden = analysis.per_party_burden
@@ -312,12 +336,14 @@ def check_treaty_consistency(bundles: list[Bundle]) -> OracleReport:
     return _report("treaty_condition_consistency", worst, bad)
 
 
-def check_nash_certification(bundles: list[Bundle], step: float = 1e-3) -> OracleReport:
+def check_nash_certification(
+    bundles: list[Bundle], step: float = 1e-3, analyses: list | None = None
+) -> OracleReport:
     """Every listed Nash profile survives the exhaustive deviation search."""
     worst = 0.0
     bad = []
-    for index, (scenario, taxes, abatement) in enumerate(bundles):
-        for analysis in _both_variants(scenario, taxes):
+    for index, ((scenario, taxes, abatement), pair) in enumerate(_analysed(bundles, analyses)):
+        for analysis in pair:
             for profile in analysis.nash_equilibria:
                 report = deviation_search_abatement(
                     scenario, analysis.coefficients, profile, analysis.qbar, step
@@ -408,9 +434,9 @@ def run_verification(
         sector_range=(1, 4),
     )
 
-    def attempt(checker, bundles, name):
+    def attempt(checker, bundles, name, **kwargs):
         try:
-            return checker(bundles)
+            return checker(bundles, **kwargs)
         except OrbitUseError as error:
             return _report(name, float("nan"), [(type(error).__name__, str(error))])
 
@@ -429,7 +455,11 @@ def run_verification(
         attempt(check_sign_suite, interior, "comparative_statics_signs"),
         attempt(check_channel_identity, interior[: max(5, random_count // 4)], "welfare_channel_identity"),
         attempt(check_welfare_quadratic, treaty, "welfare_quadratic_in_abatement"),
-        attempt(check_treaty_consistency, treaty, "treaty_condition_consistency"),
-        attempt(check_nash_certification, treaty, "nash_certification"),
+    ]
+    # Both treaty checkers read one analysis of each bundle.
+    analyses = _treaty_analyses(treaty)
+    reports += [
+        attempt(check_treaty_consistency, treaty, "treaty_condition_consistency", analyses=analyses),
+        attempt(check_nash_certification, treaty, "nash_certification", analyses=analyses),
     ]
     return reports

@@ -128,6 +128,30 @@ class TestCommands:
         assert any(field in v for v in payload["violations"])
 
     @pytest.mark.parametrize(
+        "command, override, field",
+        [
+            ("solve", "scenario.n_markets=2.9", "n_markets"),
+            ("solve", "scenario.n_sectors=1.5", "n_sectors"),
+            ("treaty", "scenario.parties=1.5", "treaty_parties"),
+        ],
+    )
+    def test_a_count_that_is_not_whole_exits_2(self, capsys, command, override, field):
+        code, out, err = run_cli(capsys, command, "--scenario", str(FIXTURE), "--set", override)
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        payload = json.loads(line, parse_constant=_reject_constant)
+        assert payload["error"] == "ScenarioValidationError"
+        assert payload["violations"] == [f"{field} must be a whole number, got {override.split('=')[1]}"]
+
+    def test_a_whole_float_count_is_accepted(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "treaty", "--scenario", str(FIXTURE),
+            "--set", "scenario.n_markets=2.0", "--set", "scenario.parties=2.0",
+        )
+        assert code == 0
+        assert json.loads(out)["inputs"]["scenario"]["treaty_parties"] == 2
+
+    @pytest.mark.parametrize(
         "override", ["abatement=[1]", 'abatement="x"', "tax.1.1=[0.1]", "tax.1.1=null"]
     )
     def test_malformed_override_value_exits_2(self, capsys, override):

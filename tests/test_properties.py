@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from orbituse import (
+    SYM2,
     OrbitUseError,
     Scenario,
     TaxSchedule,
@@ -19,7 +20,8 @@ from orbituse import (
     treaty_response,
 )
 from orbituse.oracle import iterate_open_access, pivot_open_access
-from orbituse.sampling import _damped_spectral_radius
+from orbituse import sampling
+from orbituse.sampling import CONTRACTION_LIMIT, _contracts, _damped_spectral_radius
 from orbituse.treaty import BenefitCoefficients, abatement_payoff
 
 from conftest import assert_exact, exact_rho_form
@@ -349,3 +351,40 @@ def test_sampling_filter_radius_matches_the_reference_assembly(case):
     reference = float(np.max(np.abs(np.linalg.eigvals(matrix))))
     radius = _damped_spectral_radius(scenario, taxes)
     assert np.float64(radius).tobytes() == np.float64(reference).tobytes()
+
+
+# One case per branch of the closed-form filter. Six equal slopes delta
+# (kd rev = 1.5) give mu = delta (five times) and -5 delta, so g = 6 delta/
+# (delta + 2.98) crosses 1 where the radius crosses 0.99: delta = 0.588
+# (cost 1.05) has radius 0.97 and g = 0.989, accepted at once; delta = 0.6
+# (cost 1) has radius 1 and g = 1.006, rejected at once. A lone sector with
+# cost 1e-4 has delta > 0.98, and a revenue just below zero has delta < 0,
+# so both take the eigenvalues.
+FAST_ACCEPT = (Scenario(6, 6, (1.0,) * 6, (1.05,) * 6, 0.25, 1.0, 0.0, 2.0, 1.0, 1.0), TaxSchedule.zeros(6, 6))
+FAST_REJECT = (replace(FAST_ACCEPT[0], costs=(1.0,) * 6), TaxSchedule.zeros(6, 6))
+STEEP = (Scenario(1, 1, (1.0,), (1e-4,), 0.1, 1.0, 0.0, 2.0, 1.0, 1.0), TaxSchedule.zeros(1, 1))
+NEGATIVE = (SYM2, TaxSchedule(((1.0 + 1e-3,) * 2, (0.0, 0.0))))
+
+
+@given(st.one_of(kernel_cases(), wide_cases()))
+@example(FAST_ACCEPT)
+@example(FAST_REJECT)
+@example(STEEP)
+@example(NEGATIVE)
+@settings(max_examples=300, deadline=None)
+def test_sampling_filter_decides_as_the_eigenvalues_do(case):
+    scenario, taxes = case
+    assert _contracts(scenario, taxes) is (_damped_spectral_radius(scenario, taxes) <= CONTRACTION_LIMIT)
+
+
+def test_sampling_filter_examples_reach_every_branch(monkeypatch):
+    fallbacks = []
+
+    def counted(scenario, taxes):
+        fallbacks.append(scenario)
+        return _damped_spectral_radius(scenario, taxes)
+
+    monkeypatch.setattr(sampling, "_damped_spectral_radius", counted)
+    decisions = [_contracts(*case) for case in (FAST_ACCEPT, FAST_REJECT, STEEP, NEGATIVE)]
+    assert decisions == [True, False, True, True]
+    assert fallbacks == [STEEP[0], NEGATIVE[0]]

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbituse import (
     MODEL_DERIVED,
+    OrbitUseError,
     CLOSED_FORM,
     HIDEB,
     SOLO,
@@ -797,7 +798,8 @@ class TestSharedCoefficientPass:
 
 
 class TestCallCounts:
-    """One analysis solves the equilibrium twice; each checker analyses a bundle once."""
+    """One analysis solves the equilibrium twice; each checker analyses a bundle
+    once, and run_verification analyses each treaty bundle once for both."""
 
     @staticmethod
     def count(monkeypatch, module, name, calls):
@@ -835,3 +837,64 @@ class TestCallCounts:
             calls["analyze_treaty"] = 0
             checker(bundles)
             assert calls["analyze_treaty"] == len(bundles)
+
+    @staticmethod
+    def verification_with_standalone_checkers(monkeypatch):
+        """run_verification's two treaty reports, and both public checkers'
+        reports on its treaty batch, each caught as run_verification does."""
+        batches = []
+        original = verification._batch
+
+        def recorded(*args, **kwargs):
+            batches.append(original(*args, **kwargs))
+            return batches[-1]
+
+        monkeypatch.setattr(verification, "_batch", recorded)
+        reports = verification.run_verification(SYM2, ZERO2, 0.0, seed=3, random_count=40)
+        treaty_batch = batches[3]
+        standalone = []
+        for checker, name in (
+            (verification.check_treaty_consistency, "treaty_condition_consistency"),
+            (verification.check_nash_certification, "nash_certification"),
+        ):
+            try:
+                standalone.append(checker(treaty_batch))
+            except OrbitUseError as error:
+                standalone.append(
+                    verification._report(name, float("nan"), [(type(error).__name__, str(error))])
+                )
+        return reports[7:], standalone, treaty_batch
+
+    def test_run_verification_analyses_each_treaty_bundle_once(self, monkeypatch):
+        calls = {"analyze_treaty": 0}
+        self.count(monkeypatch, treaty, "analyze_treaty", calls)
+        verification.run_verification(SYM2, ZERO2, 0.0, seed=3, random_count=40)
+        assert calls["analyze_treaty"] == 20
+
+    def test_shared_analyses_give_the_standalone_reports(self, monkeypatch):
+        shared, standalone, _ = self.verification_with_standalone_checkers(monkeypatch)
+        assert [report.target for report in shared] == [
+            "treaty_condition_consistency", "nash_certification",
+        ]
+        assert [repr(report) for report in shared] == [repr(report) for report in standalone]
+
+    def test_an_analysis_error_gives_both_checkers_the_same_nan_report(self, monkeypatch):
+        # The fifth treaty bundle's analysis raises, in the shared pass and in
+        # each standalone checker alike.
+        seen = []
+        original = treaty._both_variants
+
+        def failing(scenario, taxes):
+            if scenario not in seen:
+                seen.append(scenario)
+            if seen.index(scenario) == 4:
+                raise OrbitUseError("no analysis for this bundle")
+            return original(scenario, taxes)
+
+        monkeypatch.setattr(verification, "_both_variants", failing)
+        shared, standalone, treaty_batch = self.verification_with_standalone_checkers(monkeypatch)
+        assert seen[:5] == [bundle[0] for bundle in treaty_batch[:5]]
+        for report in shared:
+            assert math.isnan(report.max_residual) and not report.passed
+            assert report.counterexamples == (("OrbitUseError", "no analysis for this bundle"),)
+        assert [repr(report) for report in shared] == [repr(report) for report in standalone]
