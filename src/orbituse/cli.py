@@ -16,6 +16,7 @@ violation under --strict, 1 other errors (including failed verification).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -88,9 +89,7 @@ def _solve_report(bundle: LoadedBundle) -> dict:
     welfare = national_welfare(bundle.scenario, bundle.taxes, bundle.abatement)
     flags = check_assumptions(bundle.scenario, bundle.taxes)
     report = {"inputs": dump_bundle(bundle)}
-    report.update(
-        equilibrium_report(bundle.scenario, bundle.taxes, equilibrium, welfare, flags)
-    )
+    report.update(equilibrium_report(equilibrium, welfare, flags))
     return report
 
 
@@ -105,9 +104,7 @@ def _regulate_report(bundle: LoadedBundle) -> tuple[dict, bool]:
         "iterations": result.iterations,
         "max_update": result.max_update,
         "update_trace": list(result.update_trace),
-        "equilibrium": equilibrium_report(
-            bundle.scenario, result.taxes, result.equilibrium, welfare, flags
-        ),
+        "equilibrium": equilibrium_report(result.equilibrium, welfare, flags),
     }
     return report, result.converged
 
@@ -124,6 +121,17 @@ def _treaty_report(bundle: LoadedBundle) -> dict:
         },
         "divergence": divergence_report(model.divergences),
     }
+
+
+def _check_sweep_axis(bundle: LoadedBundle, axis) -> None:
+    """OverrideError where no row could apply the axis: a non-finite bound, an
+    unknown key or a tax entry outside the schedule. A value that fails
+    validation fails only its own row."""
+    key, start, stop, _ = axis
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise OverrideError(f"sweep bounds must be finite, got {start!r} and {stop!r}")
+    with contextlib.suppress(ScenarioParseError, ScenarioValidationError):
+        bundle_from_data(dump_bundle(bundle), [f"{key}={format_csv_value(start)}"])
 
 
 def _sweep_rows(bundle: LoadedBundle, axis) -> tuple[list[str], list[list]]:
@@ -192,13 +200,16 @@ def execute(args: argparse.Namespace) -> int:
     """Run one parsed command; returns the process exit code."""
     try:
         bundle = load_scenario(args.scenario, args.overrides)
+        if args.command == "sweep":
+            _check_sweep_axis(bundle, args.sweep)
     except (ScenarioParseError, ScenarioValidationError, OverrideError) as error:
         sys.stderr.write(json.dumps(_error_object(error)) + "\n")
         return EXIT_VALIDATION
 
     if args.strict:
         flags = check_assumptions(bundle.scenario, bundle.taxes)
-        if not flags.bounded_marginal_risk or not all(flags.no_crowding_out):
+        # no_crowding_out holds for validated inputs with finite kd and rho (README): reported only.
+        if not flags.bounded_marginal_risk:
             sys.stderr.write(
                 json.dumps(
                     {
@@ -290,6 +301,13 @@ def _parse_sweep(raw: str) -> tuple[str, float, float, int]:
     return key, start, stop, steps
 
 
+def _parse_seed(raw: str) -> int:
+    seed = int(raw)
+    if seed < 0:
+        raise argparse.ArgumentTypeError("seed must be non-negative")
+    return seed
+
+
 def _parse_count(raw: str) -> int:
     count = int(raw)
     if count < 1:
@@ -318,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--format", dest="output_format", choices=("json", "csv"), default="json")
         sub.add_argument("--out", default=None, help="write the report to this path")
         sub.add_argument("--strict", action="store_true", help="assumption violations become failures")
-        sub.add_argument("--seed", type=int, default=None, help="seed for randomized work (required by verify)")
+        sub.add_argument("--seed", type=_parse_seed, default=None, help="seed for randomized work (required by verify)")
         if name == "sweep":
             sub.add_argument("--sweep", required=True, type=_parse_sweep, metavar="PARAM:FROM:TO:STEPS")
         if name == "verify":

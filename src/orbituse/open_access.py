@@ -265,8 +265,8 @@ def check_assumptions(scenario: Scenario, taxes: TaxSchedule) -> AssumptionFlags
 
     No crowding out, ``r_i < 1/kd``, is exactly ``1 + kd rho_i > 0`` for a
     positive cost, which has no round-off. Validated taxes keep ``rho >= 0``,
-    so the flag is identically true for validated inputs; it is kept because
-    ``--strict`` and the reports read it.
+    so the flag is identically true for validated inputs with finite ``kd``
+    and ``rho``; the reports keep it, and ``--strict`` tests only bounded risk.
     """
     _, rho, _, kd = _rho_form(scenario, taxes)
     return AssumptionFlags(
@@ -322,22 +322,20 @@ def _fd_sensitivities(
     levels[-2:] = abatement + h_ab, abatement - h_ab
     fleets, ok = interior_open_access(scenario, probes, levels)
 
-    # A refused row is re-solved per probe; every earlier row succeeded, so
-    # the first one raises the per-probe loop's error and message.
-    for row in np.flatnonzero(~ok):
-        solved = pivot_open_access(
-            scenario, TaxSchedule.from_array(probes[row]), float(levels[row])
-        )
-        if not np.all(solved > 0.0):
-            if row == 0:
-                raise ActiveSetChangeError(
-                    "finite-difference sensitivities need every sector interior"
-                )
-            stencil = "abatement stencil"
-            if row <= 2 * n * n_markets:
-                stencil = "stencil for tax [{}][{}]".format(*divmod((row - 1) // 2, n_markets))
-            raise ActiveSetChangeError(f"active set changed inside the {stencil}")
-        fleets[row] = solved
+    # The stack refuses exactly the rows where the pivot solve does not
+    # return every sector active. The first one is re-solved per probe for
+    # the per-probe loop's error, or its active-set change.
+    if not ok.all():
+        row = int(np.flatnonzero(~ok)[0])
+        pivot_open_access(scenario, TaxSchedule.from_array(probes[row]), float(levels[row]))
+        if row == 0:
+            raise ActiveSetChangeError(
+                "finite-difference sensitivities need every sector interior"
+            )
+        stencil = "abatement stencil"
+        if row <= 2 * n * n_markets:
+            stencil = "stencil for tax [{}][{}]".format(*divmod((row - 1) // 2, n_markets))
+        raise ActiveSetChangeError(f"active set changed inside the {stencil}")
     fleets = fleets[1:]
 
     dfleet_dtax = (fleets[0:-2:2] - fleets[1:-2:2]) / (2.0 * h.reshape(-1, 1))

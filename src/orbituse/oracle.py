@@ -38,6 +38,9 @@ GRID_BUDGET = 10**8
 IMPROVEMENT_TOLERANCE = 1e-9
 SINGULARITY_THRESHOLD = 1e-12
 REENTRY_TOLERANCE = 1e-12
+ITERATION_DAMPING = 0.5
+ITERATION_TOLERANCE = 1e-12
+DEVIATION_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -54,15 +57,16 @@ def iterate_open_access(
     scenario: Scenario,
     taxes: TaxSchedule,
     abatement: float = 0.0,
-    damping: float = 0.5,
-    tolerance: float = 1e-12,
     max_iterations: int = 100_000,
 ) -> np.ndarray:
     """Damped synchronous best-response iteration from an empty orbit.
 
-    Negative best responses clamp to zero. Converges whenever the damped
-    map contracts; strongly coupled many-sector systems can cycle instead,
-    which surfaces as NoConvergenceError rather than a wrong answer.
+    Each step moves every fleet ``ITERATION_DAMPING`` of the way to its
+    best response; negative best responses clamp to zero. The iteration
+    stops once no fleet moves by ``ITERATION_TOLERANCE`` or more. Converges
+    whenever the damped map contracts; strongly coupled many-sector systems
+    can cycle instead, which surfaces as NoConvergenceError rather than a
+    wrong answer.
 
     The loop runs on Python floats, as numpy's dispatch outweighs the
     arithmetic at the few sectors ``verify`` draws. It follows the operation
@@ -78,7 +82,8 @@ def iterate_open_access(
     revenue = (1.0 - rates) @ prices
     denom = k * d * revenue + costs
 
-    debris, keep, abatement = scenario.legacy_debris, 1.0 - damping, float(abatement)
+    debris, abatement = scenario.legacy_debris, float(abatement)
+    damping, keep = ITERATION_DAMPING, 1.0 - ITERATION_DAMPING
     # A zero denominator stays np.float64, so it divides to inf or NaN as an array does.
     sectors = [(rev, den or np.float64(den)) for rev, den in zip(revenue.tolist(), denom.tolist())]
     fleets, total, delta = [0.0] * scenario.n_sectors, 0.0, np.inf
@@ -93,7 +98,7 @@ def iterate_open_access(
             gap = abs(update - f)
             delta = gap if gap > delta or gap != gap else delta
         fleets, total = updated, moved if len(updated) < 8 else float(np.sum(updated))
-        if delta < tolerance:
+        if delta < ITERATION_TOLERANCE:
             return np.array(fleets)
     raise NoConvergenceError(
         f"best-response iteration still moving {delta:.3e} after "
@@ -212,14 +217,8 @@ def _grid_axis(step: float, lower: float, upper: float) -> np.ndarray:
     return axis
 
 
-def grid_maximize(
-    func,
-    dims: int,
-    step: float,
-    lower: float = 0.0,
-    upper: float = 1.0,
-) -> tuple[np.ndarray, float]:
-    """Exhaustive maximization on a regular grid over a box.
+def grid_maximize(func, dims: int, step: float) -> tuple[np.ndarray, float]:
+    """Exhaustive maximization on a regular grid over the unit box [0, 1]^dims.
 
     The grid always contains both box corners. Ties break to the
     lexicographically smallest argmax. Guards: at most 3 dimensions and
@@ -229,7 +228,7 @@ def grid_maximize(
         raise ValueError("step must be positive")
     if dims > 3:
         raise ValueError("grid maximization is guarded to at most 3 dimensions")
-    axis = _grid_axis(step, lower, upper)
+    axis = _grid_axis(step, 0.0, 1.0)
     if float(axis.size) ** dims > GRID_BUDGET:
         raise BudgetExceededError(
             f"{axis.size}^{dims} grid points exceed the {GRID_BUDGET:.0e} budget"
@@ -244,17 +243,11 @@ def grid_maximize(
     return best_point, float(best_value)
 
 
-def finite_difference(func, x, index: int = 0) -> float:
-    """Central difference of a scalar function along one coordinate."""
-    point = np.atleast_1d(np.asarray(x, dtype=float)).copy()
-    h = 1e-6 * max(1.0, abs(point[index]))
-    hi = point.copy()
-    lo = point.copy()
-    hi[index] += h
-    lo[index] -= h
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return (func(float(hi[0])) - func(float(lo[0]))) / (2.0 * h)
-    return (func(hi) - func(lo)) / (2.0 * h)
+def finite_difference(func, x: float) -> float:
+    """Central difference of ``func`` at the number ``x``, step ``1e-6 max(1, |x|)``."""
+    x = float(x)
+    h = 1e-6 * max(1.0, abs(x))
+    return (func(x + h) - func(x - h)) / (2.0 * h)
 
 
 def _payoff(alpha, beta, c, damages, own, total, qbar):
@@ -270,20 +263,17 @@ def deviation_search_abatement(
     coefficients,
     profile: AbatementProfile,
     qbar: float,
-    step: float = 1e-3,
 ) -> OracleReport:
     """Scan unilateral abatement deviations for every party on a grid.
 
-    For each party, candidate contributions run over [0, qbar + 1] at the
-    given step; any deviation improving that party's payoff by more than
-    1e-9 is a counterexample. A pass certifies grid optimality at the
-    scanned step only.
+    For each party, candidate contributions run over [0, qbar + 1] at
+    ``DEVIATION_STEP``; any deviation improving that party's payoff by more
+    than ``IMPROVEMENT_TOLERANCE`` is a counterexample. A pass certifies
+    grid optimality at that step only.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
     c = scenario.abatement_cost
     damages = scenario.catastrophe_damages
-    grid = _grid_axis(step, 0.0, qbar + 1.0)
+    grid = _grid_axis(DEVIATION_STEP, 0.0, qbar + 1.0)
     counterexamples = []
     worst = 0.0
     for party, coeff in enumerate(coefficients):

@@ -219,14 +219,7 @@ def best_response_taxes(
     tax rates. BudgetExceededError is raised, before anything is built,
     when one market's candidates could hold more than that.
     """
-    return _best_responses(scenario, taxes.as_array, abatement, (market,))[:, 0]
-
-
-def _best_responses(
-    scenario: Scenario, rates: np.ndarray, abatement: float, markets
-) -> np.ndarray:
-    """Best-response columns ``(n, len(markets))`` of ``markets`` at ``rates`` (n, m)."""
-    return _responder(scenario, abatement, markets)(rates)
+    return _responder(scenario, abatement, (market,))(taxes.as_array)[:, 0]
 
 
 def _responder(scenario: Scenario, abatement: float, markets):

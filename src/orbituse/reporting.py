@@ -181,7 +181,7 @@ def dump_bundle(bundle: LoadedBundle) -> dict:
     }
 
 
-def equilibrium_report(scenario, taxes, equilibrium, welfare, flags) -> dict:
+def equilibrium_report(equilibrium, welfare, flags) -> dict:
     return {
         "fleets": list(equilibrium.fleets),
         "sigma": list(equilibrium.sigma),

@@ -25,6 +25,8 @@ eigenvalues of the assembled map (:func:`_damped_spectral_radius`).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .errors import OrbitUseError
@@ -38,12 +40,14 @@ DEBRIS_PER_SAT_RANGE = (0.5, 2.0)
 LEGACY_RANGE = (0.0, 8.0)
 DAMAGES_RANGE = (0.05, 3.0)
 ABATEMENT_COST_RANGE = (0.2, 5.0)
+TAX_RANGE = (0.0, 0.3)
 
 CONTRACTION_LIMIT = 0.99
 INTERIOR_MARGIN = 1e-6
 SURVIVAL_MARGIN = 1e-4
 PHI_MARGIN = 1e-3
 DECISION_BAND = 1e-9
+MAX_TRIES = 1000
 
 
 class SamplingExhausted(OrbitUseError):
@@ -86,13 +90,14 @@ def sample_scenario(
     sector_range: tuple[int, int] = (1, 6),
     collision_range: tuple[float, float] = COLLISION_RANGE,
     with_taxes: bool = False,
-    tax_cap: float = 0.3,
     require_interior: bool = True,
     require_kessler_risk: bool = False,
-    abatement: float = 0.0,
-    max_tries: int = 1000,
 ) -> tuple[Scenario, TaxSchedule]:
     """Draw one scenario (and tax schedule) passing the validity filters.
+
+    Draws are filtered at zero abatement. ``with_taxes`` draws every rate
+    from ``TAX_RANGE`` instead of leaving the schedule at zero. After
+    ``MAX_TRIES`` rejected draws, SamplingExhausted is raised.
 
     ``require_kessler_risk`` places the catastrophe threshold strictly
     below the zero-abatement debris stock, keeps enough debris headroom
@@ -102,7 +107,7 @@ def sample_scenario(
     bounded away from zero, since every collision-mediated effect vanishes
     identically at k = 0.
     """
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         n_s = n_sectors if n_sectors is not None else int(rng.integers(sector_range[0], sector_range[1] + 1))
         n_m = n_s + int(rng.integers(0, 2))
         prices = tuple(rng.uniform(*PRICE_RANGE, size=n_m).tolist())
@@ -112,7 +117,7 @@ def sample_scenario(
         if k * d >= 0.5:
             continue
         legacy = float(rng.uniform(*LEGACY_RANGE))
-        if 1.0 + k * (abatement - legacy) <= PHI_MARGIN:
+        if 1.0 - k * legacy <= PHI_MARGIN:
             continue
         damages = float(rng.uniform(*DAMAGES_RANGE))
         cost_coeff = float(rng.uniform(*ABATEMENT_COST_RANGE))
@@ -132,7 +137,7 @@ def sample_scenario(
         if validate_scenario(scenario):
             continue
         if with_taxes:
-            rates = rng.uniform(0.0, tax_cap, size=(n_s, n_m)).tolist()
+            rates = rng.uniform(*TAX_RANGE, size=(n_s, n_m)).tolist()
             taxes = TaxSchedule._of(tuple(map(tuple, rates)))
         else:
             taxes = TaxSchedule.zeros(n_s, n_m)
@@ -140,7 +145,7 @@ def sample_scenario(
         if not _contracts(scenario, taxes):
             continue
         try:
-            equilibrium = solve_equilibrium(scenario, taxes, abatement)
+            equilibrium = solve_equilibrium(scenario, taxes)
         except OrbitUseError:
             continue
         fleets = equilibrium.fleet_array
@@ -166,17 +171,5 @@ def sample_scenario(
                 continue
         else:
             threshold = float(rng.uniform(0.5, 1.5) * max(stock, 1.0))
-        scenario = Scenario(
-            n_markets=n_m,
-            n_sectors=n_s,
-            prices=prices,
-            costs=costs,
-            collision_coeff=k,
-            debris_per_sat=d,
-            legacy_debris=legacy,
-            catastrophe_threshold=threshold,
-            catastrophe_damages=damages,
-            abatement_cost=cost_coeff,
-        )
-        return scenario, taxes
-    raise SamplingExhausted(f"no admissible scenario after {max_tries} draws")
+        return dataclasses.replace(scenario, catastrophe_threshold=threshold), taxes
+    raise SamplingExhausted(f"no admissible scenario after {MAX_TRIES} draws")

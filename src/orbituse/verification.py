@@ -40,6 +40,10 @@ from .treaty import _both_variants, abatement_payoff
 
 Bundle = tuple[Scenario, TaxSchedule, float]
 
+COORDINATE_STEP = 1e-3
+JOINT_STEP = 0.2
+MAX_DEVIATION_GAIN = 1e-6
+
 
 def _report(target, residual, counterexamples) -> OracleReport:
     return OracleReport(
@@ -336,17 +340,15 @@ def check_treaty_consistency(bundles: list[Bundle], analyses: list | None = None
     return _report("treaty_condition_consistency", worst, bad)
 
 
-def check_nash_certification(
-    bundles: list[Bundle], step: float = 1e-3, analyses: list | None = None
-) -> OracleReport:
-    """Every listed Nash profile survives the exhaustive deviation search."""
+def check_nash_certification(bundles: list[Bundle], analyses: list | None = None) -> OracleReport:
+    """Every listed Nash profile survives the deviation search at ``DEVIATION_STEP``."""
     worst = 0.0
     bad = []
     for index, ((scenario, taxes, abatement), pair) in enumerate(_analysed(bundles, analyses)):
         for analysis in pair:
             for profile in analysis.nash_equilibria:
                 report = deviation_search_abatement(
-                    scenario, analysis.coefficients, profile, analysis.qbar, step
+                    scenario, analysis.coefficients, profile, analysis.qbar
                 )
                 worst = max(worst, report.max_residual)
                 if not report.passed:
@@ -356,64 +358,51 @@ def check_nash_certification(
     return _report("nash_certification", worst, bad)
 
 
-def certify_regulatory_equilibrium(
-    scenario: Scenario,
-    taxes: TaxSchedule,
-    abatement: float = 0.0,
-    coordinate_step: float = 1e-3,
-    joint_step: float = 0.2,
-    max_gain: float = 1e-6,
-) -> OracleReport:
-    """Unilateral grid-deviation probe for a converged tax schedule.
+def certify_regulatory_equilibrium(scenario: Scenario, taxes: TaxSchedule) -> OracleReport:
+    """Unilateral grid-deviation probe for a converged tax schedule at zero abatement.
 
     For each market: a per-coordinate sweep of that market's column at
-    ``coordinate_step``, plus a coarse joint grid at ``joint_step`` when
-    the column has at most three entries. A pass certifies no market can
-    gain more than ``max_gain`` on the probed grid, which is weaker than
-    continuous optimality.
+    ``COORDINATE_STEP`` (1e-3), plus a coarse joint grid at ``JOINT_STEP``
+    (0.2) when the column has at most three entries. A pass certifies that
+    no market gains more than ``MAX_DEVIATION_GAIN`` (1e-6) by moving one
+    of its rates along the 1e-3 grid on [0, 1], or its whole column to a
+    point of the 0.2 grid on the unit box. That is weaker than continuous
+    optimality.
     """
     worst = 0.0
     bad = []
-    base_welfare = national_welfare(scenario, taxes, abatement).welfare
+    base_welfare = national_welfare(scenario, taxes).welfare
     for market in range(scenario.n_markets):
         incumbent = base_welfare[market]
 
         def deviation_value(column) -> float:
             try:
-                report = national_welfare(
-                    scenario, taxes.with_column(market, column), abatement
-                )
+                report = national_welfare(scenario, taxes.with_column(market, column))
             except OrbitUseError:
                 return -np.inf
             return report.welfare[market]
 
         column = np.array([taxes.rate(i, market) for i in range(scenario.n_sectors)])
-        axis = np.arange(0.0, 1.0 + coordinate_step / 2.0, coordinate_step)
+        axis = np.arange(0.0, 1.0 + COORDINATE_STEP / 2.0, COORDINATE_STEP)
         for coord in range(scenario.n_sectors):
             for value in axis:
                 probe = column.copy()
                 probe[coord] = value
                 gain = deviation_value(probe) - incumbent
                 worst = max(worst, gain)
-                if gain > max_gain:
+                if gain > MAX_DEVIATION_GAIN:
                     bad.append((market, coord, float(value), float(gain)))
         if scenario.n_sectors <= 3:
-            _, best = grid_maximize(
-                deviation_value, dims=scenario.n_sectors, step=joint_step
-            )
+            _, best = grid_maximize(deviation_value, dims=scenario.n_sectors, step=JOINT_STEP)
             gain = best - incumbent
             worst = max(worst, gain)
-            if gain > max_gain:
+            if gain > MAX_DEVIATION_GAIN:
                 bad.append((market, "joint", float(gain)))
     return _report("regulatory_deviation_probe", worst, bad)
 
 
 def _batch(rng, count, **kwargs) -> list[Bundle]:
-    bundles = []
-    for _ in range(count):
-        scenario, taxes = sample_scenario(rng, **kwargs)
-        bundles.append((scenario, taxes, 0.0))
-    return bundles
+    return [(*sample_scenario(rng, **kwargs), 0.0) for _ in range(count)]
 
 
 def run_verification(

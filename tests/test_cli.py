@@ -405,6 +405,34 @@ class TestCommands:
         assert len(rows) == 13
         assert [row["error"] for row in rows] == [""] * 13
 
+    @pytest.mark.parametrize(
+        "axis, message",
+        [
+            ("bogus:0:1:3", "unknown override key 'bogus'"),
+            ("tax.3.1:0:1:3", "tax override (3, 1) outside the 2x2 schedule"),
+            ("scenario.X:0:nan:3", "sweep bounds must be finite, got 0.0 and nan"),
+        ],
+        ids=["unknown-key", "tax-outside-schedule", "non-finite-bound"],
+    )
+    def test_sweep_axis_no_row_can_apply_exits_2(self, capsys, axis, message):
+        code, out, err = run_cli(capsys, "sweep", "--scenario", str(FIXTURE), "--sweep", axis)
+        assert code == 2
+        assert out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line, parse_constant=_reject_constant) == {
+            "error": "OverrideError",
+            "message": message,
+        }
+
+    def test_sweep_value_failing_at_some_rows_fails_only_those_rows(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--scenario", str(FIXTURE), "--sweep", "scenario.n_markets:1:3:3"
+        )
+        assert code == 0, err
+        rows = json.loads(out, parse_constant=_reject_constant)
+        assert [row["scenario.n_markets"] for row in rows] == [1.0, 2.0, 3.0]
+        assert [row["error"] for row in rows] == ["ScenarioValidationError", "", "ScenarioValidationError"]
+
     def test_verify_passes_on_reference_fixture(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -430,6 +458,15 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "random count must be at least 1" in captured.err
+
+    def test_verify_rejects_a_negative_seed(self, capsys):
+        # numpy's seed sequence takes no negative entropy.
+        with pytest.raises(SystemExit) as stop:
+            main(["verify", "--scenario", str(FIXTURE), "--seed", "-1", "--random-count", "1"])
+        assert stop.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be non-negative" in captured.err
 
     def test_repeated_calls_share_one_parser_and_no_state(self, capsys):
         plain = ["solve", "--scenario", str(FIXTURE)]

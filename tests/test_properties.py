@@ -10,6 +10,7 @@ from orbituse import (
     OrbitUseError,
     Scenario,
     TaxSchedule,
+    check_assumptions,
     debris_stock,
     decompose,
     effective_prices,
@@ -18,6 +19,8 @@ from orbituse import (
     sector_profit,
     solve_equilibrium,
     treaty_response,
+    validate_scenario,
+    validate_taxes,
 )
 from orbituse.oracle import iterate_open_access, pivot_open_access
 from orbituse import sampling
@@ -330,6 +333,48 @@ def test_wide_magnitudes_solve_exactly(case):
     assert_exact(eq.debris.stock, exact["stock"])
     assert_exact(eq.determinant, exact["determinant"])
     assert_exact(required_abatement(scenario, taxes), exact["required_abatement"])
+
+
+@st.composite
+def validated_cases(draw):
+    """Any scenario and schedule that validation accepts: every positive
+    finite price and cost, k and d from 0 up, rows fully taxed at rate 1."""
+    n_s = draw(st.integers(1, 4))
+    n_m = n_s + draw(st.integers(0, 2))
+    positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
+    nonnegative = st.one_of(st.just(0.0), st.floats(0.0, allow_infinity=False))
+    scenario = Scenario(
+        n_markets=n_m,
+        n_sectors=n_s,
+        prices=tuple(draw(positive) for _ in range(n_m)),
+        costs=tuple(draw(positive) for _ in range(n_s)),
+        collision_coeff=draw(nonnegative),
+        debris_per_sat=draw(nonnegative),
+        legacy_debris=draw(nonnegative),
+        catastrophe_threshold=draw(positive),
+        catastrophe_damages=draw(nonnegative),
+        abatement_cost=draw(positive),
+    )
+    rate = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    row = st.one_of(st.just((1.0,) * n_m), st.tuples(*[rate] * n_m))
+    return scenario, TaxSchedule(tuple(draw(row) for _ in range(n_s)))
+
+
+@given(validated_cases())
+@example((replace(SYM2, collision_coeff=0.0), TaxSchedule(((1.0, 1.0), (0.0, 0.0)))))
+@example((replace(SYM2, collision_coeff=0.0), TaxSchedule(((1.0, 1.0), (1.0, 1.0)))))
+@example((replace(SYM2, collision_coeff=1e150, debris_per_sat=1e150), TaxSchedule(((1.0, 1.0), (0.0, 0.5)))))
+@settings(max_examples=300, deadline=None)
+def test_validated_inputs_never_crowd_out(case):
+    # --strict tests only bounded marginal risk because of this. Finite k d
+    # and rho are the premise: an overflowed factor times a zero one is NaN.
+    scenario, taxes = case
+    assert validate_scenario(scenario) == [] and validate_taxes(scenario, taxes) == []
+    with np.errstate(over="ignore"):
+        kd = scenario.collision_coeff * scenario.debris_per_sat
+        rho = effective_prices(scenario, taxes) / scenario.cost_array
+    assume(np.isfinite(kd) and np.all(np.isfinite(rho)))
+    assert all(check_assumptions(scenario, taxes).no_crowding_out)
 
 
 SOLO_FREE = Scenario(1, 1, (1.0,), (1.0,), 0.0, 1.0, 0.0, 2.0, 1.0, 1.0)

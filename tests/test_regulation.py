@@ -28,8 +28,8 @@ from orbituse.oracle import grid_maximize
 from orbituse.regulation import (
     BEST_RESPONSE_VALUE_TIE,
     CROSSING_MARGIN,
-    _best_responses,
     _box_edges,
+    _responder,
 )
 from orbituse.sampling import sample_scenario
 from orbituse.verification import certify_regulatory_equilibrium
@@ -518,7 +518,7 @@ class TestStackedBestResponses:
         scenario, rates, abatement = case
         markets = range(scenario.n_markets)
         reference = outcome(reference_responses, scenario, rates, abatement, markets)
-        assert outcome(_best_responses, scenario, rates, abatement, markets) == reference
+        assert outcome(lambda: _responder(scenario, abatement, markets)(rates)) == reference
         market = scenario.n_markets - 1
         single = outcome(
             reference_best_response_taxes,
@@ -541,9 +541,9 @@ class TestStackedBestResponses:
             binding = binding_abatement(scenario, rates, 0.05)
             for abatement in (0.0, binding):
                 reference = outcome(reference_responses, scenario, rates, abatement, markets)
-                assert outcome(_best_responses, scenario, rates, abatement, markets) == reference
+                assert outcome(lambda: _responder(scenario, abatement, markets)(rates)) == reference
             if reference[0] is not PhysicallyInvalidError:
-                columns = _best_responses(scenario, rates, binding, markets)
+                columns = _responder(scenario, binding, markets)(rates)
                 crossings += bool(np.any((0.0 < columns) & (columns < 1.0)))
         assert crossings >= min(draws, 5)
 
@@ -552,7 +552,7 @@ class TestStackedBestResponses:
         n, m = scenario.n_sectors, scenario.n_markets
         rates = taxes.as_array
         abatements = (0.0, binding_abatement(scenario, rates, 0.05))
-        expected = [outcome(_best_responses, scenario, rates, q, range(m)) for q in abatements]
+        expected = [outcome(lambda: _responder(scenario, q, range(m))(rates)) for q in abatements]
         loop = outcome(regulatory_equilibrium, scenario, 0.0, taxes)
         stacked = []
 
@@ -563,7 +563,7 @@ class TestStackedBestResponses:
         budget = (n + 2) * 2 ** (n - 1) * n * m
         monkeypatch.setattr(regulation, "CANDIDATE_BUDGET", budget)
         monkeypatch.setattr(regulation, "_stacked_fleets", recorded)
-        assert [outcome(_best_responses, scenario, rates, q, range(m)) for q in abatements] == expected
+        assert [outcome(lambda: _responder(scenario, q, range(m))(rates)) for q in abatements] == expected
         assert stacked == [budget] * (2 * m)
         assert outcome(regulatory_equilibrium, scenario, 0.0, taxes) == loop
         assert max(stacked) == budget
