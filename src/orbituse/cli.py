@@ -336,10 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--format", dest="output_format", choices=("json", "csv"), default="json")
         sub.add_argument("--out", default=None, help="write the report to this path")
         sub.add_argument("--strict", action="store_true", help="assumption violations become failures")
-        sub.add_argument("--seed", type=_parse_seed, default=None, help="seed for randomized work (required by verify)")
         if name == "sweep":
             sub.add_argument("--sweep", required=True, type=_parse_sweep, metavar="PARAM:FROM:TO:STEPS")
         if name == "verify":
+            sub.add_argument("--seed", type=_parse_seed, default=None, help="seed for the random batches (required)")
             sub.add_argument("--random-count", type=_parse_count, default=40)
     return parser
 

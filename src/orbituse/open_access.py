@@ -12,11 +12,13 @@ every equilibrium quantity follows from one identity:
 
 This module evaluates that identity (``_rho_form`` and ``_share``; for a
 stack of schedules at once, ``_stacked_fleets`` and ``_stacked_equilibrium``
-with the same arithmetic, bit for bit), collapses
+with the same arithmetic, bit for bit, on one scenario or on a
+``ScenarioRows`` stack with one scenario per row), collapses
 any number of sectors to an exact two-player game by aggregating the rest of
 the world into one ``rho``, splits fleets into the abatement-sensitive and
 abatement-free factors, and differentiates everything with respect to taxes
-and abatement. No linear system is assembled here: the determinant
+and abatement (one bundle, or a stack of them by ``_analytic_rows`` and
+``_fd_rows``). No linear system is assembled here: the determinant
 ``share/prod(1 + kd rho_i)`` of the fleet system
 ``(diag(1+s) - s 1^T) f = phi r`` (``r_i = rev_i/(kd rev_i + m_i)``,
 ``s = -kd r``) is positive for every validated input, so it is reported
@@ -32,11 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ActiveSetChangeError, PhysicallyInvalidError
+from .errors import ActiveSetChangeError, PhysicallyInvalidError, ScenarioShapeError
 from .oracle import interior_open_access, pivot_open_access
 from .scenario import (
     DebrisState,
     Scenario,
+    ScenarioRows,
     TaxSchedule,
     debris_stock,
     effective_prices,
@@ -159,48 +162,59 @@ def _equilibrium(
     )
 
 
-def _stacked_fleets(scenario: Scenario, rates: np.ndarray, phi, kd: float):
-    """Fleets ``(B, n)`` and survival ``(B, 1)`` of a ``(B, n, m)`` stack of rates.
+def _stacked_share(scenario: Scenario | ScenarioRows, rates: np.ndarray, phi, kd):
+    """``rho`` where active, else 0, ``(B, n)`` and ``share`` ``(B, 1)`` of a ``(B, n, m)`` stack.
 
-    ``phi`` is one float for every row or a ``(B, 1)`` column. The
-    arithmetic is the kernel's: revenue by the stacked ``(1 - rates) @ p``,
-    the active mask ``phi > 0 and rho > 0``, and ``sum rho`` left to right
-    by ``cumsum``, as the kernel's Python ``sum`` adds.
+    ``scenario`` is one scenario for every row or a :class:`ScenarioRows`
+    with one per row; ``phi`` and ``kd`` are floats or ``(B, 1)`` columns.
+    The arithmetic is the kernel's: revenue by the stacked
+    ``(1 - rates) @ p``, the active mask ``phi > 0 and rho > 0``, and
+    ``sum rho`` left to right by ``cumsum``, as the kernel's Python ``sum``
+    adds.
     """
-    rho = ((1.0 - rates) @ scenario.price_array) / scenario.cost_array
-    on = np.maximum(rho, 0.0) * (phi > 0.0)         # rho where active, else 0
-    share = 1.0 + kd * on.cumsum(axis=1)[:, -1:]
+    rho = ((1.0 - rates) @ scenario.price_array[..., None])[..., 0] / scenario.cost_array
+    on = np.maximum(rho, 0.0) * (phi > 0.0)
+    return on, 1.0 + kd * on.cumsum(axis=1)[:, -1:]
+
+
+def _stacked_fleets(scenario: Scenario | ScenarioRows, rates: np.ndarray, phi, kd):
+    """Fleets ``phi rho/share`` ``(B, n)`` and survival ``phi/share`` ``(B, 1)``
+    of a ``(B, n, m)`` stack, by :func:`_stacked_share`."""
+    on, share = _stacked_share(scenario, rates, phi, kd)
     return phi * on / share, phi / share
 
 
 def _one_rate_probes(rates: np.ndarray, moved: np.ndarray) -> np.ndarray:
-    """Copies of ``rates`` (n, m) with rate [i][j] set to ``moved[i, j, l]``.
+    """Copies of each schedule in ``rates`` (B, n, m) with one rate moved.
 
-    One copy per entry of ``moved`` (n, m, k), in (sector, market, l) order.
+    Copy ``(b, e k + l)`` of the ``(B, n m k, n, m)`` result has rate
+    ``e = i m + j`` set to ``moved[b, i, j, l]``: (sector, market, l) order.
     """
-    n, m, k = moved.shape
-    stack = np.repeat(rates[None], n * m * k, axis=0).reshape(n, m, k, n, m)
-    i, j = np.indices((n, m), sparse=True)
-    stack[i, j, :, i, j] = moved
-    return stack.reshape(-1, n, m)
+    count, n, m, k = moved.shape
+    stack = np.repeat(rates.reshape(count, 1, n * m), n * m * k, axis=1)
+    probe = np.arange(n * m * k)
+    stack[:, probe, probe // k] = moved.reshape(count, -1)
+    return stack.reshape(count, -1, n, m)
 
 
 def _stacked_equilibrium(
-    scenario: Scenario, rates: np.ndarray, abatement: np.ndarray
+    scenario: Scenario | ScenarioRows, rates: np.ndarray, abatement: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fleets ``(B, n)``, survival ``(B,)`` and stock ``(B,)`` of a stack of schedules.
 
     Row b is :func:`solve_equilibrium` at ``rates[b]`` (a ``(B, n, m)``
-    stack) and ``abatement[b]`` by the same arithmetic, so it matches that
-    solve bit for bit; the fleet total is summed left to right by ``cumsum``
-    too. Nothing is raised: rows whose survival leaves [0, 1] are the
-    caller's to refuse (where phi < 0 their fleets are -0.0, not 0.0).
+    stack), ``abatement[b]`` and the scenario of row b (one for every row,
+    or a :class:`ScenarioRows`) by the same arithmetic, so it matches that
+    solve bit for bit; the fleet total is summed left to right by
+    ``cumsum`` too. Nothing is raised: rows whose survival leaves [0, 1] are
+    the caller's to refuse (where phi < 0 their fleets are -0.0, not 0.0).
     """
-    phi, kd = _phi(scenario, abatement[:, None])
+    abatement = abatement[:, None]
+    phi, kd = _phi(scenario, abatement)
     fleets, survival = _stacked_fleets(scenario, rates, phi, kd)
-    total = fleets.cumsum(axis=1)[:, -1]
+    total = fleets.cumsum(axis=1)[:, -1:]
     stock = scenario.debris_per_sat * total + scenario.legacy_debris - abatement
-    return fleets, survival[:, 0], stock
+    return fleets, survival[:, 0], stock[:, 0]
 
 
 def solve_equilibrium(
@@ -275,81 +289,69 @@ def check_assumptions(scenario: Scenario, taxes: TaxSchedule) -> AssumptionFlags
     )
 
 
-def _analytic_sensitivities(
-    scenario: Scenario, taxes: TaxSchedule, abatement: float
-) -> SensitivityReport:
-    equilibrium = solve_equilibrium(scenario, taxes, abatement)
-    if not all(equilibrium.active):
-        raise ActiveSetChangeError(
-            "analytic sensitivities need every sector interior (positive fleet)"
-        )
-    _, rho, phi, kd = _rho_form(scenario, taxes, abatement)
-    _, share = _share(rho, phi, kd)
-    fleets = equilibrium.fleet_array
+def _analytic_rows(rows: ScenarioRows, rates: np.ndarray, abatement: np.ndarray):
+    """Analytic sensitivities of a ``(B, n, m)`` stack, one scenario per row.
+
+    Returns ``dfleet_dtax`` ``(B, n, n, m)``, ``dfleet_dabatement``
+    ``(B, n)``, ``ddebris_dabatement`` ``(B,)`` and ``drequired_dtax``
+    ``(B, n, m)``; ``interior`` ``(B,)``: survival in [0, 1] and every
+    fleet positive, the rows that have them; and the fleets ``(B, n)`` and
+    survival ``(B,)`` of :func:`_stacked_equilibrium`. Each row is the
+    one-bundle arithmetic bit for bit.
+    """
+    n = rates.shape[1]
+    phi, kd = _phi(rows, abatement[:, None])
+    on, share = _stacked_share(rows, rates, phi, kd)
+    fleets, survival = phi * on / share, (phi / share)[:, 0]
+    interior = (0.0 <= survival) & (survival <= 1.0) & np.all(fleets > 0.0, axis=1)
     # f = phi rho/share and d rho_i/d tau_ij = -p_j/m_i, so
     # d f_a/d tau_ij = -(p_j/m_i)(phi delta_ai - kd f_a)/share.
-    dfleet_drho = (phi * np.eye(scenario.n_sectors) - kd * fleets[:, None]) / share
-    dfleet_dtax = -dfleet_drho[:, :, None] * (
-        scenario.price_array[None, None, :] / scenario.cost_array[None, :, None]
+    dfleet_drho = (phi[:, :, None] * np.eye(n) - (kd * fleets)[:, :, None]) / share[:, :, None]
+    dfleet_dtax = -dfleet_drho[..., None] * (
+        rows.price_array[:, None, None, :] / rows.cost_array[:, None, :, None]
     )
-    drequired = scenario.debris_per_sat * dfleet_dtax.sum(axis=0)
-    return SensitivityReport(
-        dfleet_dtax=dfleet_dtax,
-        dfleet_dabatement=scenario.collision_coeff * np.array(rho) / share,
-        ddebris_dabatement=-1.0 / share,
-        drequired_dtax=drequired,
-        method=ANALYTIC,
-    )
+    drequired = rows.debris_per_sat[:, :, None] * dfleet_dtax.sum(axis=1)
+    # On interior rows every rho is active, so it is its own ``on``.
+    report = (dfleet_dtax, rows.collision_coeff * on / share, -1.0 / share[:, 0], drequired)
+    return report, interior, fleets, survival
 
 
-def _fd_sensitivities(
-    scenario: Scenario, taxes: TaxSchedule, abatement: float
-) -> SensitivityReport:
-    # Stencils re-solve with the oracle's dense LU, so this path audits the
-    # closed-form kernel instead of sharing it. The base schedule and the
-    # 2 n m + 2 probes are one stack, in the order a per-probe loop takes
-    # them: the base, then rate [i][j] + h, then - h, for each (i, j); then
-    # Q + h, Q - h.
-    n, n_markets = scenario.n_sectors, scenario.n_markets
-    rates = taxes.as_array
+def _fd_rows(rows: ScenarioRows, rates: np.ndarray, abatement: np.ndarray):
+    """Finite-difference sensitivities of a ``(B, n, m)`` stack, one scenario per row.
+
+    Per schedule, the 2 n m + 3 probes in the order a per-probe loop takes
+    them: the base, then rate [i][j] + h, then - h, for each (i, j); then
+    Q + h, Q - h. Every probe of every row is one :func:`interior_open_access`
+    stack, so this path audits the closed-form kernel instead of sharing it.
+    Returns the report arrays as :func:`_analytic_rows` does, then per probe
+    ``ok``, rates and abatement level, ``(B, P)`` leading; a row has its
+    sensitivities only where every probe is ok.
+    """
+    count, n, n_markets = rates.shape
     h = 1e-6 * np.maximum(1.0, np.abs(rates))
-    h_ab = 1e-6 * max(1.0, abs(abatement))
+    h_ab = 1e-6 * np.maximum(1.0, np.abs(abatement))
+    base = rates[:, None]
     moved = np.stack([rates + h, rates - h], axis=-1)
-    probes = np.concatenate(
-        [rates[None], _one_rate_probes(rates, moved), rates[None], rates[None]]
+    probes = np.concatenate([base, _one_rate_probes(rates, moved), base, base], axis=1)
+    size = probes.shape[1]
+    levels = np.repeat(abatement[:, None], size, axis=1)
+    levels[:, -2] = abatement + h_ab
+    levels[:, -1] = abatement - h_ab
+    fleets, ok = interior_open_access(
+        rows.repeat(size), probes.reshape(-1, n, n_markets), levels.ravel()
     )
-    levels = np.full(len(probes), float(abatement))
-    levels[-2:] = abatement + h_ab, abatement - h_ab
-    fleets, ok = interior_open_access(scenario, probes, levels)
-
-    # The stack refuses exactly the rows where the pivot solve does not
-    # return every sector active. The first one is re-solved per probe for
-    # the per-probe loop's error, or its active-set change.
-    if not ok.all():
-        row = int(np.flatnonzero(~ok)[0])
-        pivot_open_access(scenario, TaxSchedule.from_array(probes[row]), float(levels[row]))
-        if row == 0:
-            raise ActiveSetChangeError(
-                "finite-difference sensitivities need every sector interior"
-            )
-        stencil = "abatement stencil"
-        if row <= 2 * n * n_markets:
-            stencil = "stencil for tax [{}][{}]".format(*divmod((row - 1) // 2, n_markets))
-        raise ActiveSetChangeError(f"active set changed inside the {stencil}")
-    fleets = fleets[1:]
-
-    dfleet_dtax = (fleets[0:-2:2] - fleets[1:-2:2]) / (2.0 * h.reshape(-1, 1))
-    dfleet_dtax = np.ascontiguousarray(dfleet_dtax.T).reshape(n, n, n_markets)
-    total = fleets[-2:].sum(axis=1)
-    stock = scenario.debris_per_sat * total + scenario.legacy_debris - levels[-2:]
-    drequired = scenario.debris_per_sat * dfleet_dtax.sum(axis=0)
-    return SensitivityReport(
-        dfleet_dtax=dfleet_dtax,
-        dfleet_dabatement=(fleets[-2] - fleets[-1]) / (2.0 * h_ab),
-        ddebris_dabatement=float((stock[0] - stock[1]) / (2.0 * h_ab)),
-        drequired_dtax=drequired,
-        method=FINITE_DIFFERENCE,
+    fleets = fleets.reshape(count, size, n)[:, 1:]
+    dfleet_dtax = (fleets[:, 0:-2:2] - fleets[:, 1:-2:2]) / (2.0 * h.reshape(count, -1, 1))
+    dfleet_dtax = np.swapaxes(dfleet_dtax, 1, 2).reshape(count, n, n, n_markets)
+    total = fleets[:, -2:].sum(axis=2)
+    stock = rows.debris_per_sat * total + rows.legacy_debris - levels[:, -2:]
+    report = (
+        dfleet_dtax,
+        (fleets[:, -2] - fleets[:, -1]) / (2.0 * h_ab[:, None]),
+        (stock[:, 0] - stock[:, 1]) / (2.0 * h_ab),
+        rows.debris_per_sat[:, :, None] * dfleet_dtax.sum(axis=1),
     )
+    return report, ok.reshape(count, size), probes, levels
 
 
 def sensitivities(
@@ -365,13 +367,42 @@ def sensitivities(
     ``1e-6 max(1, |x|)``) as one stack with the oracle's dense LU and
     exists to audit the analytic one. A probe whose active set changes or
     whose survival leaves [0, 1] raises as a per-probe loop would, at the
-    first such probe.
+    first such probe. Each path is the one-bundle call of its stacked form
+    (``_analytic_rows``, ``_fd_rows``), which ``verify`` runs on whole
+    batches.
     """
+    if method not in (ANALYTIC, FINITE_DIFFERENCE):
+        raise ValueError(f"unknown sensitivity method {method!r}")
+    if taxes.shape != (scenario.n_sectors, scenario.n_markets):
+        raise ScenarioShapeError(scenario, taxes.shape)
+    stack = ScenarioRows.of([scenario]), taxes.as_array[None], np.array([abatement], dtype=float)
     if method == ANALYTIC:
-        return _analytic_sensitivities(scenario, taxes, abatement)
-    if method == FINITE_DIFFERENCE:
-        return _fd_sensitivities(scenario, taxes, abatement)
-    raise ValueError(f"unknown sensitivity method {method!r}")
+        report, interior, _, _ = _analytic_rows(*stack)
+        if not interior[0]:
+            solve_equilibrium(scenario, taxes, abatement)   # raises if survival leaves [0, 1]
+            raise ActiveSetChangeError(
+                "analytic sensitivities need every sector interior (positive fleet)"
+            )
+    else:
+        report, ok, probes, levels = _fd_rows(*stack)
+        # The stack refuses exactly the rows where the pivot solve does not
+        # return every sector active. The first one is re-solved per probe
+        # for the per-probe loop's error, or its active-set change.
+        if not ok.all():
+            row = int(np.flatnonzero(~ok[0])[0])
+            pivot_open_access(scenario, TaxSchedule.from_array(probes[0, row]), float(levels[0, row]))
+            if row == 0:
+                raise ActiveSetChangeError(
+                    "finite-difference sensitivities need every sector interior"
+                )
+            stencil = "abatement stencil"
+            if row <= 2 * scenario.n_sectors * scenario.n_markets:
+                stencil = "stencil for tax [{}][{}]".format(
+                    *divmod((row - 1) // 2, scenario.n_markets)
+                )
+            raise ActiveSetChangeError(f"active set changed inside the {stencil}")
+    dfleet_dtax, dfleet_dabatement, ddebris, drequired = (value[0] for value in report)
+    return SensitivityReport(dfleet_dtax, dfleet_dabatement, float(ddebris), drequired, method)
 
 
 RESPONSIVE = "responsive"

@@ -29,6 +29,7 @@ from .errors import (
 from .scenario import (
     AbatementProfile,
     Scenario,
+    ScenarioRows,
     TaxSchedule,
     debris_stock,
     effective_prices,
@@ -175,36 +176,39 @@ def pivot_open_access(
 
 
 def interior_open_access(
-    scenario: Scenario, rates: np.ndarray, abatement: np.ndarray
+    scenario: Scenario | ScenarioRows, rates: np.ndarray, abatement: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fleets ``(B, n)`` of a ``(B, n, m)`` stack of tax rates, all sectors active.
 
     Row b builds ``I - M`` and ``phi r`` at ``rates[b]`` and ``abatement[b]``
     as :func:`pivot_open_access` does and solves the whole stack with one
-    LU pass, without pivoting. ``ok[b]`` holds when ``|det| >
+    LU pass, without pivoting. ``scenario`` is one scenario for every row or
+    a :class:`ScenarioRows` with one per row. ``ok[b]`` holds when ``|det| >
     SINGULARITY_THRESHOLD``, every fleet is positive and survival lies in
     [0, 1]: exactly the rows where the pivot solve returns with every
     sector active, and there it returns the same fleets bit for bit. Other
     rows are the caller's to refuse; their fleets are NaN where the system
     is singular.
     """
-    n = scenario.n_sectors
+    n = rates.shape[1]
     k = scenario.collision_coeff
     kd = k * scenario.debris_per_sat
-    revenue = (1.0 - rates) @ scenario.price_array
+    revenue = ((1.0 - rates) @ scenario.price_array[..., None])[..., 0]
     r = revenue / (kd * revenue + scenario.cost_array)
+    abatement = abatement[:, None]
     phi = 1.0 + k * (abatement - scenario.legacy_debris)
-    interaction = np.repeat(-kd * r[:, :, None], n, axis=2)
+    interaction = np.repeat((-kd * r)[:, :, None], n, axis=2)
     interaction[:, np.arange(n), np.arange(n)] = 0.0
     reduced = np.eye(n) - interaction
 
     regular = np.abs(np.linalg.det(reduced)) > SINGULARITY_THRESHOLD
     fleets = np.full(r.shape, np.nan)
-    fleets[regular] = np.linalg.solve(
-        reduced[regular], (phi[:, None] * r)[regular][:, :, None]
-    )[:, :, 0]
-    stock = scenario.debris_per_sat * fleets.sum(axis=1) + scenario.legacy_debris - abatement
-    survival = 1.0 - k * stock
+    fleets[regular] = np.linalg.solve(reduced[regular], (phi * r)[regular][:, :, None])[:, :, 0]
+    stock = (
+        scenario.debris_per_sat * fleets.sum(axis=1, keepdims=True)
+        + scenario.legacy_debris - abatement
+    )
+    survival = (1.0 - k * stock)[:, 0]
     ok = regular & np.all(fleets > 0.0, axis=1) & (0.0 <= survival) & (survival <= 1.0)
     return fleets, ok
 

@@ -100,12 +100,18 @@ def _welfare_arrays(
     return survival * gross, gross, survival
 
 
+def _stacked_gross(scenario, rates: np.ndarray, fleets: np.ndarray) -> np.ndarray:
+    """Per-market gross value ``(B, m)`` of stacked equilibria, bit for bit
+    :func:`national_welfare`'s; ``scenario`` may be a ``ScenarioRows``."""
+    kept = (np.swapaxes(1.0 - rates, 1, 2) @ fleets[:, :, None])[:, :, 0]
+    return scenario.price_array * kept
+
+
 def _stacked_welfare(
-    scenario: Scenario, rates: np.ndarray, fleets: np.ndarray, survival: np.ndarray
+    scenario, rates: np.ndarray, fleets: np.ndarray, survival: np.ndarray
 ) -> np.ndarray:
     """Per-market welfare ``(B, m)`` of stacked equilibria, bit for bit :func:`national_welfare`'s."""
-    kept = (np.swapaxes(1.0 - rates, 1, 2) @ fleets[:, :, None])[:, :, 0]
-    return survival[:, None] * (scenario.price_array * kept)
+    return survival[:, None] * _stacked_gross(scenario, rates, fleets)
 
 
 def national_welfare(
@@ -139,27 +145,14 @@ def welfare_channels(
     the identity total = cleanup + expansion - reduction holds for any
     number of sectors.
     """
-    return _channels(
-        scenario, taxes, _channel_inputs(scenario, taxes, abatement), sector, market
-    )
-
-
-def _channel_inputs(scenario: Scenario, taxes: TaxSchedule, abatement: float):
-    """Fleet responses, fleets, gross value and survival that every channel split reads."""
     report = sensitivities(scenario, taxes, abatement)
     equilibrium = solve_equilibrium(scenario, taxes, abatement)
     _, gross, survival = _welfare_arrays(scenario, taxes, equilibrium)
-    return report.dfleet_dtax, equilibrium.fleet_array, gross, survival
-
-
-def _channels(
-    scenario: Scenario, taxes: TaxSchedule, inputs, sector: int, market: int
-) -> ChannelDecomposition:
-    dfleet_dtax, fleets, gross, survival = inputs
+    fleets = equilibrium.fleet_array
     rates = taxes.as_array
     p_j = scenario.prices[market]
 
-    dfleet = dfleet_dtax[:, sector, market]
+    dfleet = report.dfleet_dtax[:, sector, market]
     ddebris = scenario.debris_per_sat * float(dfleet.sum())
     keep = 1.0 - rates[:, market]
 

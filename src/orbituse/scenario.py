@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +57,38 @@ class Scenario:
         arr = np.array(self.costs, dtype=float)
         arr.setflags(write=False)
         return arr
+
+
+class ScenarioRows(NamedTuple):
+    """Same-shape scenarios stacked one per row, for the stacked kernels.
+
+    It stands in for a :class:`Scenario` in a kernel that reads only these
+    attributes: ``price_array`` is ``(B, m)``, ``cost_array`` is ``(B, n)``
+    and the three scalars are ``(B, 1)`` columns, so each row gets the
+    one-scenario arithmetic elementwise.
+    """
+
+    price_array: np.ndarray
+    cost_array: np.ndarray
+    collision_coeff: np.ndarray
+    debris_per_sat: np.ndarray
+    legacy_debris: np.ndarray
+
+    @classmethod
+    def of(cls, scenarios: list[Scenario]) -> "ScenarioRows":
+        """One row per scenario; each column is copied out contiguous, as
+        one scenario's arrays are."""
+        m, n = len(scenarios[0].prices), len(scenarios[0].costs)
+        table = np.array([
+            (*s.prices, *s.costs, s.collision_coeff, s.debris_per_sat, s.legacy_debris)
+            for s in scenarios
+        ])
+        bounds = (0, m, m + n, m + n + 1, m + n + 2, m + n + 3)
+        return cls(*(table[:, lo:hi].copy() for lo, hi in zip(bounds, bounds[1:])))
+
+    def repeat(self, count: int) -> "ScenarioRows":
+        """Each row ``count`` times in a row."""
+        return ScenarioRows(*(np.repeat(column, count, axis=0) for column in self))
 
 
 @dataclass(frozen=True)
@@ -200,6 +233,16 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         report.append("abatement_cost must be > 0")
     if scenario.treaty_parties is not None and scenario.treaty_parties < 1:
         report.append("treaty_parties must be a positive integer")
+    if not report:
+        # Bounds of the kernel's products: rho_i <= sum(p)/min(m) at any taxes.
+        kd = scenario.collision_coeff * scenario.debris_per_sat
+        rho = sum(scenario.prices) / min(scenario.costs)
+        if not math.isfinite(kd):
+            report.append("collision_coeff * debris_per_sat must be finite")
+        if not math.isfinite(rho):
+            report.append("sum(prices) / min(costs) must be finite")
+        if not math.isfinite(kd * rho) and not report:
+            report.append("collision_coeff * debris_per_sat * sum(prices) / min(costs) must be finite")
     return report
 
 

@@ -5,9 +5,21 @@ returns an :class:`~orbituse.oracle.OracleReport`. The `verify` CLI
 command runs all of them on the loaded scenario plus seeded random
 batches; the acceptance tests run the same checkers at their full batch
 sizes.
+
+The stencil and solve checkers evaluate their whole batch as arrays: the
+bundles are grouped by shape ``(n_sectors, n_markets)`` and each group is
+one stacked pass, with one scenario per row (:class:`ScenarioRows`). Every
+row repeats the one-bundle arithmetic bit for bit, so each report equals
+the one a per-bundle loop builds: counterexamples in bundle order, and
+residuals folded over the same values in the same order. Where a
+per-bundle loop would raise, the lowest-index failing bundle's own
+per-bundle calls are re-run, so the same error is raised with the same
+message.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -15,9 +27,13 @@ from .errors import OrbitUseError
 from .open_access import (
     ANALYTIC,
     FINITE_DIFFERENCE,
+    _analytic_rows,
+    _fd_rows,
     _one_rate_probes,
+    _phi,
     _stacked_equilibrium,
-    decompose,
+    _stacked_fleets,
+    _stacked_share,
     reduce_two_player,
     sensitivities,
     solve_equilibrium,
@@ -28,14 +44,9 @@ from .oracle import (
     grid_maximize,
     iterate_open_access,
 )
-from .regulation import (
-    _channel_inputs,
-    _channels,
-    _stacked_welfare,
-    national_welfare,
-)
+from .regulation import _stacked_gross, _stacked_welfare, national_welfare
 from .sampling import sample_scenario
-from .scenario import Scenario, TaxSchedule, sector_profit
+from .scenario import Scenario, ScenarioRows, TaxSchedule
 from .treaty import _both_variants, abatement_payoff
 
 Bundle = tuple[Scenario, TaxSchedule, float]
@@ -54,99 +65,229 @@ def _report(target, residual, counterexamples) -> OracleReport:
     )
 
 
+def _by_shape(bundles: list[Bundle]):
+    """Per bundle shape: the bundle indices, their ScenarioRows, rates ``(G, n, m)``
+    and abatement ``(G,)``. Groups come in order of first appearance."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for index, (scenario, _, _) in enumerate(bundles):
+        groups.setdefault((scenario.n_sectors, scenario.n_markets), []).append(index)
+    for indices in groups.values():
+        chosen = [bundles[i] for i in indices]
+        yield (
+            indices,
+            ScenarioRows.of([scenario for scenario, _, _ in chosen]),
+            np.array([taxes.as_array for _, taxes, _ in chosen]),
+            np.array([abatement for _, _, abatement in chosen], dtype=float),
+        )
+
+
+def _raise_first(failures: dict) -> None:
+    """Re-run the lowest-index failing bundle's per-bundle calls, which raise.
+
+    ``failures`` maps a bundle index to a call that repeats that bundle's
+    per-bundle steps up to the one that failed.
+    """
+    if failures:
+        failures[min(failures)]()
+
+
+def _stencil(bundles, indices, rows, probes, levels, failures: dict):
+    """Stacked equilibria of each bundle's probes ``(G, P, n, m)`` at ``levels`` ``(G, P)``.
+
+    Returns fleets ``(G, P, n)``, survival and stock ``(G, P)``. A bundle
+    with a probe whose survival leaves [0, 1] is recorded in ``failures``
+    (unless it failed earlier) with the :func:`solve_equilibrium` re-solve of
+    its first such probe, which raises its PhysicallyInvalidError.
+    """
+    count, size, n, n_markets = probes.shape
+    fleets, survival, stock = _stacked_equilibrium(
+        rows.repeat(size), probes.reshape(-1, n, n_markets), levels.ravel()
+    )
+    invalid = ~((0.0 <= survival) & (survival <= 1.0)).reshape(count, size)
+    for g in np.flatnonzero(invalid.any(axis=1)).tolist():
+        row = int(np.argmax(invalid[g]))
+        failures.setdefault(indices[g], partial(
+            solve_equilibrium,
+            bundles[indices[g]][0],
+            TaxSchedule.from_array(probes[g, row]),
+            float(levels[g, row]),
+        ))
+    return fleets.reshape(count, size, n), survival.reshape(count, size), stock.reshape(count, size)
+
+
+def _in_order(found: dict) -> list:
+    """The per-bundle lists of ``found`` joined in bundle-index order."""
+    return [item for index in sorted(found) for item in found[index]]
+
+
+def _fold(target: str, found: dict, bound: float) -> OracleReport:
+    """The report of per-bundle entries that end in a residual: the running
+    ``max`` of the residuals in bundle order, and the entries above ``bound``."""
+    worst = 0.0
+    bad = []
+    for entry in _in_order(found):
+        worst = max(worst, entry[-1])
+        if entry[-1] > bound:
+            bad.append(entry)
+    return _report(target, worst, bad)
+
+
 def check_equilibrium_agreement(bundles: list[Bundle]) -> OracleReport:
-    """Matrix solve vs damped iteration, plus the zero-profit condition."""
+    """Closed-form solve vs damped iteration, plus the zero-profit condition.
+
+    The closed form of every bundle is one stacked pass per shape; the
+    iteration oracle still runs per bundle, in bundle order.
+    """
+    closed = {}
+    for indices, rows, rates, abatement in _by_shape(bundles):
+        column = abatement[:, None]
+        phi, kd = _phi(rows, column)
+        fleets, survival = _stacked_fleets(rows, rates, phi, kd)
+        revenue = ((1.0 - rates) @ rows.price_array[..., None])[..., 0]
+        costs = rows.cost_array
+        valid = ((0.0 <= survival) & (survival <= 1.0))[:, 0]
+        # The solve's profit residual, and sector_profit's: its survival is
+        # 1 - k stock, and its size**2 is a numpy scalar power, which libm's
+        # pow can round apart from numpy's array square.
+        residual = np.abs(survival * revenue * fleets - costs * (fleets * fleets))
+        stock = rows.debris_per_sat * fleets.sum(axis=1, keepdims=True) + rows.legacy_debris - column
+        squares = np.array([f ** 2 for f in fleets.ravel()]).reshape(fleets.shape)
+        profit = np.abs((1.0 - rows.collision_coeff * stock) * revenue * fleets - costs * squares)
+        for g, index in enumerate(indices):
+            closed[index] = valid[g], fleets[g], residual[g].tolist(), profit[g]
     worst = 0.0
     bad = []
     for index, (scenario, taxes, abatement) in enumerate(bundles):
-        solved = solve_equilibrium(scenario, taxes, abatement)
+        valid, fleets, residuals, profits = closed[index]
+        if not valid:
+            solve_equilibrium(scenario, taxes, abatement)   # raises
         iterated = iterate_open_access(scenario, taxes, abatement)
-        gap = float(np.max(np.abs(solved.fleet_array - iterated)))
-        profit = max(
-            abs(sector_profit(scenario, taxes, solved.fleets, abatement, i))
-            for i in range(scenario.n_sectors)
-            if solved.active[i]
-        ) if any(solved.active) else 0.0
-        residual = max(gap, profit, solved.max_profit_residual)
+        gap = float(np.max(np.abs(fleets - iterated)))
+        active = fleets > 0.0
+        profit = max(profits[active]) if active.any() else 0.0
+        residual = max(gap, profit, max(residuals, default=0.0))
         worst = max(worst, residual)
         if gap > 1e-9 or profit > 1e-9:
             bad.append((index, gap, profit))
     return _report("equilibrium_agreement", worst, bad)
 
 
+def _reduce_each_sector(scenario, taxes, abatement) -> None:
+    """One bundle's per-bundle reduction calls: the full solve, then each sector's pair."""
+    solve_equilibrium(scenario, taxes, abatement)
+    for sector in range(scenario.n_sectors):
+        reduce_two_player(scenario, taxes, abatement, sector)
+
+
 def check_reduction(bundles: list[Bundle]) -> OracleReport:
-    """Two-player collapse preserves each sector and the complement total."""
-    worst = 0.0
-    bad = []
-    for index, (scenario, taxes, abatement) in enumerate(bundles):
-        full = solve_equilibrium(scenario, taxes, abatement)
-        fleets = full.fleet_array
-        for sector in range(scenario.n_sectors):
-            pair = reduce_two_player(scenario, taxes, abatement, sector)
-            own_gap = abs(pair.fleets[0] - fleets[sector])
-            rest_gap = abs(pair.fleets[1] - (fleets.sum() - fleets[sector]))
-            residual = max(own_gap, rest_gap)
-            worst = max(worst, residual)
-            if residual > 1e-9:
-                bad.append((index, sector, residual))
-    return _report("two_player_reduction", worst, bad)
+    """Two-player collapse preserves each sector and the complement total.
+
+    Each sector's pair is player one and the rest of the world with
+    ``rho_rest``, the left-to-right sum of the other active ``rho``, solved
+    by the arithmetic of :func:`reduce_two_player`, which runs only to
+    raise a failing bundle's error. Every pair of a shape group is one stack.
+    """
+    found = {}
+    failures = {}
+    for indices, rows, rates, abatement in _by_shape(bundles):
+        n = rates.shape[1]
+        phi, kd = _phi(rows, abatement[:, None])
+        on, share = _stacked_share(rows, rates, phi, kd)
+        fleets = phi * on / share
+        rest = (on[:, None, :] * ~np.eye(n, dtype=bool)).cumsum(axis=2)[:, :, -1]
+        pair_share = 1.0 + kd * (on + rest)
+        own_gap = np.abs(phi * on / pair_share - fleets)
+        rest_gap = np.abs(phi * rest / pair_share - (fleets.sum(axis=1)[:, None] - fleets))
+        residual = np.where(rest_gap > own_gap, rest_gap, own_gap)
+        # The full game's survival and every pair's, as each solve checks it.
+        survival = phi / np.concatenate([share, pair_share], axis=1)
+        fails = ~np.all((0.0 <= survival) & (survival <= 1.0), axis=1)
+        for g, index in enumerate(indices):
+            if n < 2 or fails[g]:
+                failures[index] = partial(_reduce_each_sector, *bundles[index])
+            found[index] = [(index, sector, value) for sector, value in enumerate(residual[g])]
+    _raise_first(failures)
+    return _fold("two_player_reduction", found, 1e-9)
 
 
 def check_decomposition(bundles: list[Bundle]) -> OracleReport:
-    """r is abatement-free bitwise; fleets = sigma * r; sigma affine in Q."""
+    """r is abatement-free bitwise; fleets = sigma * r; sigma affine in Q.
+
+    The three abatement probes of every bundle of a shape are one stack;
+    ``r = rev/(kd rev + m)`` and ``sigma = f/r`` are evaluated per probe as
+    :func:`solve_equilibrium` reports them.
+    """
+    found = {}
+    failures = {}
+    for indices, rows, rates, abatement in _by_shape(bundles):
+        count, n, n_markets = rates.shape
+        probes = np.repeat(rates[:, None], 3, axis=1)
+        levels = np.stack([abatement, abatement + 0.35, abatement + 0.7], axis=1)
+        fleets, _, _ = _stencil(bundles, indices, rows, probes, levels, failures)
+        tripled = rows.repeat(3)
+        revenue = ((1.0 - probes.reshape(-1, n, n_markets)) @ tripled.price_array[..., None])[..., 0]
+        kd = tripled.collision_coeff * tripled.debris_per_sat
+        r = (revenue / (kd * revenue + tripled.cost_array)).reshape(count, 3, n)
+        sigma = np.divide(fleets, r, out=np.zeros_like(fleets), where=r > 0.0)
+        same_r = np.all(r[:, 1:] == r[:, :1], axis=(1, 2))
+        recon = np.max(np.abs(sigma * r - fleets), axis=2).tolist()
+        collinear = np.max(np.abs(sigma[:, 0] - 2.0 * sigma[:, 1] + sigma[:, 2]), axis=1).tolist()
+        for g, index in enumerate(indices):
+            found[index] = same_r[g], recon[g], collinear[g]
+    _raise_first(failures)
     worst = 0.0
     bad = []
-    for index, (scenario, taxes, abatement) in enumerate(bundles):
-        probes = (abatement, abatement + 0.35, abatement + 0.7)
-        solutions = [solve_equilibrium(scenario, taxes, q) for q in probes]
-        r_values = [decompose(eq)[1] for eq in solutions]
-        if any(not np.array_equal(r_values[0], other) for other in r_values[1:]):
+    for index in sorted(found):
+        same_r, recon, collinear = found[index]
+        if not same_r:
             bad.append((index, "r not bitwise identical across abatement"))
             continue
-        for eq in solutions:
-            sigma, r = decompose(eq)
-            recon = float(np.max(np.abs(sigma * r - eq.fleet_array)))
-            worst = max(worst, recon)
-            if recon > 1e-12:
-                bad.append((index, "fleets != sigma*r", recon))
-        sigmas = [np.array(eq.sigma) for eq in solutions]
-        collinear = float(np.max(np.abs(sigmas[0] - 2.0 * sigmas[1] + sigmas[2])))
+        for value in recon:
+            worst = max(worst, value)
+            if value > 1e-12:
+                bad.append((index, "fleets != sigma*r", value))
         worst = max(worst, collinear)
         if collinear > 1e-10:
             bad.append((index, "sigma not affine in abatement", collinear))
     return _report("decomposition", worst, bad)
 
 
+_SENSITIVITY_NAMES = ("dfleet_dtax", "dfleet_dabatement", "drequired_dtax", "ddebris_dabatement")
+
+
+def _refuse_sensitivities(scenario, taxes, abatement) -> None:
+    """One bundle's per-bundle sensitivity calls, analytic first, which raise."""
+    sensitivities(scenario, taxes, abatement, method=ANALYTIC)
+    sensitivities(scenario, taxes, abatement, method=FINITE_DIFFERENCE)
+
+
 def check_sensitivity_agreement(bundles: list[Bundle]) -> OracleReport:
-    """Analytic and finite-difference sensitivities agree entrywise."""
-    worst = 0.0
-    bad = []
-    for index, (scenario, taxes, abatement) in enumerate(bundles):
-        analytic = sensitivities(scenario, taxes, abatement, method=ANALYTIC)
-        numeric = sensitivities(scenario, taxes, abatement, method=FINITE_DIFFERENCE)
-        for name in ("dfleet_dtax", "dfleet_dabatement", "drequired_dtax", "ddebris_dabatement"):
-            a = np.asarray(getattr(analytic, name), dtype=float)
-            b = np.asarray(getattr(numeric, name), dtype=float)
-            scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
-            gap = float(np.max(np.abs(a - b) / scale))
-            worst = max(worst, gap)
-            if gap > 1e-5:
-                bad.append((index, name, gap))
-    return _report("sensitivity_agreement", worst, bad)
+    """Analytic and finite-difference sensitivities agree entrywise.
 
-
-def _stencil(scenario: Scenario, rates: np.ndarray, abatement: np.ndarray):
-    """Stacked equilibria of a stencil, refusing it as the per-probe loop would.
-
-    If some probe's survival leaves [0, 1], the first such probe is re-solved
-    by :func:`solve_equilibrium`, which raises its own PhysicallyInvalidError.
+    Both sides of every bundle of a shape are one stacked pass each: the
+    analytic kernel, and one dense-LU stack of every finite-difference probe.
     """
-    fleets, survival, stock = _stacked_equilibrium(scenario, rates, abatement)
-    invalid = np.flatnonzero(~((0.0 <= survival) & (survival <= 1.0)))
-    if invalid.size:
-        row = invalid[0]
-        solve_equilibrium(scenario, TaxSchedule.from_array(rates[row]), float(abatement[row]))
-    return fleets, survival, stock
+    found = {}
+    failures = {}
+    for indices, rows, rates, abatement in _by_shape(bundles):
+        count = len(indices)
+        analytic, interior, _, _ = _analytic_rows(rows, rates, abatement)
+        numeric, ok, _, _ = _fd_rows(rows, rates, abatement)
+        # Every entry of the four arrays side by side, in the order of
+        # _SENSITIVITY_NAMES; each array's gap is the max over its columns.
+        order = (0, 1, 3, 2)
+        a = np.concatenate([analytic[k].reshape(count, -1) for k in order], axis=1)
+        b = np.concatenate([numeric[k].reshape(count, -1) for k in order], axis=1)
+        starts = np.cumsum([0] + [analytic[k][0].size for k in order[:-1]])
+        scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
+        gaps = np.maximum.reduceat(np.abs(a - b) / scale, starts, axis=1).tolist()
+        good = interior & ok.all(axis=1)
+        for g, index in enumerate(indices):
+            if not good[g]:
+                failures[index] = partial(_refuse_sensitivities, *bundles[index])
+            found[index] = [(index, name, gap) for name, gap in zip(_SENSITIVITY_NAMES, gaps[g])]
+    _raise_first(failures)
+    return _fold("sensitivity_agreement", found, 1e-5)
 
 
 _SIGN_FAILURES = (
@@ -162,16 +303,16 @@ def check_sign_suite(bundles: list[Bundle]) -> OracleReport:
 
     Own-tax contraction, cross-sector rebound, dominated rebound (total
     fleet and required abatement fall), abatement-driven expansion with a
-    tax-damped slope, and debris falling in abatement. Each bundle's
-    2 + 6 n m probes are solved as one stack.
+    tax-damped slope, and debris falling in abatement. The 2 + 6 n m probes
+    of every bundle of a shape are solved as one stack.
     """
-    bad = []
-    for index, (scenario, taxes, abatement) in enumerate(bundles):
-        n, n_markets = scenario.n_sectors, scenario.n_markets
-        rates = taxes.as_array
+    found = {}
+    failures = {}
+    for indices, rows, rates, abatement in _by_shape(bundles):
+        count, n, n_markets = rates.shape
         h = 1e-6 * np.maximum(1.0, np.abs(rates))       # own-tax stencil
         wide = 1e-4 * np.maximum(1.0, np.abs(rates))    # cross-derivative stencil
-        h_ab = 1e-6 * max(1.0, abs(abatement))
+        h_ab = 1e-6 * np.maximum(1.0, np.abs(abatement))
         up, down = abatement + h_ab, abatement - h_ab
         # Probes in the order a per-probe loop takes them, so the first
         # invalid one raises that loop's error: Q +- h_ab at the base rates,
@@ -181,99 +322,135 @@ def check_sign_suite(bundles: list[Bundle]) -> OracleReport:
             [rates + h, rates - h, rates + wide, rates + wide, rates - wide, rates - wide],
             axis=-1,
         )
+        base = rates[:, None]
+        pattern = np.stack([abatement, abatement, up, down, up, down], axis=1)
         fleets, _, stock = _stencil(
-            scenario,
-            np.concatenate([rates[None], rates[None], _one_rate_probes(rates, moved)]),
-            np.array([up, down] + [abatement, abatement, up, down, up, down] * (n * n_markets)),
+            bundles,
+            indices,
+            rows,
+            np.concatenate([base, base, _one_rate_probes(rates, moved)], axis=1),
+            np.concatenate([up[:, None], down[:, None], np.tile(pattern, n * n_markets)], axis=1),
+            failures,
         )
-        d_ab = (fleets[0] - fleets[1]) / (2.0 * h_ab)
-        if not np.all(d_ab > 0.0):
-            bad.append((index, "dfleet_dabatement not positive"))
-        if (stock[0] - stock[1]) / (2.0 * h_ab) >= 0.0:
-            bad.append((index, "ddebris_dabatement not negative"))
-        probes = fleets[2:].reshape(n, n_markets, 6, n)
-        grads = (probes[:, :, 0] - probes[:, :, 1]) / (2.0 * h)[:, :, None]
+        slope = (2.0 * h_ab)[:, None]
+        abatement_fails = ~np.all((fleets[:, 0] - fleets[:, 1]) / slope > 0.0, axis=1)
+        debris_fails = (stock[:, 0] - stock[:, 1]) / (2.0 * h_ab) >= 0.0
+        probes = fleets[:, 2:].reshape(count, n, n_markets, 6, n)
+        grads = (probes[:, :, :, 0] - probes[:, :, :, 1]) / (2.0 * h)[..., None]
         # Cross effect: abatement expansion flattens as the tax rises.
-        slopes = (probes[:, :, 2::2] - probes[:, :, 3::2]) / (2.0 * h_ab)
-        i, j = np.indices((n, n_markets), sparse=True)
-        cross = (slopes[i, j, 0, i] - slopes[i, j, 1, i]) / (2.0 * wide)
+        slopes = (probes[:, :, :, 2::2] - probes[:, :, :, 3::2]) / slope[:, :, None, None, None]
+        g, i, j = np.indices((count, n, n_markets), sparse=True)
+        cross = (slopes[g, i, j, 0, i] - slopes[g, i, j, 1, i]) / (2.0 * wide)
         # The four tests per (sector, market), in the order they are listed;
         # a NaN rebound counts as not positive.
         off_diagonal = ~np.eye(n, dtype=bool)[:, None, :]
         failed = np.stack(
             [
-                grads[i, j, i] >= 0.0,
-                np.any(~(grads > 0.0) & off_diagonal, axis=2),
-                grads.sum(axis=2) >= 0.0,
+                grads[g, i, j, i] >= 0.0,
+                np.any(~(grads > 0.0) & off_diagonal, axis=3),
+                grads.sum(axis=3) >= 0.0,
                 cross >= 0.0,
             ],
             axis=-1,
         )
-        bad.extend(
-            (index, sector, market, _SIGN_FAILURES[test])
-            for sector, market, test in np.argwhere(failed).tolist()
-        )
+        for g, index in enumerate(indices):
+            found[index] = []
+            if abatement_fails[g]:
+                found[index].append((index, "dfleet_dabatement not positive"))
+            if debris_fails[g]:
+                found[index].append((index, "ddebris_dabatement not negative"))
+        for g, sector, market, test in np.argwhere(failed).tolist():
+            index = indices[g]
+            found[index].append((index, sector, market, _SIGN_FAILURES[test]))
+    _raise_first(failures)
+    bad = _in_order(found)
     return _report("comparative_statics_signs", float(len(bad)), bad)
 
 
 def check_channel_identity(bundles: list[Bundle]) -> OracleReport:
     """cleanup + expansion - reduction equals the FD welfare derivative.
 
-    The derivative is Richardson-extrapolated: the plain central difference
-    at h = 1e-6 cannot resolve the 1e-9 absolute identity tolerance once
-    welfare reaches O(100); central differences at h = 1e-3 max(1, |rate|)
-    and h/2 combined to fourth order can. Each bundle's 4 n m welfare
-    probes are solved as one stack.
+    The channels are those of :func:`~orbituse.regulation.welfare_channels`
+    from the analytic sensitivities. The derivative is Richardson-extrapolated:
+    the plain central difference at h = 1e-6 cannot resolve the 1e-9 absolute
+    identity tolerance once welfare reaches O(100); central differences at
+    h = 1e-3 max(1, |rate|) and h/2 combined to fourth order can. The 4 n m
+    welfare probes of every bundle of a shape are solved as one stack.
     """
-    worst = 0.0
-    bad = []
-    for index, (scenario, taxes, abatement) in enumerate(bundles):
-        inputs = _channel_inputs(scenario, taxes, abatement)
-        n, n_markets = scenario.n_sectors, scenario.n_markets
-        rates = taxes.as_array
+    found = {}
+    failures = {}
+    for indices, rows, rates, abatement in _by_shape(bundles):
+        count, n, n_markets = rates.shape
+        (dfleet_dtax, _, _, _), interior, fleets, survival = _analytic_rows(rows, rates, abatement)
+        for g in np.flatnonzero(~interior).tolist():
+            failures[indices[g]] = partial(sensitivities, *bundles[indices[g]])
         h = 1e-3 * np.maximum(1.0, np.abs(rates))
         half = h / 2.0
-        stack = _one_rate_probes(
+        probes = _one_rate_probes(
             rates, np.stack([rates + half, rates - half, rates + h, rates - h], axis=-1)
         )
-        fleets, survival, _ = _stencil(scenario, stack, np.full(len(stack), abatement))
-        welfare = _stacked_welfare(scenario, stack, fleets, survival)
-        i, j = np.indices((n, n_markets), sparse=True)
-        own = welfare.reshape(n, n_markets, 4, n_markets)[i, j, :, j]
+        size = probes.shape[1]
+        levels = np.repeat(abatement[:, None], size, axis=1)
+        probe_fleets, probe_survival, _ = _stencil(bundles, indices, rows, probes, levels, failures)
+        welfare = _stacked_welfare(
+            rows.repeat(size),
+            probes.reshape(-1, n, n_markets),
+            probe_fleets.reshape(-1, n),
+            probe_survival.ravel(),
+        )
+        g, i, j = np.indices((count, n, n_markets), sparse=True)
+        own = welfare.reshape(count, n, n_markets, 4, n_markets)[g, i, j, :, j]
         fd = (
-            4.0 * ((own[:, :, 0] - own[:, :, 1]) / (2.0 * half))
-            - (own[:, :, 2] - own[:, :, 3]) / (2.0 * h)
+            4.0 * ((own[..., 0] - own[..., 1]) / (2.0 * half))
+            - (own[..., 2] - own[..., 3]) / (2.0 * h)
         ) / 3.0
-        for sector in range(n):
-            for market in range(n_markets):
-                channels = _channels(scenario, taxes, inputs, sector, market)
-                gap = abs(channels.total - float(fd[sector, market]))
-                worst = max(worst, gap)
-                if gap > 1e-9:
-                    bad.append((index, sector, market, gap))
-    return _report("welfare_channel_identity", worst, bad)
+        # The channels per (sector, market) as welfare_channels adds them:
+        # dfleet over the responding sector a is summed as its own axis.
+        dfleet = np.ascontiguousarray(np.moveaxis(dfleet_dtax, 1, -1))    # (G, i, j, a)
+        keep = np.swapaxes(1.0 - rates, 1, 2)[:, None]                    # (G, 1, j, a)
+        others = np.array([[a for a in range(n) if a != sector] for sector in range(n)], dtype=int)
+        spill = np.take_along_axis(keep * dfleet, others.reshape(1, n, 1, n - 1), axis=3)
+        value = survival[:, None, None] * rows.price_array[:, None, :]     # survival p_j
+        gross = _stacked_gross(rows, rates, fleets)[:, None, :]
+        ddebris = rows.debris_per_sat[:, :, None] * dfleet.sum(axis=3)
+        cleanup = -rows.collision_coeff[:, :, None] * ddebris * gross
+        expansion = value * spill.sum(axis=3)
+        reduction = value * (fleets[:, :, None] - (1.0 - rates) * dfleet_dtax[g, i, i, j])
+        gaps = np.abs(cleanup + expansion - reduction - fd).tolist()
+        for g, index in enumerate(indices):
+            found[index] = [
+                (index, sector, market, gap)
+                for sector, row in enumerate(gaps[g])
+                for market, gap in enumerate(row)
+            ]
+    _raise_first(failures)
+    return _fold("welfare_channel_identity", found, 1e-9)
 
 
 def check_welfare_quadratic(bundles: list[Bundle]) -> OracleReport:
-    """Welfare is exactly quadratic in abatement: constant second differences."""
-    worst = 0.0
-    bad = []
+    """Welfare is exactly quadratic in abatement: constant second differences.
+
+    The five abatement probes of every bundle of a shape are one stack.
+    """
+    found = {}
+    failures = {}
     step = 0.5
-    for index, (scenario, taxes, abatement) in enumerate(bundles):
-        stencil = np.array([abatement + step * n for n in range(5)])
-        rates = np.repeat(taxes.as_array[None], stencil.size, axis=0)
-        fleets, survival, _ = _stencil(scenario, rates, stencil)
-        welfare = _stacked_welfare(scenario, rates, fleets, survival)
-        for market in range(scenario.n_markets):
-            values = welfare[:, market].tolist()
-            second = [
-                values[n] - 2.0 * values[n + 1] + values[n + 2] for n in range(3)
+    for indices, rows, rates, abatement in _by_shape(bundles):
+        count, n, n_markets = rates.shape
+        levels = abatement[:, None] + step * np.arange(5)
+        probes = np.repeat(rates[:, None], 5, axis=1)
+        fleets, survival, _ = _stencil(bundles, indices, rows, probes, levels, failures)
+        welfare = _stacked_welfare(
+            rows.repeat(5), probes.reshape(-1, n, n_markets), fleets.reshape(-1, n), survival.ravel()
+        ).reshape(count, 5, n_markets)
+        second = welfare[:, :3] - 2.0 * welfare[:, 1:4] + welfare[:, 2:]
+        second = np.swapaxes(second, 1, 2).tolist()      # (G, m, 3)
+        for g, index in enumerate(indices):
+            found[index] = [
+                (index, market, max(values) - min(values)) for market, values in enumerate(second[g])
             ]
-            spread = max(second) - min(second)
-            worst = max(worst, spread)
-            if spread > 1e-10:
-                bad.append((index, market, spread))
-    return _report("welfare_quadratic_in_abatement", worst, bad)
+    _raise_first(failures)
+    return _fold("welfare_quadratic_in_abatement", found, 1e-10)
 
 
 def _treaty_analyses(bundles: list[Bundle]) -> list:

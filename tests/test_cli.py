@@ -128,6 +128,34 @@ class TestCommands:
         assert any(field in v for v in payload["violations"])
 
     @pytest.mark.parametrize(
+        "overrides, violation",
+        [
+            # k d overflows; with sector 1 fully taxed its rho is 0 and kd rho NaN.
+            (["scenario.k=1e300", "scenario.d=1e300", "tax.1.1=1", "tax.1.2=1"],
+             "collision_coeff * debris_per_sat must be finite"),
+            # sum(p) overflows, and so would rev/m.
+            (["scenario.k=0", "scenario.p=1e308,1e308", "scenario.m=5e-324,5e-324"],
+             "sum(prices) / min(costs) must be finite"),
+            # Each factor is finite, their product is not.
+            (["scenario.k=1e200", "scenario.p=1e200,1e200"],
+             "collision_coeff * debris_per_sat * sum(prices) / min(costs) must be finite"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["solve", "regulate", "treaty", "verify"])
+    def test_overflowing_products_exit_2(self, capsys, command, overrides, violation):
+        argv = [command, "--scenario", str(FIXTURE)] + [
+            part for override in overrides for part in ("--set", override)
+        ]
+        if command == "verify":
+            argv += ["--seed", "1", "--random-count", "1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err, parse_constant=_reject_constant)
+        assert payload["error"] == "ScenarioValidationError"
+        assert payload["violations"] == [violation]
+
+    @pytest.mark.parametrize(
         "command, override, field",
         [
             ("solve", "scenario.n_markets=2.9", "n_markets"),
@@ -467,6 +495,19 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "seed must be non-negative" in captured.err
+
+    @pytest.mark.parametrize("command", ["solve", "regulate", "treaty", "sweep"])
+    def test_only_verify_takes_a_seed(self, capsys, command):
+        # The other commands draw nothing, so --seed is a parse error there.
+        argv = [command, "--scenario", str(FIXTURE), "--seed", "5"]
+        if command == "sweep":
+            argv += ["--sweep", "scenario.k:0:0.2:3"]
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --seed 5" in captured.err
 
     def test_repeated_calls_share_one_parser_and_no_state(self, capsys):
         plain = ["solve", "--scenario", str(FIXTURE)]

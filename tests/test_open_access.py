@@ -20,11 +20,11 @@ from orbituse import (
     solve_equilibrium,
 )
 from orbituse import open_access
-from orbituse.open_access import FINITE_DIFFERENCE, STATIC
+from orbituse.open_access import ANALYTIC, FINITE_DIFFERENCE, STATIC
 from orbituse.errors import OrbitUseError
 from orbituse.oracle import pivot_open_access
 from orbituse.sampling import _damped_spectral_radius, sample_scenario
-from orbituse.scenario import debris_stock
+from orbituse.scenario import ScenarioRows, debris_stock
 
 from conftest import assert_exact, exact_rho_form
 from test_properties import reference_slopes
@@ -76,6 +76,24 @@ def reference_fd_sensitivities(scenario, taxes, abatement):
         dfleet_dtax,
         (hi - lo) / (2.0 * h),
         float(ddebris),
+        scenario.debris_per_sat * dfleet_dtax.sum(axis=0),
+    )
+
+
+def reference_analytic_sensitivities(scenario, taxes, abatement):
+    """The one-bundle analytic path from the scalar kernel's rho and share."""
+    equilibrium = solve_equilibrium(scenario, taxes, abatement)
+    _, rho, phi, kd = open_access._rho_form(scenario, taxes, abatement)
+    _, share = open_access._share(rho, phi, kd)
+    fleets = equilibrium.fleet_array
+    dfleet_drho = (phi * np.eye(scenario.n_sectors) - kd * fleets[:, None]) / share
+    dfleet_dtax = -dfleet_drho[:, :, None] * (
+        scenario.price_array[None, None, :] / scenario.cost_array[None, :, None]
+    )
+    return (
+        dfleet_dtax,
+        scenario.collision_coeff * np.array(rho) / share,
+        -1.0 / share,
         scenario.debris_per_sat * dfleet_dtax.sum(axis=0),
     )
 
@@ -283,6 +301,38 @@ class TestSensitivities:
             numeric = sensitivities(scenario, taxes, 0.0, method=FINITE_DIFFERENCE)
             scale = np.maximum(np.abs(analytic.dfleet_dtax), 1e-8)
             assert np.max(np.abs(analytic.dfleet_dtax - numeric.dfleet_dtax) / scale) < 1e-5
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_batch_rows_equal_the_one_bundle_calls_bit_for_bit(self, seed):
+        # Same-shape scenarios in one stack, each row with its own, at
+        # several abatement levels; refused rows are left out. The analytic
+        # rows also equal the scalar kernel's formula, the path they replaced.
+        rng = np.random.default_rng(seed)
+        base, _ = sample_scenario(rng, n_sectors=3, with_taxes=True)
+        drawn = [sample_scenario(rng, n_sectors=3, with_taxes=True) for _ in range(30)]
+        bundles = [
+            (s, t, q) for (s, t), q in zip(drawn, rng.uniform(0.0, 0.5, 30))
+            if s.n_markets == base.n_markets
+        ]
+        rows = ScenarioRows.of([s for s, _, _ in bundles])
+        rates = np.array([t.as_array for _, t, _ in bundles])
+        levels = np.array([q for _, _, q in bundles])
+        for method, batch in ((ANALYTIC, open_access._analytic_rows),
+                              (FINITE_DIFFERENCE, open_access._fd_rows)):
+            report, good, *_ = batch(rows, rates, levels)
+            good = good if good.ndim == 1 else good.all(axis=1)
+            assert good.sum() >= 5
+            for row, (scenario, taxes, q) in enumerate(bundles):
+                if not good[row]:
+                    continue
+                one = sensitivities(scenario, taxes, float(q), method=method)
+                names = ("dfleet_dtax", "dfleet_dabatement", "ddebris_dabatement", "drequired_dtax")
+                for name, value in zip(names, report):
+                    assert np.asarray(getattr(one, name)).tobytes() == value[row].tobytes(), name
+                if method == ANALYTIC:
+                    scalar = reference_analytic_sensitivities(scenario, taxes, float(q))
+                    for name, value, expected in zip(names, report, scalar):
+                        assert np.asarray(expected).tobytes() == value[row].tobytes(), name
 
     def test_pinned_sector_raises(self):
         with pytest.raises(ActiveSetChangeError):

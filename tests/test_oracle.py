@@ -29,6 +29,7 @@ from orbituse.oracle import (
     pivot_open_access,
 )
 from orbituse.sampling import sample_scenario
+from orbituse.scenario import ScenarioRows
 from orbituse.verification import run_verification
 
 ZERO2 = TaxSchedule.zeros(2, 2)
@@ -209,6 +210,45 @@ class TestInteriorOpenAccess:
         levels[9] = debris - 1.0 / k
         fleets, ok = interior_open_access(scenario, rates, levels)
         for row in range(len(rates)):
+            try:
+                solved = pivot_open_access(
+                    scenario, TaxSchedule.from_array(rates[row]), float(levels[row])
+                )
+            except OrbitUseError:
+                solved = None
+            interior = solved is not None and bool(np.all(solved > 0.0))
+            assert ok[row] == interior, row
+            if interior:
+                assert fleets[row].tobytes() == solved.tobytes(), row
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_per_row_scenarios_match_the_pivot_solve_row_by_row(self, seed):
+        # A stack mixing four scenarios of one shape, each row with its own.
+        rng = np.random.default_rng(seed)
+        base, taxes = sample_scenario(rng, with_taxes=True, sector_range=(1, 6))
+        n, m = taxes.shape
+        scenarios = [base] + [
+            replace(
+                base,
+                prices=tuple(rng.uniform(0.1, 10.0, m)),
+                costs=tuple(rng.uniform(0.1, 10.0, n)),
+                collision_coeff=float(rng.uniform(0.01, 0.3)),
+                debris_per_sat=float(rng.uniform(0.5, 2.0)),
+                legacy_debris=float(rng.uniform(0.0, 8.0)),
+            )
+            for _ in range(3)
+        ]
+        owners = [scenarios[i] for i in rng.integers(0, 4, 16)]
+        rates = np.repeat(taxes.as_array[None], 16, axis=0)
+        rates[1:8] = rng.uniform(-0.05, 1.05, (7, n, m))
+        rates[8:10, int(rng.integers(n))] = 1.0
+        levels = np.array([
+            rng.uniform(-0.5, 2.0) * (s.legacy_debris + 1.0 / s.collision_coeff) for s in owners
+        ])
+        levels[:4] = 0.0
+        fleets, ok = interior_open_access(ScenarioRows.of(owners), rates, levels)
+        for row, scenario in enumerate(owners):
             try:
                 solved = pivot_open_access(
                     scenario, TaxSchedule.from_array(rates[row]), float(levels[row])

@@ -355,6 +355,9 @@ def validated_cases(draw):
         catastrophe_damages=draw(nonnegative),
         abatement_cost=draw(positive),
     )
+    # Validation refuses the draws whose products k d, sum(p)/min(m) or
+    # their product overflow.
+    assume(validate_scenario(scenario) == [])
     rate = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
     row = st.one_of(st.just((1.0,) * n_m), st.tuples(*[rate] * n_m))
     return scenario, TaxSchedule(tuple(draw(row) for _ in range(n_s)))

@@ -148,3 +148,25 @@ def test_many_sector_draws_are_unchanged(monkeypatch):
     got = draws(np.random.default_rng(8), batches)
     assert got == reference_draws(np.random.default_rng(8), batches, monkeypatch)
 
+
+def outcome(rng, batches):
+    """The drawn batches, or the raised error's class and message; then the rng's next draw."""
+    try:
+        got = draws(rng, batches)
+    except (OrbitUseError, OverflowError) as error:
+        got = (type(error).__name__, str(error))
+    return got, rng.random()
+
+
+@pytest.mark.parametrize(
+    "collision_range", [(-0.1, 0.3), (-0.3, -0.1), (0.0, float("nan")), (float("nan"), 0.3)]
+)
+def test_collision_draws_outside_the_valid_range_are_rejected_as_before(collision_range, monkeypatch):
+    # A negative k fails validation and is drawn again; a range below zero
+    # exhausts the sampler; numpy refuses a NaN bound at the first draw.
+    batches = [(10, dict(with_taxes=True, collision_range=collision_range))]
+    for seed in range(3):
+        got = outcome(np.random.default_rng(seed), batches)
+        with monkeypatch.context() as patch:
+            patch.setattr(verification, "sample_scenario", reference_sample_scenario)
+            assert got == outcome(np.random.default_rng(seed), batches)

@@ -1,10 +1,10 @@
-"""The stacked stencil evaluator and the verify checkers built on it.
+"""The batch checkers against the per-bundle checkers they replaced.
 
-``check_sign_suite``, ``check_channel_identity`` and
-``check_welfare_quadratic`` solve each bundle's stencil as one stack. The
-per-probe checkers they replaced are kept below as references, and the
-stacked ones must return equal reports, residual floats included, and raise
-the same error on the same probe.
+Every stencil and solve checker in ``verification`` evaluates its whole
+batch in one stacked pass per bundle shape. The per-bundle checkers (and,
+for the stencil suites, the per-probe ones before them) are kept below as
+references: the batch ones must return equal reports, residual floats
+included, and raise the same error as the lowest-index failing bundle.
 """
 
 import gzip
@@ -22,13 +22,27 @@ from orbituse import SYM2, PhysicallyInvalidError, Scenario, TaxSchedule
 from orbituse import verification
 from orbituse.cli import main
 from orbituse.errors import OrbitUseError
-from orbituse.open_access import _one_rate_probes, _stacked_equilibrium, solve_equilibrium
+from orbituse.open_access import (
+    ANALYTIC,
+    FINITE_DIFFERENCE,
+    _one_rate_probes,
+    _stacked_equilibrium,
+    decompose,
+    reduce_two_player,
+    sensitivities,
+    solve_equilibrium,
+)
+from orbituse.oracle import iterate_open_access
 from orbituse.regulation import _stacked_welfare, national_welfare, welfare_channels
+from orbituse.scenario import ScenarioRows, sector_profit
 from orbituse.verification import (
     _batch,
     _report,
-    _stencil,
     check_channel_identity,
+    check_decomposition,
+    check_equilibrium_agreement,
+    check_reduction,
+    check_sensitivity_agreement,
     check_sign_suite,
     check_welfare_quadratic,
     run_verification,
@@ -37,7 +51,94 @@ from orbituse.verification import (
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
-# -- the per-probe checkers the stacked ones replaced ----------------------
+# -- the per-bundle checkers the batch ones replaced --------------------------
+def bundle_equilibrium_agreement(bundles):
+    worst = 0.0
+    bad = []
+    for index, (scenario, taxes, abatement) in enumerate(bundles):
+        solved = solve_equilibrium(scenario, taxes, abatement)
+        iterated = iterate_open_access(scenario, taxes, abatement)
+        gap = float(np.max(np.abs(solved.fleet_array - iterated)))
+        profit = max(
+            abs(sector_profit(scenario, taxes, solved.fleets, abatement, i))
+            for i in range(scenario.n_sectors)
+            if solved.active[i]
+        ) if any(solved.active) else 0.0
+        residual = max(gap, profit, solved.max_profit_residual)
+        worst = max(worst, residual)
+        if gap > 1e-9 or profit > 1e-9:
+            bad.append((index, gap, profit))
+    return _report("equilibrium_agreement", worst, bad)
+
+
+def bundle_reduction(bundles):
+    worst = 0.0
+    bad = []
+    for index, (scenario, taxes, abatement) in enumerate(bundles):
+        full = solve_equilibrium(scenario, taxes, abatement)
+        fleets = full.fleet_array
+        for sector in range(scenario.n_sectors):
+            pair = reduce_two_player(scenario, taxes, abatement, sector)
+            own_gap = abs(pair.fleets[0] - fleets[sector])
+            rest_gap = abs(pair.fleets[1] - (fleets.sum() - fleets[sector]))
+            residual = max(own_gap, rest_gap)
+            worst = max(worst, residual)
+            if residual > 1e-9:
+                bad.append((index, sector, residual))
+    return _report("two_player_reduction", worst, bad)
+
+
+def bundle_decomposition(bundles):
+    worst = 0.0
+    bad = []
+    for index, (scenario, taxes, abatement) in enumerate(bundles):
+        probes = (abatement, abatement + 0.35, abatement + 0.7)
+        solutions = [solve_equilibrium(scenario, taxes, q) for q in probes]
+        r_values = [decompose(eq)[1] for eq in solutions]
+        if any(not np.array_equal(r_values[0], other) for other in r_values[1:]):
+            bad.append((index, "r not bitwise identical across abatement"))
+            continue
+        for eq in solutions:
+            sigma, r = decompose(eq)
+            recon = float(np.max(np.abs(sigma * r - eq.fleet_array)))
+            worst = max(worst, recon)
+            if recon > 1e-12:
+                bad.append((index, "fleets != sigma*r", recon))
+        sigmas = [np.array(eq.sigma) for eq in solutions]
+        collinear = float(np.max(np.abs(sigmas[0] - 2.0 * sigmas[1] + sigmas[2])))
+        worst = max(worst, collinear)
+        if collinear > 1e-10:
+            bad.append((index, "sigma not affine in abatement", collinear))
+    return _report("decomposition", worst, bad)
+
+
+def bundle_sensitivity_agreement(bundles):
+    worst = 0.0
+    bad = []
+    for index, (scenario, taxes, abatement) in enumerate(bundles):
+        analytic = sensitivities(scenario, taxes, abatement, method=ANALYTIC)
+        numeric = sensitivities(scenario, taxes, abatement, method=FINITE_DIFFERENCE)
+        for name in ("dfleet_dtax", "dfleet_dabatement", "drequired_dtax", "ddebris_dabatement"):
+            a = np.asarray(getattr(analytic, name), dtype=float)
+            b = np.asarray(getattr(numeric, name), dtype=float)
+            scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
+            gap = float(np.max(np.abs(a - b) / scale))
+            worst = max(worst, gap)
+            if gap > 1e-5:
+                bad.append((index, name, gap))
+    return _report("sensitivity_agreement", worst, bad)
+
+
+def bundle_stencil(scenario, rates, abatement):
+    """One bundle's stacked stencil, refusing it as the per-probe loop would."""
+    fleets, survival, stock = _stacked_equilibrium(scenario, rates, abatement)
+    invalid = np.flatnonzero(~((0.0 <= survival) & (survival <= 1.0)))
+    if invalid.size:
+        row = invalid[0]
+        solve_equilibrium(scenario, TaxSchedule.from_array(rates[row]), float(abatement[row]))
+    return fleets, survival, stock
+
+
 def _fd_fleets_tax(scenario, taxes, abatement, sector, market):
     rate = taxes.rate(sector, market)
     h = 1e-6 * max(1.0, abs(rate))
@@ -101,9 +202,9 @@ def loop_sign_suite(bundles):
             [rates + h, rates - h, rates + wide, rates + wide, rates - wide, rates - wide],
             axis=-1,
         )
-        fleets, _, stock = _stencil(
+        fleets, _, stock = bundle_stencil(
             scenario,
-            np.concatenate([rates[None], rates[None], _one_rate_probes(rates, moved)]),
+            np.concatenate([rates[None], rates[None], _one_rate_probes(rates[None], moved[None])[0]]),
             np.array([up, down] + [abatement, abatement, up, down, up, down] * (n * n_markets)),
         )
         d_ab = (fleets[0] - fleets[1]) / (2.0 * h_ab)
@@ -178,18 +279,24 @@ def reference_welfare_quadratic(bundles):
     return _report("welfare_quadratic_in_abatement", worst, bad)
 
 
-PAIRS = [
-    (check_sign_suite, reference_sign_suite),
-    (check_channel_identity, reference_channel_identity),
-    (check_welfare_quadratic, reference_welfare_quadratic),
-]
+# Each batch checker's module name and its reference.
+REFERENCES = {
+    "check_equilibrium_agreement": bundle_equilibrium_agreement,
+    "check_reduction": bundle_reduction,
+    "check_decomposition": bundle_decomposition,
+    "check_sensitivity_agreement": bundle_sensitivity_agreement,
+    "check_sign_suite": reference_sign_suite,
+    "check_channel_identity": reference_channel_identity,
+    "check_welfare_quadratic": reference_welfare_quadratic,
+}
+PAIRS = [(getattr(verification, name), reference) for name, reference in REFERENCES.items()]
 
 
 def outcome(checker, bundles):
     """The report's repr (so float types count), or the raised error's class and message."""
     try:
         return repr(checker(bundles))
-    except OrbitUseError as error:
+    except (OrbitUseError, ValueError) as error:   # ValueError: reducing one sector
         return (type(error).__name__, str(error))
 
 
@@ -200,74 +307,96 @@ def bits(values):
 # -- the stacked evaluator ---------------------------------------------------
 @st.composite
 def stencil_rows(draw):
-    """A scenario and a stack of (rates, abatement) rows, drawn wide.
+    """One to three same-shape scenarios and a stack of (rates, abatement) rows.
 
-    Rates lie slightly outside [0, 1] as stencils probe them; legacy debris
-    reaches past 1/k, so phi = 1 + k(Q - D0) can be negative; one scenario
-    family has phi == 0 exactly at Q = 0; abatement reaches far enough to
-    push survival above 1, so some rows are physically invalid.
+    Each row belongs to one of the scenarios. Drawn wide: rates lie slightly
+    outside [0, 1] as stencils probe them; legacy debris reaches past 1/k,
+    so phi = 1 + k(Q - D0) can be negative; one scenario family has
+    phi == 0 exactly at Q = 0; abatement reaches far enough to push
+    survival above 1, so some rows are physically invalid.
     """
     n_s = draw(st.integers(1, 4))
     n_m = draw(st.integers(n_s, 4))
     log = st.floats(-3.0, 3.0)
-    prices = tuple(math.exp(draw(log)) for _ in range(n_m))
-    costs = tuple(math.exp(draw(log)) for _ in range(n_s))
-    if draw(st.integers(0, 3)) == 0:
-        k, legacy = 0.1, 10.0                       # 1 + 0.1 (0 - 10) == 0.0
-    else:
-        k = draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0)))
-        legacy = draw(st.floats(0.0, 1.5)) / max(k, 0.1)
-    scenario = Scenario(
-        n_markets=n_m,
-        n_sectors=n_s,
-        prices=prices,
-        costs=costs,
-        collision_coeff=k,
-        debris_per_sat=math.exp(draw(st.floats(-1.0, 1.0))),
-        legacy_debris=legacy,
-        catastrophe_threshold=1.0,
-        catastrophe_damages=1.0,
-        abatement_cost=1.0,
-    )
+    scenarios = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 3)) == 0:
+            k, legacy = 0.1, 10.0                       # 1 + 0.1 (0 - 10) == 0.0
+        else:
+            k = draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0)))
+            legacy = draw(st.floats(0.0, 1.5)) / max(k, 0.1)
+        scenarios.append(Scenario(
+            n_markets=n_m,
+            n_sectors=n_s,
+            prices=tuple(math.exp(draw(log)) for _ in range(n_m)),
+            costs=tuple(math.exp(draw(log)) for _ in range(n_s)),
+            collision_coeff=k,
+            debris_per_sat=math.exp(draw(st.floats(-1.0, 1.0))),
+            legacy_debris=legacy,
+            catastrophe_threshold=1.0,
+            catastrophe_damages=1.0,
+            abatement_cost=1.0,
+        ))
     rate = st.one_of(st.just(0.0), st.just(1.0), st.floats(-0.05, 1.05))
     count = draw(st.integers(1, 6))
+    owners = [draw(st.integers(0, len(scenarios) - 1)) for _ in range(count)]
     rates = np.array(
         [[[draw(rate) for _ in range(n_m)] for _ in range(n_s)] for _ in range(count)]
     )
-    abatement = np.array(
-        [
-            draw(st.one_of(st.just(0.0), st.floats(0.0, legacy), st.floats(0.0, 3.0 * legacy + 20.0)))
-            for _ in range(count)
-        ]
-    )
-    return scenario, rates, abatement
+    abatement = np.array([
+        draw(st.one_of(
+            st.just(0.0),
+            st.floats(0.0, scenarios[o].legacy_debris),
+            st.floats(0.0, 3.0 * scenarios[o].legacy_debris + 20.0),
+        ))
+        for o in owners
+    ])
+    return [scenarios[o] for o in owners], rates, abatement
 
 
 @given(stencil_rows())
 @settings(max_examples=200, deadline=None)
 def test_stacked_rows_equal_the_scalar_kernel_bit_for_bit(case):
-    scenario, rates, abatement = case
-    fleets, survival, stock = _stacked_equilibrium(scenario, rates, abatement)
-    welfare = _stacked_welfare(scenario, rates, fleets, survival)
-    for row in range(len(rates)):
-        taxes = TaxSchedule.from_array(rates[row])
-        q = float(abatement[row])
-        try:
-            solved = solve_equilibrium(scenario, taxes, q)
-        except PhysicallyInvalidError as error:
-            assert not 0.0 <= survival[row] <= 1.0
-            assert bits([error.debris.survival, error.debris.stock]) == bits(
+    # One scenario passed as itself, and any mix of them as ScenarioRows.
+    owners, rates, abatement = case
+    stacks = [ScenarioRows.of(owners)]
+    if len(set(owners)) == 1:
+        stacks.append(owners[0])
+    for stack in stacks:
+        fleets, survival, stock = _stacked_equilibrium(stack, rates, abatement)
+        welfare = _stacked_welfare(stack, rates, fleets, survival)
+        for row, scenario in enumerate(owners):
+            taxes = TaxSchedule.from_array(rates[row])
+            q = float(abatement[row])
+            try:
+                solved = solve_equilibrium(scenario, taxes, q)
+            except PhysicallyInvalidError as error:
+                assert not 0.0 <= survival[row] <= 1.0
+                assert bits([error.debris.survival, error.debris.stock]) == bits(
+                    [survival[row], stock[row]]
+                )
+                continue
+            assert bits(solved.fleets) == bits(fleets[row])
+            assert bits([solved.debris.survival, solved.debris.stock]) == bits(
                 [survival[row], stock[row]]
             )
-            continue
-        assert bits(solved.fleets) == bits(fleets[row])
-        assert bits([solved.debris.survival, solved.debris.stock]) == bits(
-            [survival[row], stock[row]]
-        )
-        assert bits(national_welfare(scenario, taxes, q).welfare) == bits(welfare[row])
+            assert bits(national_welfare(scenario, taxes, q).welfare) == bits(welfare[row])
 
 
-# -- the stacked checkers against the per-probe references -------------------
+def test_stacked_revenue_rounds_as_the_one_schedule_product():
+    # The batch kernels take revenue as (R, n, m) @ (R, m, 1) where one
+    # schedule takes (n, m) @ (m,); the two must round alike.
+    rng = np.random.default_rng(5)
+    for n in range(1, 7):
+        for m in range(n, 8):
+            rates = rng.uniform(-0.05, 1.05, (9, n, m))
+            prices = np.exp(rng.uniform(-3.0, 3.0, (9, m)))
+            stacked = ((1.0 - rates) @ prices[:, :, None])[:, :, 0]
+            for row in range(9):
+                assert bits(stacked[row]) == bits((1.0 - rates[row]) @ prices[row]), (n, m)
+
+
+# -- the batch checkers against the per-bundle references ---------------------
 def shifted(bundles, levels=(0.0, 4.0, 40.0)):
     """The bundles at rising abatement: some stencils then leave survival <= 1."""
     return [(s, t, q + levels[i % len(levels)]) for i, (s, t, q) in enumerate(bundles)]
@@ -275,12 +404,41 @@ def shifted(bundles, levels=(0.0, 4.0, 40.0)):
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_stacked_checkers_match_the_per_probe_references(seed):
+    # Per-probe references for the stencil suites, per-bundle ones for the
+    # rest. Both sampled batches mix shapes; so do their interleaving and
+    # the shifted batches, whose failing bundles fall in several shape groups.
     rng = np.random.default_rng(seed)
     interior = _batch(rng, 12, with_taxes=True, sector_range=(2, 6))
     treaty = _batch(rng, 12, with_taxes=True, require_kessler_risk=True, sector_range=(1, 4))
+    mixed = [bundle for pair in zip(treaty, interior) for bundle in pair]
     for stacked, reference in PAIRS:
-        for bundles in (interior, treaty, shifted(interior), shifted(treaty)):
+        for bundles in (interior, treaty, mixed, shifted(interior), shifted(treaty), shifted(mixed)):
             assert outcome(stacked, bundles) == outcome(reference, bundles)
+
+
+def test_batch_checkers_match_on_eight_or_more_sectors():
+    # From eight terms numpy's sums split into partial sums, so only the
+    # left-to-right cumsum keeps reduce_two_player's rho_rest.
+    rng = np.random.default_rng(11)
+    bundles = _batch(rng, 3, with_taxes=True, sector_range=(8, 10))
+    for stacked, reference in PAIRS:
+        assert outcome(stacked, bundles) == outcome(reference, bundles)
+
+
+@pytest.mark.parametrize("name", list(REFERENCES))
+def test_the_lowest_failing_bundle_raises_across_shape_groups(name):
+    # A 4-sector bundle at index 3 and a 2-sector one at index 7 both fail,
+    # with different messages; the batch raises index 3's error.
+    rng = np.random.default_rng(7)
+    bundles = _batch(rng, 10, with_taxes=True, sector_range=(2, 3))
+    four = _batch(rng, 1, with_taxes=True, sector_range=(4, 4))[0]
+    two = _batch(rng, 1, with_taxes=True, sector_range=(2, 2))[0]
+    bundles[3] = (four[0], four[1], 60.0)
+    bundles[7] = (two[0], two[1], 90.0)
+    checker, reference = getattr(verification, name), REFERENCES[name]
+    first, second = outcome(checker, [bundles[3]]), outcome(checker, [bundles[7]])
+    assert isinstance(first, tuple) and isinstance(second, tuple) and first != second
+    assert outcome(checker, bundles) == first == outcome(reference, bundles)
 
 
 def test_stacked_checkers_match_on_degenerate_bundles():
@@ -296,6 +454,7 @@ def test_stacked_checkers_match_on_degenerate_bundles():
     for stacked, reference in PAIRS:
         for end in (1, 2, 3):
             assert outcome(stacked, bundles[:end]) == outcome(reference, bundles[:end])
+            assert outcome(stacked, bundles[end - 1::-1]) == outcome(reference, bundles[end - 1::-1])
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -339,16 +498,21 @@ def test_masked_sign_suite_matches_the_loop_on_failing_bundles():
 def test_masked_sign_suite_counts_a_nan_rebound_as_failing(monkeypatch):
     # The kernel yields no NaN fleets, so the stencil's are poisoned.
     bundles = [(SYM2, TaxSchedule.from_array([[0.1, 0.2], [0.3, 0.0]]), 0.0)]
-    stencil = verification._stencil
+    stencil, one_bundle = verification._stencil, bundle_stencil
 
-    def poisoned(scenario, rates, abatement):
-        fleets, survival, stock = stencil(scenario, rates, abatement)
-        fleets[2::6, 1] = np.nan     # sector 1 at every rate + h probe
+    def poisoned(*args):
+        fleets, survival, stock = stencil(*args)
+        fleets[:, 2::6, 1] = np.nan     # sector 1 at every rate + h probe
+        return fleets, survival, stock
+
+    def poisoned_bundle(scenario, rates, abatement):
+        fleets, survival, stock = one_bundle(scenario, rates, abatement)
+        fleets[2::6, 1] = np.nan
         return fleets, survival, stock
 
     monkeypatch.setattr(verification, "_stencil", poisoned)
     stacked = check_sign_suite(bundles)
-    monkeypatch.setitem(loop_sign_suite.__globals__, "_stencil", poisoned)
+    monkeypatch.setitem(loop_sign_suite.__globals__, "bundle_stencil", poisoned_bundle)
     assert repr(stacked) == repr(loop_sign_suite(bundles))
     assert (0, 0, 0, "rebound not positive") in stacked.counterexamples
 
@@ -360,21 +524,19 @@ def test_invalid_probe_reports_the_same_error_through_run_verification(monkeypat
     bundles = [(SYM2, TaxSchedule.zeros(2, 2), 4.0)]
     monkeypatch.setattr(verification, "_batch", lambda rng, count, **kwargs: bundles)
     args = (SYM2, TaxSchedule.zeros(2, 2), 0.0, 1, 4)
-    stacked = {report.target: report for report in run_verification(*args)}
-    for name, (_, reference) in zip(
-        ("check_sign_suite", "check_channel_identity", "check_welfare_quadratic"), PAIRS
-    ):
+    stacked = run_verification(*args)
+    for name, reference in REFERENCES.items():
         monkeypatch.setattr(verification, name, reference)
-    per_probe = {report.target: report for report in run_verification(*args)}
-    for target in (
-        "comparative_statics_signs",
-        "welfare_channel_identity",
-        "welfare_quadratic_in_abatement",
-    ):
-        report = stacked[target]
-        assert not report.passed
-        assert report.counterexamples[0][0] == "PhysicallyInvalidError"
-        assert report.counterexamples == per_probe[target].counterexamples
+    per_bundle = run_verification(*args)
+    assert repr(stacked) == repr(per_bundle)
+    for report in stacked:
+        if report.target in (
+            "comparative_statics_signs",
+            "welfare_channel_identity",
+            "welfare_quadratic_in_abatement",
+        ):
+            assert not report.passed
+            assert report.counterexamples[0][0] == "PhysicallyInvalidError"
 
 
 # -- verify verdicts of benchmark pool ops -----------------------------------
