@@ -184,6 +184,35 @@ def _stacked_fleets(scenario: Scenario | ScenarioRows, rates: np.ndarray, phi, k
     return phi * on / share, phi / share
 
 
+def _stacked_factors(scenario: Scenario | ScenarioRows, rates: np.ndarray, fleets, survival, kd):
+    """The rest of :func:`solve_equilibrium`'s report on a ``(B, n, m)`` stack.
+
+    From the fleets ``(B, n)`` and survival ``(B, 1)`` of
+    :func:`_stacked_fleets`: sigma, r and each sector's zero-profit
+    residual, ``(B, n)`` each, by ``_equilibrium``'s arithmetic; the
+    report's ``max_profit_residual`` is the row's Python ``max``.
+    """
+    revenue = ((1.0 - rates) @ scenario.price_array[..., None])[..., 0]
+    costs = scenario.cost_array
+    r = revenue / (kd * revenue + costs)
+    sigma = np.divide(fleets, r, out=np.zeros_like(fleets), where=r > 0.0)
+    return sigma, r, np.abs(survival * revenue * fleets - costs * (fleets * fleets))
+
+
+def _stacked_pairs(scenario: Scenario | ScenarioRows, rates: np.ndarray, phi, kd):
+    """Every sector's two-player reduction of a ``(B, n, m)`` stack.
+
+    Returns ``on`` and ``share`` of :func:`_stacked_share`, then ``(B, n)``
+    each: ``rho_rest``, the other sectors' active ``rho`` summed left to
+    right by ``cumsum`` as :func:`reduce_two_player`'s Python ``sum`` adds
+    them, and the pair's share ``1 + kd (rho_i + rho_rest)``.
+    """
+    on, share = _stacked_share(scenario, rates, phi, kd)
+    n = on.shape[1]
+    rest = (on[:, None, :] * ~np.eye(n, dtype=bool)).cumsum(axis=2)[:, :, -1]
+    return on, share, rest, 1.0 + kd * (on + rest)
+
+
 def _one_rate_probes(rates: np.ndarray, moved: np.ndarray) -> np.ndarray:
     """Copies of each schedule in ``rates`` (B, n, m) with one rate moved.
 
@@ -244,15 +273,16 @@ def reduce_two_player(
     ``sum rho`` over the active ones, so a single player with that ``rho``
     (revenue ``rho_rest`` at unit cost) reproduces them. The pair is
     solved by the same identity as the full game, so the chosen sector's
-    fleet and the complement's aggregate match it to round-off.
+    fleet and the complement's aggregate match it to round-off. ``rho_rest``
+    is the one-bundle call of :func:`_stacked_pairs`, which ``verify`` runs
+    on whole batches.
     """
     if scenario.n_sectors < 2:
         raise ValueError("reduction requires at least two sectors")
     if not 0 <= sector < scenario.n_sectors:
         raise IndexError(f"sector index {sector} out of range")
     revenue, rho, phi, kd = _rho_form(scenario, taxes, abatement)
-    active, _ = _share(rho, phi, kd)
-    rho_rest = sum(x for j, (x, on) in enumerate(zip(rho, active)) if on and j != sector)
+    rho_rest = float(_stacked_pairs(scenario, taxes.as_array[None], phi, kd)[2][0, sector])
     return _equilibrium(
         scenario,
         abatement,

@@ -27,7 +27,7 @@ from .open_access import (
     sensitivities,
     solve_equilibrium,
 )
-from .scenario import Scenario, TaxSchedule
+from .scenario import Scenario, ScenarioRows, TaxSchedule
 
 BEST_RESPONSE_VALUE_TIE = 1e-10
 # Most tax rates one best-response pass may stack, (n + 2) 2^(n-1) n m per
@@ -131,6 +131,32 @@ def national_welfare(
     )
 
 
+def _stacked_channels(
+    scenario, rates: np.ndarray, dfleet_dtax: np.ndarray, fleets: np.ndarray, survival: np.ndarray
+):
+    """Cleanup, expansion and reduction ``(B, n, m)`` of stacked equilibria.
+
+    ``scenario`` is a ``ScenarioRows``; ``dfleet_dtax`` is the ``(B, n, n, m)``
+    analytic response, ``fleets`` ``(B, n)`` and ``survival`` ``(B,)``.
+    Entry ``[b, i, j]`` is :func:`welfare_channels` of market j's welfare
+    in sector i's tax at row b. Sums over the responding sector run along
+    a contiguous last axis.
+    """
+    count, n, n_markets = rates.shape
+    dfleet = np.ascontiguousarray(np.moveaxis(dfleet_dtax, 1, -1))    # (B, i, j, a)
+    keep = np.swapaxes(1.0 - rates, 1, 2)[:, None]                    # (B, 1, j, a)
+    others = np.array([[a for a in range(n) if a != i] for i in range(n)], dtype=int)
+    spill = np.take_along_axis(keep * dfleet, others.reshape(1, n, 1, n - 1), axis=3)
+    value = survival[:, None, None] * scenario.price_array[:, None, :]     # survival p_j
+    gross = _stacked_gross(scenario, rates, fleets)[:, None, :]
+    ddebris = scenario.debris_per_sat[:, :, None] * dfleet.sum(axis=3)
+    cleanup = -scenario.collision_coeff[:, :, None] * ddebris * gross
+    expansion = value * spill.sum(axis=3)
+    g, i, j = np.indices((count, n, n_markets), sparse=True)
+    reduction = value * (fleets[:, :, None] - (1.0 - rates) * dfleet_dtax[g, i, i, j])
+    return cleanup, expansion, reduction
+
+
 def welfare_channels(
     scenario: Scenario,
     taxes: TaxSchedule,
@@ -143,28 +169,24 @@ def welfare_channels(
     The cleanup channel carries the full equilibrium debris response; the
     expansion channel aggregates every sector other than the taxed one, so
     the identity total = cleanup + expansion - reduction holds for any
-    number of sectors.
+    number of sectors. This is the one-bundle call of
+    :func:`_stacked_channels`, which ``verify`` runs on whole batches.
     """
     report = sensitivities(scenario, taxes, abatement)
     equilibrium = solve_equilibrium(scenario, taxes, abatement)
-    _, gross, survival = _welfare_arrays(scenario, taxes, equilibrium)
-    fleets = equilibrium.fleet_array
-    rates = taxes.as_array
-    p_j = scenario.prices[market]
-
-    dfleet = report.dfleet_dtax[:, sector, market]
-    ddebris = scenario.debris_per_sat * float(dfleet.sum())
-    keep = 1.0 - rates[:, market]
-
-    cleanup = -scenario.collision_coeff * ddebris * gross[market]
-    others = np.arange(scenario.n_sectors) != sector
-    expansion = survival * p_j * float((keep[others] * dfleet[others]).sum())
-    reduction = survival * p_j * (fleets[sector] - keep[sector] * dfleet[sector])
+    channels = _stacked_channels(
+        ScenarioRows.of([scenario]),
+        taxes.as_array[None],
+        report.dfleet_dtax[None],
+        equilibrium.fleet_array[None],
+        np.array([equilibrium.debris.survival]),
+    )
+    cleanup, expansion, reduction = (float(c[0, sector, market]) for c in channels)
     return ChannelDecomposition(
-        cleanup=float(cleanup),
-        expansion=float(expansion),
-        reduction=float(reduction),
-        total=float(cleanup + expansion - reduction),
+        cleanup=cleanup,
+        expansion=expansion,
+        reduction=reduction,
+        total=cleanup + expansion - reduction,
     )
 
 

@@ -26,7 +26,6 @@ eigenvalues of the assembled map (:func:`_damped_spectral_radius`).
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -122,9 +121,10 @@ def sample_scenario(
             continue
         damages = float(rng.uniform(*DAMAGES_RANGE))
         cost_coeff = float(rng.uniform(*ABATEMENT_COST_RANGE))
-        # The only scenario constraints a draw can break: the fixed ranges
-        # keep every other parameter valid, and kd < 1/2 bounds the products.
-        if n_s < 1 or not 0.0 <= k < math.inf:
+        # The only scenario constraints a draw can break: at least one
+        # sector (from the caller's sector_range) and k >= 0, which also
+        # refuses a NaN k (from its collision_range).
+        if n_s < 1 or not k >= 0.0:
             continue
 
         scenario = Scenario(

@@ -288,6 +288,24 @@ def debris_stock(scenario: Scenario, total_fleet: float, abatement: float) -> De
     )
 
 
+def _stacked_profit(
+    scenario, rates: np.ndarray, fleets: np.ndarray, abatement: np.ndarray
+) -> np.ndarray:
+    """Net profit ``(B, n)`` of every sector of stacked fleets ``(B, n)``.
+
+    Row b is :func:`sector_profit` under ``rates[b]`` (a ``(B, n, m)``
+    stack) at ``abatement[b]``; ``scenario`` is one scenario or a
+    :class:`ScenarioRows`. Each ``size**2`` is a numpy scalar power, as in
+    the one-row call: libm's ``pow`` can round apart from numpy's array square.
+    """
+    total = fleets.sum(axis=1, keepdims=True)
+    stock = scenario.debris_per_sat * total + scenario.legacy_debris - abatement[:, None]
+    revenue = ((1.0 - rates) @ scenario.price_array[..., None])[..., 0]
+    squares = np.array([size**2 for size in fleets.ravel()]).reshape(fleets.shape)
+    survival = 1.0 - scenario.collision_coeff * stock
+    return survival * revenue * fleets - scenario.cost_array * squares
+
+
 def sector_profit(
     scenario: Scenario,
     taxes: TaxSchedule,
@@ -298,14 +316,17 @@ def sector_profit(
     """Net profit of one sector given the full fleet vector.
 
     Zero at any open-access equilibrium; meaningful off equilibrium too.
+    The one-bundle call of :func:`_stacked_profit`, which ``verify`` runs
+    on whole batches.
     """
     fleets = np.asarray(fleets, dtype=float)
     if not 0 <= sector < scenario.n_sectors:
         raise IndexError(f"sector index {sector} out of range [0, {scenario.n_sectors})")
-    state = debris_stock(scenario, float(fleets.sum()), abatement)
-    revenue_weight = effective_prices(scenario, taxes)[sector]
-    size = fleets[sector]
-    return state.survival * revenue_weight * size - scenario.costs[sector] * size**2
+    rates = taxes.as_array
+    if rates.shape != (scenario.n_sectors, scenario.n_markets):
+        raise ScenarioShapeError(scenario, rates.shape)
+    profits = _stacked_profit(scenario, rates[None], fleets[None], np.array([abatement], dtype=float))
+    return profits[0, sector]
 
 
 # Reference scenarios used across the test and verification suites.

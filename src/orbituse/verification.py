@@ -32,8 +32,9 @@ from .open_access import (
     _one_rate_probes,
     _phi,
     _stacked_equilibrium,
+    _stacked_factors,
     _stacked_fleets,
-    _stacked_share,
+    _stacked_pairs,
     reduce_two_player,
     sensitivities,
     solve_equilibrium,
@@ -44,9 +45,9 @@ from .oracle import (
     grid_maximize,
     iterate_open_access,
 )
-from .regulation import _stacked_gross, _stacked_welfare, national_welfare
+from .regulation import _stacked_channels, _stacked_welfare, national_welfare
 from .sampling import sample_scenario
-from .scenario import Scenario, ScenarioRows, TaxSchedule
+from .scenario import Scenario, ScenarioRows, TaxSchedule, _stacked_profit
 from .treaty import _both_variants, abatement_payoff
 
 Bundle = tuple[Scenario, TaxSchedule, float]
@@ -135,24 +136,20 @@ def _fold(target: str, found: dict, bound: float) -> OracleReport:
 def check_equilibrium_agreement(bundles: list[Bundle]) -> OracleReport:
     """Closed-form solve vs damped iteration, plus the zero-profit condition.
 
-    The closed form of every bundle is one stacked pass per shape; the
-    iteration oracle still runs per bundle, in bundle order.
+    The closed form of every bundle is one stacked pass per shape, with
+    the solve's profit residual and :func:`~orbituse.scenario.sector_profit`
+    by their stacked forms; the iteration oracle still runs per bundle, in
+    bundle order.
     """
     closed = {}
     for indices, rows, rates, abatement in _by_shape(bundles):
         column = abatement[:, None]
         phi, kd = _phi(rows, column)
         fleets, survival = _stacked_fleets(rows, rates, phi, kd)
-        revenue = ((1.0 - rates) @ rows.price_array[..., None])[..., 0]
-        costs = rows.cost_array
         valid = ((0.0 <= survival) & (survival <= 1.0))[:, 0]
-        # The solve's profit residual, and sector_profit's: its survival is
-        # 1 - k stock, and its size**2 is a numpy scalar power, which libm's
-        # pow can round apart from numpy's array square.
-        residual = np.abs(survival * revenue * fleets - costs * (fleets * fleets))
-        stock = rows.debris_per_sat * fleets.sum(axis=1, keepdims=True) + rows.legacy_debris - column
-        squares = np.array([f ** 2 for f in fleets.ravel()]).reshape(fleets.shape)
-        profit = np.abs((1.0 - rows.collision_coeff * stock) * revenue * fleets - costs * squares)
+        # The solve's own profit residual, and sector_profit's.
+        _, _, residual = _stacked_factors(rows, rates, fleets, survival, kd)
+        profit = np.abs(_stacked_profit(rows, rates, fleets, abatement))
         for g, index in enumerate(indices):
             closed[index] = valid[g], fleets[g], residual[g].tolist(), profit[g]
     worst = 0.0
@@ -182,20 +179,18 @@ def _reduce_each_sector(scenario, taxes, abatement) -> None:
 def check_reduction(bundles: list[Bundle]) -> OracleReport:
     """Two-player collapse preserves each sector and the complement total.
 
-    Each sector's pair is player one and the rest of the world with
-    ``rho_rest``, the left-to-right sum of the other active ``rho``, solved
-    by the arithmetic of :func:`reduce_two_player`, which runs only to
-    raise a failing bundle's error. Every pair of a shape group is one stack.
+    Each sector's pair is player one and the rest of the world with the
+    ``rho_rest`` of :func:`reduce_two_player`, both from its stacked form
+    ``_stacked_pairs``; ``reduce_two_player`` itself runs only to raise a
+    failing bundle's error. Every pair of a shape group is one stack.
     """
     found = {}
     failures = {}
     for indices, rows, rates, abatement in _by_shape(bundles):
         n = rates.shape[1]
         phi, kd = _phi(rows, abatement[:, None])
-        on, share = _stacked_share(rows, rates, phi, kd)
+        on, share, rest, pair_share = _stacked_pairs(rows, rates, phi, kd)
         fleets = phi * on / share
-        rest = (on[:, None, :] * ~np.eye(n, dtype=bool)).cumsum(axis=2)[:, :, -1]
-        pair_share = 1.0 + kd * (on + rest)
         own_gap = np.abs(phi * on / pair_share - fleets)
         rest_gap = np.abs(phi * rest / pair_share - (fleets.sum(axis=1)[:, None] - fleets))
         residual = np.where(rest_gap > own_gap, rest_gap, own_gap)
@@ -214,8 +209,8 @@ def check_decomposition(bundles: list[Bundle]) -> OracleReport:
     """r is abatement-free bitwise; fleets = sigma * r; sigma affine in Q.
 
     The three abatement probes of every bundle of a shape are one stack;
-    ``r = rev/(kd rev + m)`` and ``sigma = f/r`` are evaluated per probe as
-    :func:`solve_equilibrium` reports them.
+    each probe's ``r`` and ``sigma`` are :func:`solve_equilibrium`'s, by its
+    stacked form ``_stacked_factors``.
     """
     found = {}
     failures = {}
@@ -223,12 +218,16 @@ def check_decomposition(bundles: list[Bundle]) -> OracleReport:
         count, n, n_markets = rates.shape
         probes = np.repeat(rates[:, None], 3, axis=1)
         levels = np.stack([abatement, abatement + 0.35, abatement + 0.7], axis=1)
-        fleets, _, _ = _stencil(bundles, indices, rows, probes, levels, failures)
+        fleets, survival, _ = _stencil(bundles, indices, rows, probes, levels, failures)
         tripled = rows.repeat(3)
-        revenue = ((1.0 - probes.reshape(-1, n, n_markets)) @ tripled.price_array[..., None])[..., 0]
-        kd = tripled.collision_coeff * tripled.debris_per_sat
-        r = (revenue / (kd * revenue + tripled.cost_array)).reshape(count, 3, n)
-        sigma = np.divide(fleets, r, out=np.zeros_like(fleets), where=r > 0.0)
+        sigma, r, _ = _stacked_factors(
+            tripled,
+            probes.reshape(-1, n, n_markets),
+            fleets.reshape(-1, n),
+            survival.reshape(-1, 1),
+            tripled.collision_coeff * tripled.debris_per_sat,
+        )
+        sigma, r = sigma.reshape(count, 3, n), r.reshape(count, 3, n)
         same_r = np.all(r[:, 1:] == r[:, :1], axis=(1, 2))
         recon = np.max(np.abs(sigma * r - fleets), axis=2).tolist()
         collinear = np.max(np.abs(sigma[:, 0] - 2.0 * sigma[:, 1] + sigma[:, 2]), axis=1).tolist()
@@ -370,12 +369,14 @@ def check_sign_suite(bundles: list[Bundle]) -> OracleReport:
 def check_channel_identity(bundles: list[Bundle]) -> OracleReport:
     """cleanup + expansion - reduction equals the FD welfare derivative.
 
-    The channels are those of :func:`~orbituse.regulation.welfare_channels`
-    from the analytic sensitivities. The derivative is Richardson-extrapolated:
-    the plain central difference at h = 1e-6 cannot resolve the 1e-9 absolute
-    identity tolerance once welfare reaches O(100); central differences at
-    h = 1e-3 max(1, |rate|) and h/2 combined to fourth order can. The 4 n m
-    welfare probes of every bundle of a shape are solved as one stack.
+    The channels are :func:`~orbituse.regulation.welfare_channels` of every
+    (sector, market) of a shape group at once, by its stacked form
+    ``_stacked_channels`` on the analytic sensitivities. The derivative is
+    Richardson-extrapolated: the plain central difference at h = 1e-6 cannot
+    resolve the 1e-9 absolute identity tolerance once welfare reaches O(100);
+    central differences at h = 1e-3 max(1, |rate|) and h/2 combined to
+    fourth order can. The 4 n m welfare probes of every bundle of a shape are
+    solved as one stack.
     """
     found = {}
     failures = {}
@@ -404,18 +405,7 @@ def check_channel_identity(bundles: list[Bundle]) -> OracleReport:
             4.0 * ((own[..., 0] - own[..., 1]) / (2.0 * half))
             - (own[..., 2] - own[..., 3]) / (2.0 * h)
         ) / 3.0
-        # The channels per (sector, market) as welfare_channels adds them:
-        # dfleet over the responding sector a is summed as its own axis.
-        dfleet = np.ascontiguousarray(np.moveaxis(dfleet_dtax, 1, -1))    # (G, i, j, a)
-        keep = np.swapaxes(1.0 - rates, 1, 2)[:, None]                    # (G, 1, j, a)
-        others = np.array([[a for a in range(n) if a != sector] for sector in range(n)], dtype=int)
-        spill = np.take_along_axis(keep * dfleet, others.reshape(1, n, 1, n - 1), axis=3)
-        value = survival[:, None, None] * rows.price_array[:, None, :]     # survival p_j
-        gross = _stacked_gross(rows, rates, fleets)[:, None, :]
-        ddebris = rows.debris_per_sat[:, :, None] * dfleet.sum(axis=3)
-        cleanup = -rows.collision_coeff[:, :, None] * ddebris * gross
-        expansion = value * spill.sum(axis=3)
-        reduction = value * (fleets[:, :, None] - (1.0 - rates) * dfleet_dtax[g, i, i, j])
+        cleanup, expansion, reduction = _stacked_channels(rows, rates, dfleet_dtax, fleets, survival)
         gaps = np.abs(cleanup + expansion - reduction - fd).tolist()
         for g, index in enumerate(indices):
             found[index] = [

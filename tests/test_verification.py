@@ -27,6 +27,7 @@ from orbituse.open_access import (
     FINITE_DIFFERENCE,
     _one_rate_probes,
     _stacked_equilibrium,
+    _stacked_factors,
     decompose,
     reduce_two_player,
     sensitivities,
@@ -365,6 +366,8 @@ def test_stacked_rows_equal_the_scalar_kernel_bit_for_bit(case):
     for stack in stacks:
         fleets, survival, stock = _stacked_equilibrium(stack, rates, abatement)
         welfare = _stacked_welfare(stack, rates, fleets, survival)
+        kd = stack.collision_coeff * stack.debris_per_sat
+        sigma, r, residual = _stacked_factors(stack, rates, fleets, survival[:, None], kd)
         for row, scenario in enumerate(owners):
             taxes = TaxSchedule.from_array(rates[row])
             q = float(abatement[row])
@@ -381,6 +384,9 @@ def test_stacked_rows_equal_the_scalar_kernel_bit_for_bit(case):
                 [survival[row], stock[row]]
             )
             assert bits(national_welfare(scenario, taxes, q).welfare) == bits(welfare[row])
+            assert bits(solved.sigma) == bits(sigma[row])
+            assert bits(solved.r) == bits(r[row])
+            assert bits([solved.max_profit_residual]) == bits([max(residual[row].tolist(), default=0.0)])
 
 
 def test_stacked_revenue_rounds_as_the_one_schedule_product():
@@ -455,6 +461,75 @@ def test_stacked_checkers_match_on_degenerate_bundles():
         for end in (1, 2, 3):
             assert outcome(stacked, bundles[:end]) == outcome(reference, bundles[:end])
             assert outcome(stacked, bundles[end - 1::-1]) == outcome(reference, bundles[end - 1::-1])
+
+
+# -- the public one-bundle calls against the scalar formulas they replaced ----
+def scalar_welfare_channels(scenario, taxes, abatement, sector, market):
+    report = sensitivities(scenario, taxes, abatement)
+    equilibrium = solve_equilibrium(scenario, taxes, abatement)
+    fleets = equilibrium.fleet_array
+    rates = taxes.as_array
+    gross = scenario.price_array * ((1.0 - rates).T @ fleets)
+    survival = equilibrium.debris.survival
+    p_j = scenario.prices[market]
+    dfleet = report.dfleet_dtax[:, sector, market]
+    ddebris = scenario.debris_per_sat * float(dfleet.sum())
+    keep = 1.0 - rates[:, market]
+    cleanup = -scenario.collision_coeff * ddebris * gross[market]
+    others = np.arange(scenario.n_sectors) != sector
+    expansion = survival * p_j * float((keep[others] * dfleet[others]).sum())
+    reduction = survival * p_j * (fleets[sector] - keep[sector] * dfleet[sector])
+    return [cleanup, expansion, reduction, cleanup + expansion - reduction]
+
+
+def scalar_sector_profit(scenario, taxes, fleets, abatement, sector):
+    fleets = np.asarray(fleets, dtype=float)
+    total = float(fleets.sum())
+    survival = 1.0 - scenario.collision_coeff * (
+        scenario.debris_per_sat * total + scenario.legacy_debris - abatement
+    )
+    revenue = ((1.0 - taxes.as_array) @ scenario.price_array)[sector]
+    size = fleets[sector]
+    return survival * revenue * size - scenario.costs[sector] * size**2
+
+
+def scalar_rho_rest(scenario, taxes, abatement, sector):
+    revenue = (1.0 - taxes.as_array) @ scenario.price_array
+    rho = [w / m for w, m in zip(revenue.tolist(), scenario.costs)]
+    phi = 1.0 + scenario.collision_coeff * (abatement - scenario.legacy_debris)
+    return sum(x for j, x in enumerate(rho) if phi > 0.0 and x > 0.0 and j != sector)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_public_one_bundle_calls_match_their_scalar_formulas(seed):
+    # verify runs welfare_channels, sector_profit and reduce_two_player's
+    # rho_rest by their stacked forms; the public calls are one-row calls
+    # of the same kernels and must keep the scalar formulas' bits.
+    rng = np.random.default_rng(seed)
+    bundles = _batch(rng, 30, with_taxes=True, sector_range=(1, 6))
+    bundles += [(s, t, 0.4) for s, t, _ in _batch(rng, 10, with_taxes=True, sector_range=(2, 9))]
+    for scenario, taxes, abatement in bundles:
+        solved = solve_equilibrium(scenario, taxes, abatement)
+        for sector in range(scenario.n_sectors):
+            assert bits(sector_profit(scenario, taxes, solved.fleets, abatement, sector)) == bits(
+                scalar_sector_profit(scenario, taxes, solved.fleets, abatement, sector)
+            )
+            if scenario.n_sectors >= 2:
+                pair = reduce_two_player(scenario, taxes, abatement, sector)
+                rest = scalar_rho_rest(scenario, taxes, abatement, sector)
+                kd = scenario.collision_coeff * scenario.debris_per_sat
+                assert bits(pair.r[1]) == bits(rest / (kd * rest + 1.0))
+            for market in range(scenario.n_markets):
+                try:
+                    channels = welfare_channels(scenario, taxes, abatement, sector, market)
+                except OrbitUseError as error:
+                    with pytest.raises(type(error)):
+                        scalar_welfare_channels(scenario, taxes, abatement, sector, market)
+                    continue
+                expected = scalar_welfare_channels(scenario, taxes, abatement, sector, market)
+                assert bits(
+                    [channels.cleanup, channels.expansion, channels.reduction, channels.total]
+                ) == bits(expected)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
