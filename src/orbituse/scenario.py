@@ -243,6 +243,13 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             report.append("sum(prices) / min(costs) must be finite")
         if not math.isfinite(kd * rho) and not report:
             report.append("collision_coeff * debris_per_sat * sum(prices) / min(costs) must be finite")
+        if not report:
+            # The profit residual squares each fleet (<= rho); a market's
+            # gross value is its price times the n fleets summed.
+            if not math.isfinite(max(scenario.costs) * (rho * rho)):
+                report.append("max(costs) * (sum(prices) / min(costs))**2 must be finite")
+            if not math.isfinite(scenario.n_sectors * (sum(scenario.prices) * rho)):
+                report.append("n_sectors * sum(prices) * sum(prices) / min(costs) must be finite")
     return report
 
 

@@ -139,21 +139,34 @@ class TestCommands:
             # Each factor is finite, their product is not.
             (["scenario.k=1e200", "scenario.p=1e200,1e200"],
              "collision_coeff * debris_per_sat * sum(prices) / min(costs) must be finite"),
+            # At k = 0 each fleet is its rho: squaring one overflows.
+            (["scenario.k=0", "scenario.p=1e-10,1e-10", "scenario.m=1e-170,1"],
+             "max(costs) * (sum(prices) / min(costs))**2 must be finite"),
+            # Each fleet squares, but a market's price times the fleets summed
+            # over both sectors overflows.
+            (["scenario.k=0", "scenario.p=1e154,1e-300"],
+             "n_sectors * sum(prices) * sum(prices) / min(costs) must be finite"),
+            # Both: welfare and the profit residual were Infinity and NaN.
+            (["scenario.k=0", "scenario.p=1e200,1e200"],
+             ["max(costs) * (sum(prices) / min(costs))**2 must be finite",
+              "n_sectors * sum(prices) * sum(prices) / min(costs) must be finite"]),
         ],
     )
-    @pytest.mark.parametrize("command", ["solve", "regulate", "treaty", "verify"])
+    @pytest.mark.parametrize("command", ["solve", "regulate", "treaty", "verify", "sweep"])
     def test_overflowing_products_exit_2(self, capsys, command, overrides, violation):
         argv = [command, "--scenario", str(FIXTURE)] + [
             part for override in overrides for part in ("--set", override)
         ]
         if command == "verify":
             argv += ["--seed", "1", "--random-count", "1"]
+        if command == "sweep":
+            argv += ["--sweep", "scenario.D0:0:1:2"]
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1
         payload = json.loads(err, parse_constant=_reject_constant)
         assert payload["error"] == "ScenarioValidationError"
-        assert payload["violations"] == [violation]
+        assert payload["violations"] == (violation if isinstance(violation, list) else [violation])
 
     @pytest.mark.parametrize(
         "command, override, field",

@@ -250,11 +250,20 @@ def reference_responses(scenario, rates, abatement, markets):
 def response_cases(draw):
     """1-4 sectors, n or n + 1 markets, rates in {0, 1, U[0, 1]}.
 
-    A sixth of the draws have k = 0, a sixth put phi = 1 + k(Q - D0) at or
-    below 0 at Q = 0, a sixth have Q = 0, and half abate until the stock
-    bound cuts off the best column of some market, most of them keeping
-    every market's untaxed column (see ``binding_abatement``): only there
-    can a crossing win, and only a crossing reads the revenue ``a``.
+    An eighth of the draws have k = 0, an eighth put phi = 1 + k(Q - D0) at
+    or below 0 at Q = 0, an eighth have Q = 0, an eighth put Q at D0 or
+    just either side of it, and half abate until the stock bound
+    cuts off the best column of some market, most of them keeping every
+    market's untaxed column (see ``binding_abatement``): only there can a
+    crossing win, and only a crossing reads the revenue ``a``.
+
+    Near D0 the crossing bound phi (1 + CROSSING_MARGIN) passes 1, which
+    decides whether a pass stacks the crossings. Half of those draws tax
+    every market but one fully, so that one market's all-taxed column has
+    share exactly 1 and a crossing lies just inside its edges once the
+    bound passes 1; a third raise one rate a little above 1 on the
+    unvalidated schedule, so that shares below 1 (and crossings below the
+    bound) exist at phi < 1 too.
     """
     n_s = draw(st.integers(1, 4))
     n_m = n_s + draw(st.integers(0, 1))
@@ -265,12 +274,18 @@ def response_cases(draw):
     d = math.exp(draw(st.floats(-1.0, 1.0)))
     rate = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
     rates = np.array([[draw(rate) for _ in range(n_m)] for _ in range(n_s)])
-    kind = draw(st.sampled_from(("k = 0", "phi <= 0", "Q = 0") + ("Q binds",) * 3))
+    kind = draw(st.sampled_from(("k = 0", "phi <= 0", "Q = 0", "Q near D0") + ("Q binds",) * 4))
     legacy = draw(st.floats(0.0, 0.9)) / k
     if kind == "k = 0":
         k = 0.0
     elif kind == "phi <= 0":
         legacy = draw(st.one_of(st.just(1.0), st.floats(1.0, 1.5))) / k
+    elif kind == "Q near D0":
+        if draw(st.booleans()):
+            rates[:, np.arange(n_m) != draw(st.integers(0, n_m - 1))] = 1.0
+        if draw(st.integers(0, 2)) == 0:
+            above = draw(st.sampled_from((np.nextafter(1.0, 2.0), 1.0 + 1e-9, 1.0 + 1e-3)))
+            rates[draw(st.integers(0, n_s - 1)), draw(st.integers(0, n_m - 1))] = above
     scenario = Scenario(
         n_markets=n_m,
         n_sectors=n_s,
@@ -286,6 +301,11 @@ def response_cases(draw):
     abatement = 0.0
     if kind == "Q binds":
         abatement = binding_abatement(scenario, rates, draw(st.floats(0.0, 1.05)))
+    elif kind == "Q near D0":
+        # k (Q - D0) is 0 or twice CROSSING_MARGIN either way, so that the
+        # crossing bound lands clear of 1 on each side.
+        step = draw(st.sampled_from((-2.0, 0.0, 2.0))) * CROSSING_MARGIN
+        abatement = legacy + step / k
     return scenario, rates, abatement
 
 
@@ -518,7 +538,21 @@ class TestStackedBestResponses:
         scenario, rates, abatement = case
         markets = range(scenario.n_markets)
         reference = outcome(reference_responses, scenario, rates, abatement, markets)
-        assert outcome(lambda: _responder(scenario, abatement, markets)(rates)) == reference
+        rows = []
+
+        def recorded(scenario, stack, phi, kd):
+            rows.append(stack.shape[0] // len(markets))
+            return _stacked_fleets(scenario, stack, phi, kd)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(regulation, "_stacked_fleets", recorded)
+            assert outcome(lambda: _responder(scenario, abatement, markets)(rates)) == reference
+        # A pass stacks only the 2^n vertices when no crossing can lie in
+        # (0, 1): the crossing bound is below 1 and no rate is above 1.
+        phi, _ = _phi(scenario, abatement)
+        n = scenario.n_sectors
+        vertex_only = phi * (1.0 + CROSSING_MARGIN) < 1.0 and (rates <= 1.0).all()
+        assert rows == [2**n if vertex_only else (n + 2) * 2 ** (n - 1)]
         market = scenario.n_markets - 1
         single = outcome(
             reference_best_response_taxes,
@@ -564,7 +598,8 @@ class TestStackedBestResponses:
         monkeypatch.setattr(regulation, "CANDIDATE_BUDGET", budget)
         monkeypatch.setattr(regulation, "_stacked_fleets", recorded)
         assert [outcome(lambda: _responder(scenario, q, range(m))(rates)) for q in abatements] == expected
-        assert stacked == [budget] * (2 * m)
+        # At Q = 0 phi < 1 and each pass stacks only the vertices.
+        assert stacked == [2**n * n * m] * m + [budget] * m
         assert outcome(regulatory_equilibrium, scenario, 0.0, taxes) == loop
         assert max(stacked) == budget
 
