@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orbituse import (
     HIDEB,
@@ -309,6 +309,18 @@ def response_cases(draw):
     return scenario, rates, abatement
 
 
+def near_d0(steps, above=None):
+    """A ``response_cases`` case on SYM2 with D0 = 2, market 1 fully taxed
+    (or one of its rates at ``above``), and k (Q - D0) ``steps`` times
+    CROSSING_MARGIN."""
+    scenario = replace(SYM2, legacy_debris=2.0)
+    rates = np.array([[0.0, 1.0], [0.5, 1.0]])
+    if above is not None:
+        rates[0, 1] = above
+    step = steps * CROSSING_MARGIN / scenario.collision_coeff
+    return scenario, rates, scenario.legacy_debris + step
+
+
 def binding_abatement(scenario, rates, u):
     """Abatement putting phi = 1 + k(Q - D0) a share u of the way from the
     least share of a market's best column to the least share of a market's
@@ -533,6 +545,12 @@ class TestCandidateBudget:
 
 class TestStackedBestResponses:
     @given(response_cases())
+    @example(near_d0(-2.0))
+    @example(near_d0(0.0))
+    @example(near_d0(2.0))
+    @example(near_d0(-2.0, above=np.nextafter(1.0, 2.0)))
+    @example((replace(SYM2, collision_coeff=0.0), np.array([[0.0, 1.0], [0.5, 1.0]]), 0.0))
+    @example((replace(SYM2, legacy_debris=10.0), np.array([[0.0, 1.0], [0.5, 1.0]]), 0.0))
     @settings(max_examples=500, deadline=None)
     def test_matches_the_per_market_reference_bitwise(self, case):
         scenario, rates, abatement = case
