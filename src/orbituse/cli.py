@@ -28,7 +28,6 @@ import numpy as np
 
 from . import __version__
 from .errors import (
-    NoConvergenceError,
     OrbitUseError,
     OverrideError,
     ScenarioParseError,
@@ -75,6 +74,17 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+def _strict(value):
+    """``value`` with every non-finite float as None, so it dumps as strict JSON."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return value
 
 
 def _report_text(report: dict, output_format: str) -> str:
@@ -239,53 +249,44 @@ def execute(args: argparse.Namespace) -> int:
         if args.command == "sweep":
             header, rows = _sweep_rows(bundle, args.sweep)
             if args.output_format == "json":
-                # Strict JSON has no NaN or Infinity: failed cells become null.
-                payload = [
-                    {
-                        name: None if isinstance(v, float) and not math.isfinite(v) else v
-                        for name, v in zip(header, row)
-                    }
-                    for row in rows
-                ]
-                _emit(json.dumps(payload, indent=2), args.out)
+                # Failed cells are NaN, written as null.
+                payload = [dict(zip(header, row)) for row in rows]
+                _emit(json.dumps(_strict(payload), indent=2), args.out)
             else:
                 _emit(rows_to_csv(header, rows), args.out)
             return EXIT_OK
-        if args.command == "verify":
-            if args.seed is None:
-                sys.stderr.write(
-                    json.dumps(
-                        {
-                            "error": "MissingSeed",
-                            "message": "verify requires --seed for reproducible batches",
-                        }
-                    )
-                    + "\n"
+        # verify: the parser admits no other command.
+        if args.seed is None:
+            sys.stderr.write(
+                json.dumps(
+                    {
+                        "error": "MissingSeed",
+                        "message": "verify requires --seed for reproducible batches",
+                    }
                 )
-                return EXIT_VALIDATION
-            reports = run_verification(
-                bundle.scenario,
-                bundle.taxes,
-                bundle.abatement,
-                seed=args.seed,
-                random_count=args.random_count,
+                + "\n"
             )
-            digest = {
-                "seed": args.seed,
-                "reports": [dataclasses.asdict(r) for r in reports],
-            }
-            for item in reports:
-                status = "PASS" if item.passed else "FAIL"
-                sys.stdout.write(
-                    f"{status} {item.target} max_residual={item.max_residual:.3e} "
-                    f"counterexamples={len(item.counterexamples)}\n"
-                )
-            _emit(json.dumps(digest, indent=2, default=str), args.out)
-            return EXIT_OK if all(r.passed for r in reports) else EXIT_ERROR
-        raise ValueError(f"unknown command {args.command!r}")
-    except NoConvergenceError as error:
-        sys.stderr.write(json.dumps(_error_object(error)) + "\n")
-        return EXIT_NO_CONVERGENCE
+            return EXIT_VALIDATION
+        reports = run_verification(
+            bundle.scenario,
+            bundle.taxes,
+            bundle.abatement,
+            seed=args.seed,
+            random_count=args.random_count,
+        )
+        digest = {
+            "seed": args.seed,
+            "reports": [dataclasses.asdict(r) for r in reports],
+        }
+        for item in reports:
+            status = "PASS" if item.passed else "FAIL"
+            sys.stdout.write(
+                f"{status} {item.target} max_residual={item.max_residual:.3e} "
+                f"counterexamples={len(item.counterexamples)}\n"
+            )
+        # A checker that raised has a NaN max_residual, written as null.
+        _emit(json.dumps(_strict(digest), indent=2, default=str), args.out)
+        return EXIT_OK if all(r.passed for r in reports) else EXIT_ERROR
     except OrbitUseError as error:
         sys.stderr.write(json.dumps(_error_object(error)) + "\n")
         return EXIT_ERROR

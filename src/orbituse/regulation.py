@@ -90,19 +90,9 @@ class RegulatoryEquilibrium:
     update_trace: tuple[float, ...]
 
 
-def _welfare_arrays(
-    scenario: Scenario, taxes: TaxSchedule, equilibrium: OpenAccessEquilibrium
-) -> tuple[np.ndarray, np.ndarray, float]:
-    fleets = equilibrium.fleet_array
-    kept = (1.0 - taxes.as_array).T @ fleets          # services landing in each market
-    gross = scenario.price_array * kept
-    survival = equilibrium.debris.survival
-    return survival * gross, gross, survival
-
-
 def _stacked_gross(scenario, rates: np.ndarray, fleets: np.ndarray) -> np.ndarray:
-    """Per-market gross value ``(B, m)`` of stacked equilibria, bit for bit
-    :func:`national_welfare`'s; ``scenario`` may be a ``ScenarioRows``."""
+    """Per-market gross value ``(B, m)`` of stacked equilibria; ``scenario`` may
+    be a ``ScenarioRows``. :func:`national_welfare` is its one-row call."""
     kept = (np.swapaxes(1.0 - rates, 1, 2) @ fleets[:, :, None])[:, :, 0]
     return scenario.price_array * kept
 
@@ -123,9 +113,10 @@ def national_welfare(
     does not internalize them.
     """
     equilibrium = solve_equilibrium(scenario, taxes, abatement)
-    welfare, gross, survival = _welfare_arrays(scenario, taxes, equilibrium)
+    gross = _stacked_gross(scenario, taxes.as_array[None], equilibrium.fleet_array[None])[0]
+    survival = equilibrium.debris.survival
     return WelfareReport(
-        welfare=tuple(float(w) for w in welfare),
+        welfare=tuple(float(w) for w in survival * gross),
         gross_value=tuple(float(g) for g in gross),
         survival=float(survival),
     )

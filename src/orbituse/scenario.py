@@ -250,6 +250,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                 report.append("max(costs) * (sum(prices) / min(costs))**2 must be finite")
             if not math.isfinite(scenario.n_sectors * (sum(scenario.prices) * rho)):
                 report.append("n_sectors * sum(prices) * sum(prices) / min(costs) must be finite")
+            # The debris stock adds d times the n fleets summed to the legacy debris.
+            stock = scenario.legacy_debris + scenario.debris_per_sat * (scenario.n_sectors * rho)
+            if not math.isfinite(stock):
+                report.append("legacy_debris + debris_per_sat * n_sectors * sum(prices) / min(costs) must be finite")
     return report
 
 

@@ -6,15 +6,16 @@ command runs all of them on the loaded scenario plus seeded random
 batches; the acceptance tests run the same checkers at their full batch
 sizes.
 
-The stencil and solve checkers evaluate their whole batch as arrays: the
-bundles are grouped by shape ``(n_sectors, n_markets)`` and each group is
-one stacked pass, with one scenario per row (:class:`ScenarioRows`). Every
-row repeats the one-bundle arithmetic bit for bit, so each report equals
-the one a per-bundle loop builds: counterexamples in bundle order, and
-residuals folded over the same values in the same order. Where a
-per-bundle loop would raise, the lowest-index failing bundle's own
-per-bundle calls are re-run, so the same error is raised with the same
-message.
+The stencil and solve checkers evaluate their batch through one driver,
+:func:`_batched`. It groups the bundles by shape ``(n_sectors, n_markets)``,
+has the checker evaluate each group as one stacked pass with one scenario
+per row (:class:`ScenarioRows`), and hands back every bundle's entries in
+bundle order. Every row repeats the one-bundle arithmetic bit for bit, so
+each report equals the one a per-bundle loop builds: counterexamples in
+bundle order, and residuals folded over the same values in the same order.
+Where a per-bundle loop would raise, the checker records the bundle, and
+the driver re-runs the lowest-index recorded bundle's own per-bundle calls,
+which raise the same error with the same message.
 """
 
 from __future__ import annotations
@@ -66,39 +67,44 @@ def _report(target, residual, counterexamples) -> OracleReport:
     )
 
 
-def _by_shape(bundles: list[Bundle]):
-    """Per bundle shape: the bundle indices, their ScenarioRows, rates ``(G, n, m)``
-    and abatement ``(G,)``. Groups come in order of first appearance."""
+def _batched(bundles: list[Bundle], evaluate) -> list[tuple]:
+    """Every bundle's entries in bundle order, each prefixed with its bundle index.
+
+    The batch is grouped by shape ``(n_sectors, n_markets)`` and
+    ``evaluate(group, rows, rates, abatement, refuse)`` runs once per group:
+    ``group`` lists its bundles, ``rows`` is their ScenarioRows, ``rates``
+    ``(G, n, m)`` and ``abatement`` ``(G,)``. It returns each bundle's list
+    of entries, and records with ``refuse(g, call)`` a bundle whose
+    per-bundle calls would raise, ``call`` repeating them up to the one that
+    fails; a bundle's first record is kept. If any bundle was recorded, the
+    lowest-index one's call is run, which raises the per-bundle loop's error.
+    """
     groups: dict[tuple[int, int], list[int]] = {}
     for index, (scenario, _, _) in enumerate(bundles):
         groups.setdefault((scenario.n_sectors, scenario.n_markets), []).append(index)
+    found = {}
+    failures = {}
     for indices in groups.values():
-        chosen = [bundles[i] for i in indices]
-        yield (
-            indices,
-            ScenarioRows.of([scenario for scenario, _, _ in chosen]),
-            np.array([taxes.as_array for _, taxes, _ in chosen]),
-            np.array([abatement for _, _, abatement in chosen], dtype=float),
-        )
-
-
-def _raise_first(failures: dict) -> None:
-    """Re-run the lowest-index failing bundle's per-bundle calls, which raise.
-
-    ``failures`` maps a bundle index to a call that repeats that bundle's
-    per-bundle steps up to the one that failed.
-    """
+        group = [bundles[i] for i in indices]
+        found.update(zip(indices, evaluate(
+            group,
+            ScenarioRows.of([scenario for scenario, _, _ in group]),
+            np.array([taxes.as_array for _, taxes, _ in group]),
+            np.array([abatement for _, _, abatement in group], dtype=float),
+            lambda g, call, indices=indices: failures.setdefault(indices[g], call),
+        )))
     if failures:
         failures[min(failures)]()
+    return [(index, *entry) for index in range(len(bundles)) for entry in found[index]]
 
 
-def _stencil(bundles, indices, rows, probes, levels, failures: dict):
+def _stencil(group, rows, probes, levels, refuse):
     """Stacked equilibria of each bundle's probes ``(G, P, n, m)`` at ``levels`` ``(G, P)``.
 
     Returns fleets ``(G, P, n)``, survival and stock ``(G, P)``. A bundle
-    with a probe whose survival leaves [0, 1] is recorded in ``failures``
-    (unless it failed earlier) with the :func:`solve_equilibrium` re-solve of
-    its first such probe, which raises its PhysicallyInvalidError.
+    with a probe whose survival leaves [0, 1] is refused with the
+    :func:`solve_equilibrium` re-solve of its first such probe, which raises
+    its PhysicallyInvalidError.
     """
     count, size, n, n_markets = probes.shape
     fleets, survival, stock = _stacked_equilibrium(
@@ -107,26 +113,21 @@ def _stencil(bundles, indices, rows, probes, levels, failures: dict):
     invalid = ~((0.0 <= survival) & (survival <= 1.0)).reshape(count, size)
     for g in np.flatnonzero(invalid.any(axis=1)).tolist():
         row = int(np.argmax(invalid[g]))
-        failures.setdefault(indices[g], partial(
+        refuse(g, partial(
             solve_equilibrium,
-            bundles[indices[g]][0],
+            group[g][0],
             TaxSchedule.from_array(probes[g, row]),
             float(levels[g, row]),
         ))
     return fleets.reshape(count, size, n), survival.reshape(count, size), stock.reshape(count, size)
 
 
-def _in_order(found: dict) -> list:
-    """The per-bundle lists of ``found`` joined in bundle-index order."""
-    return [item for index in sorted(found) for item in found[index]]
-
-
-def _fold(target: str, found: dict, bound: float) -> OracleReport:
-    """The report of per-bundle entries that end in a residual: the running
-    ``max`` of the residuals in bundle order, and the entries above ``bound``."""
+def _fold(target: str, entries: list, bound: float) -> OracleReport:
+    """The report of entries that end in a residual: the running ``max`` of
+    the residuals in order, and the entries above ``bound``."""
     worst = 0.0
     bad = []
-    for entry in _in_order(found):
+    for entry in entries:
         worst = max(worst, entry[-1])
         if entry[-1] > bound:
             bad.append(entry)
@@ -138,31 +139,35 @@ def check_equilibrium_agreement(bundles: list[Bundle]) -> OracleReport:
 
     The closed form of every bundle is one stacked pass per shape, with
     the solve's profit residual and :func:`~orbituse.scenario.sector_profit`
-    by their stacked forms; the iteration oracle still runs per bundle, in
-    bundle order.
+    by their stacked forms; the iteration oracle still runs per bundle.
     """
-    closed = {}
-    for indices, rows, rates, abatement in _by_shape(bundles):
-        column = abatement[:, None]
-        phi, kd = _phi(rows, column)
+
+    def evaluate(group, rows, rates, abatement, refuse):
+        phi, kd = _phi(rows, abatement[:, None])
         fleets, survival = _stacked_fleets(rows, rates, phi, kd)
         valid = ((0.0 <= survival) & (survival <= 1.0))[:, 0]
         # The solve's own profit residual, and sector_profit's.
         _, _, residual = _stacked_factors(rows, rates, fleets, survival, kd)
         profit = np.abs(_stacked_profit(rows, rates, fleets, abatement))
-        for g, index in enumerate(indices):
-            closed[index] = valid[g], fleets[g], residual[g].tolist(), profit[g]
+        entries = [[] for _ in group]
+        for g, bundle in enumerate(group):
+            # A per-bundle loop's solve raises where survival is invalid;
+            # elsewhere its iteration may.
+            call = partial(iterate_open_access if valid[g] else solve_equilibrium, *bundle)
+            try:
+                iterated = call()
+            except OrbitUseError:
+                refuse(g, call)
+                continue
+            gap = float(np.max(np.abs(fleets[g] - iterated)))
+            active = fleets[g] > 0.0
+            most = max(profit[g][active]) if active.any() else 0.0
+            entries[g].append((gap, most, max(gap, most, max(residual[g].tolist(), default=0.0))))
+        return entries
+
     worst = 0.0
     bad = []
-    for index, (scenario, taxes, abatement) in enumerate(bundles):
-        valid, fleets, residuals, profits = closed[index]
-        if not valid:
-            solve_equilibrium(scenario, taxes, abatement)   # raises
-        iterated = iterate_open_access(scenario, taxes, abatement)
-        gap = float(np.max(np.abs(fleets - iterated)))
-        active = fleets > 0.0
-        profit = max(profits[active]) if active.any() else 0.0
-        residual = max(gap, profit, max(residuals, default=0.0))
+    for index, gap, profit, residual in _batched(bundles, evaluate):
         worst = max(worst, residual)
         if gap > 1e-9 or profit > 1e-9:
             bad.append((index, gap, profit))
@@ -184,9 +189,8 @@ def check_reduction(bundles: list[Bundle]) -> OracleReport:
     ``_stacked_pairs``; ``reduce_two_player`` itself runs only to raise a
     failing bundle's error. Every pair of a shape group is one stack.
     """
-    found = {}
-    failures = {}
-    for indices, rows, rates, abatement in _by_shape(bundles):
+
+    def evaluate(group, rows, rates, abatement, refuse):
         n = rates.shape[1]
         phi, kd = _phi(rows, abatement[:, None])
         on, share, rest, pair_share = _stacked_pairs(rows, rates, phi, kd)
@@ -197,12 +201,11 @@ def check_reduction(bundles: list[Bundle]) -> OracleReport:
         # The full game's survival and every pair's, as each solve checks it.
         survival = phi / np.concatenate([share, pair_share], axis=1)
         fails = ~np.all((0.0 <= survival) & (survival <= 1.0), axis=1)
-        for g, index in enumerate(indices):
-            if n < 2 or fails[g]:
-                failures[index] = partial(_reduce_each_sector, *bundles[index])
-            found[index] = [(index, sector, value) for sector, value in enumerate(residual[g])]
-    _raise_first(failures)
-    return _fold("two_player_reduction", found, 1e-9)
+        for g in np.flatnonzero(fails | (n < 2)).tolist():
+            refuse(g, partial(_reduce_each_sector, *group[g]))
+        return [list(enumerate(row)) for row in residual]
+
+    return _fold("two_player_reduction", _batched(bundles, evaluate), 1e-9)
 
 
 def check_decomposition(bundles: list[Bundle]) -> OracleReport:
@@ -212,13 +215,12 @@ def check_decomposition(bundles: list[Bundle]) -> OracleReport:
     each probe's ``r`` and ``sigma`` are :func:`solve_equilibrium`'s, by its
     stacked form ``_stacked_factors``.
     """
-    found = {}
-    failures = {}
-    for indices, rows, rates, abatement in _by_shape(bundles):
+
+    def evaluate(group, rows, rates, abatement, refuse):
         count, n, n_markets = rates.shape
         probes = np.repeat(rates[:, None], 3, axis=1)
         levels = np.stack([abatement, abatement + 0.35, abatement + 0.7], axis=1)
-        fleets, survival, _ = _stencil(bundles, indices, rows, probes, levels, failures)
+        fleets, survival, _ = _stencil(group, rows, probes, levels, refuse)
         tripled = rows.repeat(3)
         sigma, r, _ = _stacked_factors(
             tripled,
@@ -231,13 +233,11 @@ def check_decomposition(bundles: list[Bundle]) -> OracleReport:
         same_r = np.all(r[:, 1:] == r[:, :1], axis=(1, 2))
         recon = np.max(np.abs(sigma * r - fleets), axis=2).tolist()
         collinear = np.max(np.abs(sigma[:, 0] - 2.0 * sigma[:, 1] + sigma[:, 2]), axis=1).tolist()
-        for g, index in enumerate(indices):
-            found[index] = same_r[g], recon[g], collinear[g]
-    _raise_first(failures)
+        return [[entry] for entry in zip(same_r, recon, collinear)]
+
     worst = 0.0
     bad = []
-    for index in sorted(found):
-        same_r, recon, collinear = found[index]
+    for index, same_r, recon, collinear in _batched(bundles, evaluate):
         if not same_r:
             bad.append((index, "r not bitwise identical across abatement"))
             continue
@@ -266,10 +266,9 @@ def check_sensitivity_agreement(bundles: list[Bundle]) -> OracleReport:
     Both sides of every bundle of a shape are one stacked pass each: the
     analytic kernel, and one dense-LU stack of every finite-difference probe.
     """
-    found = {}
-    failures = {}
-    for indices, rows, rates, abatement in _by_shape(bundles):
-        count = len(indices)
+
+    def evaluate(group, rows, rates, abatement, refuse):
+        count = len(group)
         analytic, interior, _, _ = _analytic_rows(rows, rates, abatement)
         numeric, ok, _, _ = _fd_rows(rows, rates, abatement)
         # Every entry of the four arrays side by side, in the order of
@@ -280,13 +279,11 @@ def check_sensitivity_agreement(bundles: list[Bundle]) -> OracleReport:
         starts = np.cumsum([0] + [analytic[k][0].size for k in order[:-1]])
         scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
         gaps = np.maximum.reduceat(np.abs(a - b) / scale, starts, axis=1).tolist()
-        good = interior & ok.all(axis=1)
-        for g, index in enumerate(indices):
-            if not good[g]:
-                failures[index] = partial(_refuse_sensitivities, *bundles[index])
-            found[index] = [(index, name, gap) for name, gap in zip(_SENSITIVITY_NAMES, gaps[g])]
-    _raise_first(failures)
-    return _fold("sensitivity_agreement", found, 1e-5)
+        for g in np.flatnonzero(~(interior & ok.all(axis=1))).tolist():
+            refuse(g, partial(_refuse_sensitivities, *group[g]))
+        return [list(zip(_SENSITIVITY_NAMES, row)) for row in gaps]
+
+    return _fold("sensitivity_agreement", _batched(bundles, evaluate), 1e-5)
 
 
 _SIGN_FAILURES = (
@@ -305,9 +302,8 @@ def check_sign_suite(bundles: list[Bundle]) -> OracleReport:
     tax-damped slope, and debris falling in abatement. The 2 + 6 n m probes
     of every bundle of a shape are solved as one stack.
     """
-    found = {}
-    failures = {}
-    for indices, rows, rates, abatement in _by_shape(bundles):
+
+    def evaluate(group, rows, rates, abatement, refuse):
         count, n, n_markets = rates.shape
         h = 1e-6 * np.maximum(1.0, np.abs(rates))       # own-tax stencil
         wide = 1e-4 * np.maximum(1.0, np.abs(rates))    # cross-derivative stencil
@@ -324,12 +320,11 @@ def check_sign_suite(bundles: list[Bundle]) -> OracleReport:
         base = rates[:, None]
         pattern = np.stack([abatement, abatement, up, down, up, down], axis=1)
         fleets, _, stock = _stencil(
-            bundles,
-            indices,
+            group,
             rows,
             np.concatenate([base, base, _one_rate_probes(rates, moved)], axis=1),
             np.concatenate([up[:, None], down[:, None], np.tile(pattern, n * n_markets)], axis=1),
-            failures,
+            refuse,
         )
         slope = (2.0 * h_ab)[:, None]
         abatement_fails = ~np.all((fleets[:, 0] - fleets[:, 1]) / slope > 0.0, axis=1)
@@ -352,17 +347,15 @@ def check_sign_suite(bundles: list[Bundle]) -> OracleReport:
             ],
             axis=-1,
         )
-        for g, index in enumerate(indices):
-            found[index] = []
-            if abatement_fails[g]:
-                found[index].append((index, "dfleet_dabatement not positive"))
-            if debris_fails[g]:
-                found[index].append((index, "ddebris_dabatement not negative"))
+        entries = [
+            [("dfleet_dabatement not positive",)] * fails + [("ddebris_dabatement not negative",)] * rises
+            for fails, rises in zip(abatement_fails.tolist(), debris_fails.tolist())
+        ]
         for g, sector, market, test in np.argwhere(failed).tolist():
-            index = indices[g]
-            found[index].append((index, sector, market, _SIGN_FAILURES[test]))
-    _raise_first(failures)
-    bad = _in_order(found)
+            entries[g].append((sector, market, _SIGN_FAILURES[test]))
+        return entries
+
+    bad = _batched(bundles, evaluate)
     return _report("comparative_statics_signs", float(len(bad)), bad)
 
 
@@ -378,13 +371,12 @@ def check_channel_identity(bundles: list[Bundle]) -> OracleReport:
     fourth order can. The 4 n m welfare probes of every bundle of a shape are
     solved as one stack.
     """
-    found = {}
-    failures = {}
-    for indices, rows, rates, abatement in _by_shape(bundles):
+
+    def evaluate(group, rows, rates, abatement, refuse):
         count, n, n_markets = rates.shape
         (dfleet_dtax, _, _, _), interior, fleets, survival = _analytic_rows(rows, rates, abatement)
         for g in np.flatnonzero(~interior).tolist():
-            failures[indices[g]] = partial(sensitivities, *bundles[indices[g]])
+            refuse(g, partial(sensitivities, *group[g]))
         h = 1e-3 * np.maximum(1.0, np.abs(rates))
         half = h / 2.0
         probes = _one_rate_probes(
@@ -392,7 +384,7 @@ def check_channel_identity(bundles: list[Bundle]) -> OracleReport:
         )
         size = probes.shape[1]
         levels = np.repeat(abatement[:, None], size, axis=1)
-        probe_fleets, probe_survival, _ = _stencil(bundles, indices, rows, probes, levels, failures)
+        probe_fleets, probe_survival, _ = _stencil(group, rows, probes, levels, refuse)
         welfare = _stacked_welfare(
             rows.repeat(size),
             probes.reshape(-1, n, n_markets),
@@ -407,14 +399,12 @@ def check_channel_identity(bundles: list[Bundle]) -> OracleReport:
         ) / 3.0
         cleanup, expansion, reduction = _stacked_channels(rows, rates, dfleet_dtax, fleets, survival)
         gaps = np.abs(cleanup + expansion - reduction - fd).tolist()
-        for g, index in enumerate(indices):
-            found[index] = [
-                (index, sector, market, gap)
-                for sector, row in enumerate(gaps[g])
-                for market, gap in enumerate(row)
-            ]
-    _raise_first(failures)
-    return _fold("welfare_channel_identity", found, 1e-9)
+        return [
+            [(sector, market, gap) for sector, row in enumerate(table) for market, gap in enumerate(row)]
+            for table in gaps
+        ]
+
+    return _fold("welfare_channel_identity", _batched(bundles, evaluate), 1e-9)
 
 
 def check_welfare_quadratic(bundles: list[Bundle]) -> OracleReport:
@@ -422,25 +412,23 @@ def check_welfare_quadratic(bundles: list[Bundle]) -> OracleReport:
 
     The five abatement probes of every bundle of a shape are one stack.
     """
-    found = {}
-    failures = {}
-    step = 0.5
-    for indices, rows, rates, abatement in _by_shape(bundles):
+
+    def evaluate(group, rows, rates, abatement, refuse):
         count, n, n_markets = rates.shape
-        levels = abatement[:, None] + step * np.arange(5)
+        levels = abatement[:, None] + 0.5 * np.arange(5)
         probes = np.repeat(rates[:, None], 5, axis=1)
-        fleets, survival, _ = _stencil(bundles, indices, rows, probes, levels, failures)
+        fleets, survival, _ = _stencil(group, rows, probes, levels, refuse)
         welfare = _stacked_welfare(
             rows.repeat(5), probes.reshape(-1, n, n_markets), fleets.reshape(-1, n), survival.ravel()
         ).reshape(count, 5, n_markets)
         second = welfare[:, :3] - 2.0 * welfare[:, 1:4] + welfare[:, 2:]
         second = np.swapaxes(second, 1, 2).tolist()      # (G, m, 3)
-        for g, index in enumerate(indices):
-            found[index] = [
-                (index, market, max(values) - min(values)) for market, values in enumerate(second[g])
-            ]
-    _raise_first(failures)
-    return _fold("welfare_quadratic_in_abatement", found, 1e-10)
+        return [
+            [(market, max(values) - min(values)) for market, values in enumerate(table)]
+            for table in second
+        ]
+
+    return _fold("welfare_quadratic_in_abatement", _batched(bundles, evaluate), 1e-10)
 
 
 def _treaty_analyses(bundles: list[Bundle]) -> list:

@@ -150,6 +150,12 @@ class TestCommands:
             (["scenario.k=0", "scenario.p=1e200,1e200"],
              ["max(costs) * (sum(prices) / min(costs))**2 must be finite",
               "n_sectors * sum(prices) * sum(prices) / min(costs) must be finite"]),
+            # At k = 0 no bound above involves d: the debris stock was Infinity.
+            (["scenario.k=0", "scenario.d=1e300", "scenario.p=1e10,1e10"],
+             "legacy_debris + debris_per_sat * n_sectors * sum(prices) / min(costs) must be finite"),
+            # d times the fleets summed is finite; adding the legacy debris is not.
+            (["scenario.k=0", "scenario.D0=1.7e308", "scenario.d=1e157", "scenario.p=1e150,1e150"],
+             "legacy_debris + debris_per_sat * n_sectors * sum(prices) / min(costs) must be finite"),
         ],
     )
     @pytest.mark.parametrize("command", ["solve", "regulate", "treaty", "verify", "sweep"])
@@ -245,6 +251,23 @@ class TestCommands:
         report = json.loads(out)
         assert report["converged"]
         assert report["max_update"] < 1e-8
+
+    def test_regulate_that_does_not_converge_exits_3(self, capsys):
+        # test_regulation's one-third cycle: the damped schedule never settles.
+        code, out, err = run_cli(
+            capsys, "regulate", "--scenario", str(FIXTURE),
+            "--set", "scenario.p=1.7456358594859416,1.9723762546357726",
+            "--set", "scenario.m=0.25168967781691304,0.30662579956092023",
+            "--set", "scenario.k=0.6111056137478023",
+            "--set", "scenario.d=1.2221910648329655",
+            "--set", "abatement=2.8740931074830227",
+            "--set", "tax.1.1=1", "--set", "tax.2.1=1",
+        )
+        assert (code, err) == (3, "")
+        report = json.loads(out, parse_constant=_reject_constant)
+        assert report["converged"] is False
+        assert report["iterations"] == 10_000
+        assert report["max_update"] == 0.33333333333333337
 
     def test_regulate_with_no_valid_tax_column_exits_1(self, capsys):
         # Abatement 5 leaves the stock negative for every tax column.

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from orbituse import SYM2, PhysicallyInvalidError, Scenario, TaxSchedule
 from orbituse import verification
 from orbituse.cli import main
-from orbituse.errors import OrbitUseError
+from orbituse.errors import NoConvergenceError, OrbitUseError
 from orbituse.open_access import (
     ANALYTIC,
     FINITE_DIFFERENCE,
@@ -463,6 +463,40 @@ def test_stacked_checkers_match_on_degenerate_bundles():
             assert outcome(stacked, bundles[end - 1::-1]) == outcome(reference, bundles[end - 1::-1])
 
 
+def test_counterexamples_come_in_bundle_order_across_shape_groups():
+    # k = 0 breaks the sign suite's signs in both shapes; the 3-sector bundle
+    # sits between 2-sector ones, so shape-group order would put it last.
+    two = (replace(SYM2, collision_coeff=0.0), TaxSchedule.from_array([[0.2, 0.0], [0.5, 1.0]]), 0.0)
+    three = (
+        replace(SYM2, n_markets=3, n_sectors=3, prices=(1.0, 2.0, 1.5), costs=(1.0, 0.8, 1.2),
+                collision_coeff=0.0),
+        TaxSchedule.from_array([[0.2, 0.0, 0.1], [0.5, 0.3, 0.0], [0.0, 0.1, 0.4]]),
+        0.0,
+    )
+    bundles = [two, three, two]
+    for stacked, reference in PAIRS:
+        assert outcome(stacked, bundles) == outcome(reference, bundles)
+    indices = [entry[0] for entry in check_sign_suite(bundles).counterexamples]
+    assert indices == sorted(indices) and set(indices) == {0, 1, 2}
+
+
+def test_the_first_failing_step_raises_in_equilibrium_agreement(monkeypatch):
+    # The checker iterates every valid bundle; a per-bundle loop raises at
+    # the first bundle whose solve or iteration oracle fails.
+    def iterate(scenario, taxes, abatement):
+        if scenario.n_sectors == 3:
+            raise NoConvergenceError("the iteration oracle did not converge")
+        return iterate_open_access(scenario, taxes, abatement)
+
+    monkeypatch.setattr(verification, "iterate_open_access", iterate)
+    monkeypatch.setitem(bundle_equilibrium_agreement.__globals__, "iterate_open_access", iterate)
+    three = _batch(np.random.default_rng(3), 1, with_taxes=True, sector_range=(3, 3))[0]
+    invalid = (SYM2, TaxSchedule.zeros(2, 2), 60.0)
+    for bundles, error in (([three, invalid], "NoConvergenceError"), ([invalid, three], "PhysicallyInvalidError")):
+        assert outcome(check_equilibrium_agreement, bundles)[0] == error
+        assert outcome(check_equilibrium_agreement, bundles) == outcome(bundle_equilibrium_agreement, bundles)
+
+
 # -- the public one-bundle calls against the scalar formulas they replaced ----
 def scalar_welfare_channels(scenario, taxes, abatement, sector, market):
     report = sensitivities(scenario, taxes, abatement)
@@ -480,6 +514,13 @@ def scalar_welfare_channels(scenario, taxes, abatement, sector, market):
     expansion = survival * p_j * float((keep[others] * dfleet[others]).sum())
     reduction = survival * p_j * (fleets[sector] - keep[sector] * dfleet[sector])
     return [cleanup, expansion, reduction, cleanup + expansion - reduction]
+
+
+def scalar_national_welfare(scenario, taxes, abatement):
+    equilibrium = solve_equilibrium(scenario, taxes, abatement)
+    gross = scenario.price_array * ((1.0 - taxes.as_array).T @ equilibrium.fleet_array)
+    survival = equilibrium.debris.survival
+    return [*(survival * gross), *gross, survival]
 
 
 def scalar_sector_profit(scenario, taxes, fleets, abatement, sector):
@@ -503,13 +544,18 @@ def scalar_rho_rest(scenario, taxes, abatement, sector):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_public_one_bundle_calls_match_their_scalar_formulas(seed):
     # verify runs welfare_channels, sector_profit and reduce_two_player's
-    # rho_rest by their stacked forms; the public calls are one-row calls
-    # of the same kernels and must keep the scalar formulas' bits.
+    # rho_rest by their stacked forms; these public calls, and
+    # national_welfare's gross value, are one-row calls of the same kernels
+    # and must keep the scalar formulas' bits.
     rng = np.random.default_rng(seed)
     bundles = _batch(rng, 30, with_taxes=True, sector_range=(1, 6))
     bundles += [(s, t, 0.4) for s, t, _ in _batch(rng, 10, with_taxes=True, sector_range=(2, 9))]
     for scenario, taxes, abatement in bundles:
         solved = solve_equilibrium(scenario, taxes, abatement)
+        welfare = national_welfare(scenario, taxes, abatement)
+        assert bits([*welfare.welfare, *welfare.gross_value, welfare.survival]) == bits(
+            scalar_national_welfare(scenario, taxes, abatement)
+        )
         for sector in range(scenario.n_sectors):
             assert bits(sector_profit(scenario, taxes, solved.fleets, abatement, sector)) == bits(
                 scalar_sector_profit(scenario, taxes, solved.fleets, abatement, sector)
@@ -621,6 +667,10 @@ VERDICT_OPS = [
 ] + ["verify/sym2-0", "verify/hideb-1"]
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
 @pytest.fixture(scope="module")
 def verify_pool():
     # Read-only use of the benchmark's modules: leave no bytecode beside them.
@@ -654,3 +704,9 @@ def test_verify_verdicts_match_the_benchmark_reference(op_id, verify_pool, tmp_p
     # summarize reads the checker lines, which do not name the file.
     got = outputs.summarize(op["argv"], code, captured.out, captured.err)
     assert outputs.mismatch(recorded[op_id]["output"], got, op_id) is None
+    # The digest follows the nine checker lines as strict JSON: where a
+    # checker raised, its max_residual prints as nan and dumps as null.
+    lines = captured.out.splitlines(keepends=True)
+    digest = json.loads("".join(lines[9:]), parse_constant=_reject_constant)
+    nulls = [report["max_residual"] is None for report in digest["reports"]]
+    assert nulls == ["max_residual=nan " in line for line in lines[:9]]
