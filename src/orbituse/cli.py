@@ -10,7 +10,8 @@ Usage:
 Override keys: scenario.<field> (short aliases p, m, k, d, D0, Dbar, X, c),
 tax.<sector>.<market> with 1-based indices, and abatement. Exit codes:
 0 success, 2 validation failure, 3 solver non-convergence, 4 assumption
-violation under --strict, 1 other errors (including failed verification).
+violation under --strict, 1 other errors (including failed verification
+and treaty arithmetic past the float range).
 """
 
 from __future__ import annotations
@@ -69,6 +70,12 @@ def _error_object(error: Exception) -> dict:
     return payload
 
 
+def _fail(payload: dict, code: int) -> int:
+    """Write ``payload`` as the one JSON error line on stderr; returns ``code``."""
+    sys.stderr.write(json.dumps(payload) + "\n")
+    return code
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -94,16 +101,16 @@ def _report_text(report: dict, output_format: str) -> str:
     return json.dumps(report, indent=2)
 
 
-def _solve_report(bundle: LoadedBundle) -> dict:
+def _solve_report(bundle: LoadedBundle) -> tuple[dict, int]:
     equilibrium = solve_equilibrium(bundle.scenario, bundle.taxes, bundle.abatement)
     welfare = national_welfare(bundle.scenario, bundle.taxes, bundle.abatement)
     flags = check_assumptions(bundle.scenario, bundle.taxes)
     report = {"inputs": dump_bundle(bundle)}
     report.update(equilibrium_report(equilibrium, welfare, flags))
-    return report
+    return report, EXIT_OK
 
 
-def _regulate_report(bundle: LoadedBundle) -> tuple[dict, bool]:
+def _regulate_report(bundle: LoadedBundle) -> tuple[dict, int]:
     result = regulatory_equilibrium(bundle.scenario, bundle.abatement, bundle.taxes)
     welfare = national_welfare(bundle.scenario, result.taxes, bundle.abatement)
     flags = check_assumptions(bundle.scenario, result.taxes)
@@ -116,12 +123,12 @@ def _regulate_report(bundle: LoadedBundle) -> tuple[dict, bool]:
         "update_trace": list(result.update_trace),
         "equilibrium": equilibrium_report(result.equilibrium, welfare, flags),
     }
-    return report, result.converged
+    return report, EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
-def _treaty_report(bundle: LoadedBundle) -> dict:
+def _treaty_report(bundle: LoadedBundle) -> tuple[dict, int]:
     model, closed = _both_variants(bundle.scenario, bundle.taxes)
-    return {
+    report = {
         "inputs": dump_bundle(bundle),
         "qbar_responsive": model.qbar,
         "qbar_static": required_abatement(bundle.scenario, bundle.taxes, mode=STATIC),
@@ -131,6 +138,11 @@ def _treaty_report(bundle: LoadedBundle) -> dict:
         },
         "divergence": divergence_report(model.divergences),
     }
+    return report, EXIT_OK
+
+
+# The commands that build one report from the bundle, with their exit code.
+_REPORTS = {"solve": _solve_report, "regulate": _regulate_report, "treaty": _treaty_report}
 
 
 def _check_sweep_axis(bundle: LoadedBundle, axis) -> None:
@@ -198,7 +210,7 @@ def _sweep_rows(bundle: LoadedBundle, axis) -> tuple[list[str], list[list]]:
                 closed.self_enforcing,
                 "",
             ]
-        except OrbitUseError as error:
+        except (OrbitUseError, OverflowError) as error:
             pad = len(header) - 2
             row += [float("nan")] * pad
             row += [type(error).__name__]
@@ -213,39 +225,24 @@ def execute(args: argparse.Namespace) -> int:
         if args.command == "sweep":
             _check_sweep_axis(bundle, args.sweep)
     except (ScenarioParseError, ScenarioValidationError, OverrideError) as error:
-        sys.stderr.write(json.dumps(_error_object(error)) + "\n")
-        return EXIT_VALIDATION
+        return _fail(_error_object(error), EXIT_VALIDATION)
 
     if args.strict:
         flags = check_assumptions(bundle.scenario, bundle.taxes)
         # no_crowding_out holds for validated inputs with finite kd and rho (README): reported only.
         if not flags.bounded_marginal_risk:
-            sys.stderr.write(
-                json.dumps(
-                    {
-                        "error": "AssumptionViolation",
-                        "message": "structural assumptions violated under --strict",
-                        "no_crowding_out": [bool(f) for f in flags.no_crowding_out],
-                        "bounded_marginal_risk": bool(flags.bounded_marginal_risk),
-                    }
-                )
-                + "\n"
-            )
-            return EXIT_ASSUMPTION
+            return _fail({
+                "error": "AssumptionViolation",
+                "message": "structural assumptions violated under --strict",
+                "no_crowding_out": [bool(f) for f in flags.no_crowding_out],
+                "bounded_marginal_risk": bool(flags.bounded_marginal_risk),
+            }, EXIT_ASSUMPTION)
 
     try:
-        if args.command == "solve":
-            report = _solve_report(bundle)
+        if args.command in _REPORTS:
+            report, code = _REPORTS[args.command](bundle)
             _emit(_report_text(report, args.output_format), args.out)
-            return EXIT_OK
-        if args.command == "regulate":
-            report, converged = _regulate_report(bundle)
-            _emit(_report_text(report, args.output_format), args.out)
-            return EXIT_OK if converged else EXIT_NO_CONVERGENCE
-        if args.command == "treaty":
-            report = _treaty_report(bundle)
-            _emit(_report_text(report, args.output_format), args.out)
-            return EXIT_OK
+            return code
         if args.command == "sweep":
             header, rows = _sweep_rows(bundle, args.sweep)
             if args.output_format == "json":
@@ -257,27 +254,15 @@ def execute(args: argparse.Namespace) -> int:
             return EXIT_OK
         # verify: the parser admits no other command.
         if args.seed is None:
-            sys.stderr.write(
-                json.dumps(
-                    {
-                        "error": "MissingSeed",
-                        "message": "verify requires --seed for reproducible batches",
-                    }
-                )
-                + "\n"
-            )
-            return EXIT_VALIDATION
+            return _fail({
+                "error": "MissingSeed",
+                "message": "verify requires --seed for reproducible batches",
+            }, EXIT_VALIDATION)
         reports = run_verification(
-            bundle.scenario,
-            bundle.taxes,
-            bundle.abatement,
-            seed=args.seed,
-            random_count=args.random_count,
+            bundle.scenario, bundle.taxes, bundle.abatement,
+            seed=args.seed, random_count=args.random_count,
         )
-        digest = {
-            "seed": args.seed,
-            "reports": [dataclasses.asdict(r) for r in reports],
-        }
+        digest = {"seed": args.seed, "reports": [dataclasses.asdict(r) for r in reports]}
         for item in reports:
             status = "PASS" if item.passed else "FAIL"
             sys.stdout.write(
@@ -287,9 +272,9 @@ def execute(args: argparse.Namespace) -> int:
         # A checker that raised has a NaN max_residual, written as null.
         _emit(json.dumps(_strict(digest), indent=2, default=str), args.out)
         return EXIT_OK if all(r.passed for r in reports) else EXIT_ERROR
-    except OrbitUseError as error:
-        sys.stderr.write(json.dumps(_error_object(error)) + "\n")
-        return EXIT_ERROR
+    except (OrbitUseError, OverflowError) as error:
+        # OverflowError: treaty arithmetic on quantities near the float range.
+        return _fail(_error_object(error), EXIT_ERROR)
 
 
 def _parse_sweep(raw: str) -> tuple[str, float, float, int]:
@@ -334,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a loaded value (repeatable)",
         )
-        sub.add_argument("--format", dest="output_format", choices=("json", "csv"), default="json")
+        if name != "verify":  # verify prints its PASS/FAIL lines and a JSON digest
+            sub.add_argument("--format", dest="output_format", choices=("json", "csv"), default="json")
         sub.add_argument("--out", default=None, help="write the report to this path")
         sub.add_argument("--strict", action="store_true", help="assumption violations become failures")
         if name == "sweep":
@@ -353,7 +339,3 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     return execute(_parser().parse_args(argv))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

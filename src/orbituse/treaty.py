@@ -262,18 +262,23 @@ def abatement_payoff(
     )
 
 
+def _shortfall(scenario: Scenario, beta: float) -> float:
+    """The larger root x of (c/2) x^2 + beta x - X = 0: the defector's shortfall."""
+    c = scenario.abatement_cost
+    return (math.sqrt(beta**2 + 2.0 * c * scenario.catastrophe_damages) - beta) / c
+
+
 def treaty_response(
     scenario: Scenario, coefficients: BenefitCoefficients, qbar: float
 ) -> TreatyResponse:
     """Remaining-signatory abatement that leaves a defector indifferent.
 
-    Solves (c/2) x^2 + beta x - X = 0 for the shortfall x = qbar - response
-    and keeps the larger root (the smaller response). Negative raw
-    responses are clamped to zero: the defector would then avert alone.
+    The response is ``qbar`` less the :func:`_shortfall`, which leaves the
+    defector indifferent (the larger root, so the smaller response).
+    Negative raw responses are clamped to zero: the defector would then
+    avert alone.
     """
-    c = scenario.abatement_cost
-    beta = coefficients.beta
-    raw = qbar + (beta - math.sqrt(beta**2 + 2.0 * c * scenario.catastrophe_damages)) / c
+    raw = qbar - _shortfall(scenario, coefficients.beta)
     clamped_value = min(max(raw, 0.0), qbar)
     return TreatyResponse(
         raw=float(raw), q_rest=float(clamped_value), clamped=bool(raw < 0.0)
@@ -365,13 +370,7 @@ def _analysis(
     responses = tuple(
         treaty_response(scenario, coeff, qbar) for coeff in coefficients
     )
-    condition27 = tuple(
-        bool(
-            burden
-            < (math.sqrt(coeff.beta**2 + 2.0 * c * damages) - coeff.beta) / c
-        )
-        for coeff in coefficients
-    )
+    condition27 = tuple(bool(burden < _shortfall(scenario, coeff.beta)) for coeff in coefficients)
 
     # A defector faces the remaining signatories' response, not the treaty.
     payoff_prefers = tuple(
@@ -431,12 +430,13 @@ class BetaSensitivityReport:
         raise KeyError(name)
 
 
-def _resolution(func, x: float) -> float:
-    """The smallest central difference of ``func`` at ``x`` its stencil resolves.
+def _resolution(func, x: float) -> tuple[float, float]:
+    """The central difference of ``func`` at ``x`` and the smallest one it resolves.
 
-    The step-h difference of :func:`~orbituse.oracle.finite_difference`
-    carries round-off of about ``eps max|f|/h`` and truncation ``c h^2``,
-    and doubling the step moves it by ``3 c h^2``. A difference no larger
+    The difference is :func:`~orbituse.oracle.finite_difference`'s, bit for
+    bit: ``x + (-1.0 h)`` is ``x - h``. A step-h difference carries
+    round-off of about ``eps max|f|/h`` and truncation ``c h^2``, and
+    doubling the step moves it by ``3 c h^2``. A difference no larger
     than that move plus the round-off is truncation and noise, not a slope:
     where the true slope is zero and beta is cubic, as at ``rho_own = 0``,
     doubling the step quadruples the difference.
@@ -446,7 +446,7 @@ def _resolution(func, x: float) -> float:
     narrow = (hi - lo) / (2.0 * h)
     wide = (far_hi - far_lo) / (4.0 * h)
     noise = np.finfo(float).eps * max(abs(far_lo), abs(lo), abs(hi), abs(far_hi)) / h
-    return abs(wide - narrow) + noise
+    return narrow, abs(wide - narrow) + noise
 
 
 def beta_sensitivity(
@@ -493,13 +493,6 @@ def beta_sensitivity(
         if rho[j] > 0.0:
             g_rest = -kd / (1.0 + kd * rho[j]) - kd / share
     p, m = scenario.prices, scenario.costs
-    analytic = {
-        "tax_own_home": -beta * g_own * p[i] / m[i],     # tax on sector i in market i
-        "tax_own_away": -beta * g_own * p[j] / m[i],     # tax on sector i in market j
-        "tax_other_home": -beta * g_rest * p[i] / m[j],  # tax on sector j in market i
-        "tax_other_away": -beta * g_rest * p[j] / m[j],  # tax on sector j in market j
-        "own_cost": -beta * g_own * rho[i] / m[i],
-    }
 
     def beta_at_rate(sector: int, market: int):
         return lambda rate: _closed_form_coefficients(
@@ -511,21 +504,22 @@ def beta_sensitivity(
         costs[i] = cost
         return _closed_form_coefficients(replace(scenario, costs=tuple(costs)), taxes, i).beta
 
-    stencils = {
-        "tax_own_home": (beta_at_rate(i, i), taxes.rate(i, i)),
-        "tax_own_away": (beta_at_rate(i, j), taxes.rate(i, j)),
-        "tax_other_home": (beta_at_rate(j, i), taxes.rate(j, i)),
-        "tax_other_away": (beta_at_rate(j, j), taxes.rate(j, j)),
-        "own_cost": (beta_at_cost, scenario.costs[i]),
+    # Each entry's formula, beta along its input, and the point. "home" is
+    # sector i's market, "away" sector j's.
+    cases = {
+        "tax_own_home": (-beta * g_own * p[i] / m[i], beta_at_rate(i, i), taxes.rate(i, i)),
+        "tax_own_away": (-beta * g_own * p[j] / m[i], beta_at_rate(i, j), taxes.rate(i, j)),
+        "tax_other_home": (-beta * g_rest * p[i] / m[j], beta_at_rate(j, i), taxes.rate(j, i)),
+        "tax_other_away": (-beta * g_rest * p[j] / m[j], beta_at_rate(j, j), taxes.rate(j, j)),
+        "own_cost": (-beta * g_own * rho[i] / m[i], beta_at_cost, m[i]),
     }
 
     entries = []
-    for name, (beta_at, x) in stencils.items():
-        fd_value = finite_difference(beta_at, x)
-        formula = analytic[name]
+    for name, (formula, beta_at, x) in cases.items():
+        fd_value, floor = _resolution(beta_at, x)
         # A difference below the stencil's resolution is truncation and
         # round-off, so the sign and gap tests read it as zero.
-        resolved = fd_value if abs(fd_value) > _resolution(beta_at, x) else 0.0
+        resolved = fd_value if abs(fd_value) > floor else 0.0
         scale = max(abs(resolved), abs(formula), 1e-12)
         gap = abs(resolved - formula) / scale
         sign_agrees = bool(np.sign(resolved) == np.sign(formula))
@@ -572,7 +566,7 @@ def treaty_support_check(
         burden = required_abatement(scenario, schedule) / parties
         return np.array([
             beta * burden + 0.5 * c * burden**2,
-            -burden - (beta - math.sqrt(beta**2 + 2.0 * c * damages)) / c,
+            _shortfall(scenario, beta) - burden,
         ])
 
     aversion_slope, defection_slope = finite_difference(conditions, taxes.rate(party, market))

@@ -245,6 +245,68 @@ class TestCommands:
         assert code == 4
         assert json.loads(err)["error"] == "AssumptionViolation"
 
+    @pytest.mark.parametrize(
+        "argv, code, line",
+        [
+            (
+                ["verify"],
+                2,
+                '{"error": "MissingSeed", "message": "verify requires --seed for '
+                'reproducible batches"}',
+            ),
+            (
+                ["solve", "--set", "scenario.k=0.6", "--strict"],
+                4,
+                '{"error": "AssumptionViolation", "message": "structural assumptions '
+                'violated under --strict", "no_crowding_out": [true, true], '
+                '"bounded_marginal_risk": false}',
+            ),
+            (
+                ["solve", "--set", "scenario.c=-1"],
+                2,
+                '{"error": "ScenarioValidationError", "message": "abatement_cost must be > 0", '
+                '"violations": ["abatement_cost must be > 0"]}',
+            ),
+            (
+                ["regulate", "--set", "abatement=3.5", "--set", "tax.1.1=0.5", "--set", "tax.1.2=0.5"],
+                1,
+                '{"error": "PhysicallyInvalidError", "message": "survival probability '
+                '1.038462 outside [0, 1] at debris stock -0.384615"}',
+            ),
+        ],
+        ids=["missing-seed", "strict", "validation", "runtime"],
+    )
+    def test_every_error_is_one_pinned_json_line(self, capsys, argv, code, line):
+        command, *rest = argv
+        assert run_cli(capsys, command, "--scenario", str(FIXTURE), *rest) == (code, "", line + "\n")
+
+    @pytest.mark.parametrize("debris_per_sat", ["1e140", "1e150", "1e250", "1e297"])
+    def test_treaty_arithmetic_past_the_float_range_is_one_json_line(self, capsys, debris_per_sat):
+        # At k = 0 the averting abatement grows with d; from about 1e150 on
+        # the treaty payoff squares it past the float range.
+        overrides = [
+            "--set", "scenario.k=0", "--set", f"scenario.d={debris_per_sat}",
+            "--set", "scenario.p=1e10,1e10",
+        ]
+        overflows = debris_per_sat != "1e140"
+        code, out, err = run_cli(capsys, "treaty", "--scenario", str(FIXTURE), *overrides)
+        if overflows:
+            assert (code, out) == (1, "")
+            (line,) = err.splitlines()
+            assert json.loads(line)["error"] == "OverflowError"
+        else:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["qbar_responsive"] > 0.0
+        sweep = ["sweep", "--scenario", str(FIXTURE), *overrides, "--sweep", "scenario.D0:0:1:3"]
+        code, out, err = run_cli(capsys, *sweep, "--format", "json")
+        assert (code, err) == (0, "")
+        rows = json.loads(out, parse_constant=_reject_constant)
+        expected = ["OverflowError" if overflows else ""] * 3
+        assert [row["error"] for row in rows] == expected
+        code, out, err = run_cli(capsys, *sweep, "--format", "csv")
+        assert (code, err) == (0, "")
+        assert [row["error"] for row in csv.DictReader(io.StringIO(out))] == expected
+
     def test_regulate_converges(self, capsys):
         code, out, _ = run_cli(capsys, "regulate", "--scenario", str(FIXTURE))
         assert code == 0
@@ -545,6 +607,16 @@ class TestCommands:
         assert captured.out == ""
         assert "unrecognized arguments: --seed 5" in captured.err
 
+    def test_verify_takes_no_format(self, capsys):
+        # verify prints PASS/FAIL lines and a JSON digest whatever the format.
+        argv = ["verify", "--scenario", str(FIXTURE), "--seed", "1", "--format", "csv"]
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --format csv" in captured.err
+
     def test_repeated_calls_share_one_parser_and_no_state(self, capsys):
         plain = ["solve", "--scenario", str(FIXTURE)]
         first = run_cli(capsys, *plain)
@@ -607,3 +679,15 @@ def test_scripts_run_and_the_legacy_sweep_flips_at_two(tmp_path):
     )
     assert report.returncode == 0, report.stderr
     assert report.stdout.count("== ") == 3
+    ops = ["regulate/0", "verify/sym2-1"]
+    digests = subprocess.run(
+        [sys.executable, str(scripts / "pool_digests.py"), *ops],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        cwd=tmp_path,
+    )
+    assert digests.returncode == 0, digests.stderr
+    found = json.loads(digests.stdout)
+    assert list(found) == ops
+    assert all(len(value) == 64 and int(value, 16) >= 0 for value in found.values())

@@ -31,7 +31,14 @@ from orbituse.cli import main
 from orbituse.open_access import _rho_form, _share, required_abatement, solve_equilibrium
 from orbituse.oracle import deviation_search_abatement, finite_difference
 from orbituse.sampling import sample_scenario
-from orbituse.treaty import BenefitCoefficients, CoefficientDivergence
+from orbituse.treaty import (
+    BenefitCoefficients,
+    BetaSensitivityEntry,
+    BetaSensitivityReport,
+    CoefficientDivergence,
+    TreatyResponse,
+    TreatySupportReport,
+)
 from orbituse.verification import _batch
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -898,3 +905,168 @@ class TestCallCounts:
             assert math.isnan(report.max_residual) and not report.passed
             assert report.counterexamples == (("OrbitUseError", "no analysis for this bundle"),)
         assert [repr(report) for report in shared] == [repr(report) for report in standalone]
+
+
+# -- the defector's shortfall in its three former spellings and the two-table
+# beta_sensitivity, kept as references -----------------------------------------
+def reference_treaty_response(scenario, coefficients, qbar):
+    c = scenario.abatement_cost
+    beta = coefficients.beta
+    raw = qbar + (beta - math.sqrt(beta**2 + 2.0 * c * scenario.catastrophe_damages)) / c
+    clamped_value = min(max(raw, 0.0), qbar)
+    return TreatyResponse(raw=float(raw), q_rest=float(clamped_value), clamped=bool(raw < 0.0))
+
+
+def reference_condition27(scenario, analysis):
+    c = scenario.abatement_cost
+    damages = scenario.catastrophe_damages
+    return tuple(
+        bool(
+            analysis.per_party_burden
+            < (math.sqrt(coeff.beta**2 + 2.0 * c * damages) - coeff.beta) / c
+        )
+        for coeff in analysis.coefficients
+    )
+
+
+def reference_treaty_support_check(scenario, taxes, party, market):
+    c = scenario.abatement_cost
+    damages = scenario.catastrophe_damages
+    parties = scenario.treaty_parties
+
+    def conditions(rate):
+        schedule = taxes.with_rate(party, market, rate)
+        beta = treaty._closed_form_coefficients(scenario, schedule, party).beta
+        burden = required_abatement(scenario, schedule) / parties
+        return np.array([
+            beta * burden + 0.5 * c * burden**2,
+            -burden - (beta - math.sqrt(beta**2 + 2.0 * c * damages)) / c,
+        ])
+
+    aversion_slope, defection_slope = finite_difference(conditions, taxes.rate(party, market))
+    beta = treaty._closed_form_coefficients(scenario, taxes, party).beta
+    side = math.sqrt(beta**2 + 2.0 * c * damages) - c * beta > 0.0
+    return TreatySupportReport(
+        aversion_slope=float(aversion_slope),
+        defection_slope=float(defection_slope),
+        side_condition=bool(side),
+    )
+
+
+def reference_resolution(func, x):
+    h = 1e-6 * max(1.0, abs(x))
+    far_lo, lo, hi, far_hi = (func(x + step * h) for step in (-2.0, -1.0, 1.0, 2.0))
+    narrow = (hi - lo) / (2.0 * h)
+    wide = (far_hi - far_lo) / (4.0 * h)
+    noise = np.finfo(float).eps * max(abs(far_lo), abs(lo), abs(hi), abs(far_hi)) / h
+    return abs(wide - narrow) + noise
+
+
+def reference_beta_sensitivity(scenario, taxes, party):
+    """The formulas and the stencils in two tables; each entry's difference
+    from ``finite_difference`` (two evaluations) and its floor from four more."""
+    i, j = party, 1 - party
+    _, rho, _, kd = _rho_form(scenario, taxes)
+    beta = treaty._closed_form_coefficients(scenario, taxes, i).beta
+    g_own = g_rest = 0.0
+    if rho[i] > 0.0:
+        share = 1.0 + kd * (rho[i] + rho[j])
+        g_own = 3.0 / rho[i] - 2.0 * kd / (1.0 + kd * rho[i]) - kd / share
+        if rho[j] > 0.0:
+            g_rest = -kd / (1.0 + kd * rho[j]) - kd / share
+    p, m = scenario.prices, scenario.costs
+    analytic = {
+        "tax_own_home": -beta * g_own * p[i] / m[i],
+        "tax_own_away": -beta * g_own * p[j] / m[i],
+        "tax_other_home": -beta * g_rest * p[i] / m[j],
+        "tax_other_away": -beta * g_rest * p[j] / m[j],
+        "own_cost": -beta * g_own * rho[i] / m[i],
+    }
+
+    def beta_at_rate(sector, market):
+        return lambda rate: treaty._closed_form_coefficients(
+            scenario, taxes.with_rate(sector, market, rate), i
+        ).beta
+
+    def beta_at_cost(cost):
+        costs = list(scenario.costs)
+        costs[i] = cost
+        return treaty._closed_form_coefficients(replace(scenario, costs=tuple(costs)), taxes, i).beta
+
+    stencils = {
+        "tax_own_home": (beta_at_rate(i, i), taxes.rate(i, i)),
+        "tax_own_away": (beta_at_rate(i, j), taxes.rate(i, j)),
+        "tax_other_home": (beta_at_rate(j, i), taxes.rate(j, i)),
+        "tax_other_away": (beta_at_rate(j, j), taxes.rate(j, j)),
+        "own_cost": (beta_at_cost, scenario.costs[i]),
+    }
+    entries = []
+    for name, (beta_at, x) in stencils.items():
+        fd_value = finite_difference(beta_at, x)
+        formula = analytic[name]
+        resolved = fd_value if abs(fd_value) > reference_resolution(beta_at, x) else 0.0
+        scale = max(abs(resolved), abs(formula), 1e-12)
+        gap = abs(resolved - formula) / scale
+        sign_agrees = bool(np.sign(resolved) == np.sign(formula))
+        entries.append(
+            BetaSensitivityEntry(
+                name=name,
+                finite_difference=float(fd_value),
+                analytic=float(formula),
+                sign_agrees=sign_agrees,
+                relative_gap=float(gap),
+                flagged=bool(not sign_agrees or gap > 1e-5),
+            )
+        )
+    return BetaSensitivityReport(entries=tuple(entries))
+
+
+def two_sector_draws(seeds):
+    """Seeded two-sector schedules: as drawn, with k = 0, and with either
+    sector fully taxed (the rho = 0 kinks of the closed-form beta)."""
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        scenario, taxes = sample_scenario(
+            rng, n_sectors=2, with_taxes=True, require_kessler_risk=bool(seed % 2)
+        )
+        yield scenario, taxes
+        yield replace(scenario, collision_coeff=0.0), taxes
+        for sector in (0, 1):
+            taxed = taxes
+            for market in range(scenario.n_markets):
+                taxed = taxed.with_rate(sector, market, 1.0)
+            yield scenario, taxed
+
+
+class TestShortfallAndStencilReferences:
+    def test_treaty_results_equal_the_former_spellings(self, monkeypatch):
+        for scenario, taxes in two_sector_draws(range(150)):
+            for party in range(2):
+                assert treaty_outcome(beta_sensitivity, scenario, taxes, party)[0] == (
+                    treaty_outcome(reference_beta_sensitivity, scenario, taxes, party)[0]
+                )
+                for market in range(scenario.n_markets):
+                    args = (scenario, taxes, party, market)
+                    assert treaty_outcome(treaty_support_check, *args)[0] == (
+                        treaty_outcome(reference_treaty_support_check, *args)[0]
+                    )
+            got, analyses = treaty_outcome(treaty._both_variants, scenario, taxes)
+            with monkeypatch.context() as patch:
+                patch.setattr(treaty, "treaty_response", reference_treaty_response)
+                assert got == treaty_outcome(treaty._both_variants, scenario, taxes)[0]
+            for analysis in analyses or ():
+                condition27 = reference_condition27(scenario, analysis)
+                assert repr(analysis.condition27) == repr(condition27)
+                assert analysis.self_enforcing == all(condition27)
+
+    def test_beta_sensitivity_evaluates_beta_four_times_per_entry(self, monkeypatch):
+        calls = []
+        original = treaty._closed_form_coefficients
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(treaty, "_closed_form_coefficients", counted)
+        beta_sensitivity(SYM2, ZERO2, 0)
+        assert len(calls) == 1 + 4 * 5
