@@ -98,7 +98,7 @@ def _report_text(report: dict, output_format: str) -> str:
     if output_format == "csv":
         flat = flatten_for_csv(report)
         return rows_to_csv(list(flat.keys()), [list(flat.values())])
-    return json.dumps(report, indent=2)
+    return json.dumps(_strict(report), indent=2)
 
 
 def _solve_report(bundle: LoadedBundle) -> tuple[dict, int]:

@@ -6,9 +6,11 @@ the others, and cleans the orbital environment; the three channels are
 exposed separately and their sum is held to the finite-difference
 derivative of welfare. Markets best-respond with box-constrained tax
 columns, and the global regulatory equilibrium is the fixed point of
-damped simultaneous best responses. Each iteration evaluates every
-market's candidate columns in one stacked numpy pass, with markets grouped
-so that no pass stacks more than ``CANDIDATE_BUDGET`` tax rates.
+damped simultaneous best responses. One stacked numpy pass evaluates
+every market's candidate columns at a run of damped iterates, all
+blended toward the same responses; the run is kept up to the first
+iterate whose responses change. Markets are grouped, and runs capped, so
+that no pass stacks more than ``CANDIDATE_BUDGET`` tax rates.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ from .scenario import Scenario, ScenarioRows, TaxSchedule
 
 BEST_RESPONSE_VALUE_TIE = 1e-10
 # Most tax rates one best-response pass may stack, (n + 2) 2^(n-1) n m per
-# market: twelve sectors fit up to 24 markets, thirteen never do.
+# market and iterate: twelve sectors fit up to 24 markets, thirteen never
+# do. A pass stacks iterates times markets, so a pass of several iterates
+# holds every market of each.
 CANDIDATE_BUDGET = 2**23
 # The stock = 0 crossing is taken where share = phi (1 + CROSSING_MARGIN).
 CROSSING_MARGIN = 64.0 * np.finfo(float).eps
@@ -224,27 +228,42 @@ def best_response_taxes(
     candidates for n sectors. The cost grows exponentially: on one core of
     a 2-vCPU x86-64 host a call takes about 0.1 ms up to three sectors at
     phi < 1, 0.13 ms at six and 2 ms at ten; at phi > 1 it takes 0.14 ms at
-    three, 0.24 ms at six and 11 ms at ten. :func:`regulatory_equilibrium`
-    evaluates every market's candidates in one such pass per iteration,
-    grouping markets so that no pass stacks more than ``CANDIDATE_BUDGET``
-    tax rates. BudgetExceededError is raised, before anything is built,
-    when one market's candidates could hold more than that.
+    three, 0.24 ms at six and 11 ms at ten. This is the one-schedule call of
+    the rule :func:`regulatory_equilibrium` runs on stacks of iterates, every
+    market at once. BudgetExceededError is raised, before anything is
+    built, when one market's candidates could hold more than
+    ``CANDIDATE_BUDGET`` tax rates.
     """
-    return _responder(scenario, abatement, (market,))(taxes.as_array)[:, 0]
+    columns, empty = _responder(scenario, abatement, (market,))(taxes.as_array[None])
+    if empty[0]:
+        solve_equilibrium(scenario, taxes, abatement)
+    return columns[0, :, 0]
+
+
+def _candidate_rates(scenario: Scenario) -> int:
+    """Most tax rates one market's best-response candidates stack."""
+    n = scenario.n_sectors
+    return (n + 2) * 2 ** (n - 1) * n * scenario.n_markets
 
 
 def _responder(scenario: Scenario, abatement: float, markets):
     """Check the budget, build what no schedule changes, and return the rule
-    of :func:`best_response_taxes` from rates ``(n, m)`` to ``(n, len(markets))``.
+    of :func:`best_response_taxes` on a stack of schedules.
 
-    A pass stacks as many markets as fit in ``CANDIDATE_BUDGET`` tax rates.
-    Each edge keeps a crossing row, at its start vertex and masked out where
-    the crossing is not in (0, 1): fixed shapes keep every value bitwise.
-    A pass that no crossing can enter (crossing bound below 1, no rate
-    above 1) stacks the 2^n vertex rows alone, with the same values.
+    The rule maps rates ``(K, n, m)`` to the columns ``(K, n, len(markets))``
+    and a ``(K,)`` flag, set where some market has no feasible column; the
+    caller then makes the solve that raises. Each iterate's columns are
+    those of its own one-schedule call, bit for bit. A pass stacks every
+    iterate with as many markets as fit in ``CANDIDATE_BUDGET`` tax rates
+    for one iterate, so callers stack more than one only when every market
+    fits K times over. Each edge keeps a crossing row, at its start vertex
+    and masked out where the crossing is not in (0, 1): fixed shapes keep
+    every value bitwise. A pass that no crossing can enter (crossing bound
+    below 1, no rate above 1) stacks the 2^n vertex rows alone, with the
+    same values.
     """
     n, n_markets = scenario.n_sectors, scenario.n_markets
-    size = (n + 2) * 2 ** (n - 1) * n * n_markets
+    size = _candidate_rates(scenario)
     if size > CANDIDATE_BUDGET:
         raise BudgetExceededError(
             f"{n}-sector best responses could stack {size} tax rates, "
@@ -268,65 +287,70 @@ def _responder(scenario: Scenario, abatement: float, markets):
     # each pass moves to that edge's crossing.
     template = 1.0 - np.concatenate([vertices, starts])
     crossings = n_vertices + np.arange(starts.shape[0])
+    # The vertex-only pass: its columns in lexicographic order, and their
+    # kept shares.
+    order = np.lexsort(template[:n_vertices].T[::-1])
+    kept = 1.0 - template[:n_vertices]
     markets = np.asarray(markets)
     p = scenario.price_array[markets]
     p_starts = p[:, None, None] * starts
     slopes = kd * p[:, None] / costs[free]
+    parts = [slice(lo, lo + group) for lo in range(0, markets.size, group)]
+    # Where each market of a part puts its candidate column: a
+    # (markets, 1, 1, m) mask over the (K, markets, candidates, n, m) stack.
+    owns = [(markets[part, None] == np.arange(n_markets))[:, None, None] for part in parts]
 
-    def respond(rates: np.ndarray) -> np.ndarray:
+    def respond(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        count = rates.shape[0]
         # rates > 1 is false for NaN: a crossing that reads a NaN rate has a
         # NaN e0, and one that does not has e0 >= 1.
         vertex_only = prunable and not (rates > 1.0).any()
-        candidates = template[:n_vertices] if vertex_only else template
-        responses = np.empty((n, markets.size))
-        for lo in range(0, markets.size, group):
-            part = slice(lo, lo + group)
-            ms = markets[part]
-            g = ms.size
-            own = np.arange(g)
-            columns = np.repeat(candidates[None], g, axis=0)
-            if not vertex_only:
+        responses = np.empty((count, n, markets.size))
+        empty = np.zeros(count, dtype=bool)
+        for part, own in zip(parts, owns):
+            if vertex_only:
+                columns, shares = template[:n_vertices], kept
+            else:
                 # Revenue from the other markets as (1 - rates, own column
                 # zeroed) @ p: the total less the own market's term rounds
                 # differently.
-                other = np.repeat((1.0 - rates)[None], g, axis=0)
-                other[own, :, ms] = 0.0
-                a = other @ scenario.price_array
+                a = np.where(own[:, 0], 0.0, (1.0 - rates)[:, None]) @ scenario.price_array
                 # Sums run over every sector. When phi > 0 the inactive ones
                 # have rho = 0 and add nothing; when phi <= 0 survival
                 # phi/share is 0 or negative whatever the share, and no
                 # crossing lies in (0, 1).
-                e0 = 1.0 + kd * ((a[:, None, :] + p_starts[part]) / costs).sum(axis=-1)
+                e0 = 1.0 + kd * ((a[..., None, :] + p_starts[part]) / costs).sum(axis=-1)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     t = (bound - e0) / slopes[part]
                 inside = (t > 0.0) & (t < 1.0)
-                columns[:, crossings, free] = 1.0 - np.where(inside, t, 0.0)
-            stack = np.empty((*columns.shape, n_markets))
-            stack[...] = rates
-            stack[own, :, :, ms] = columns
-            fleets, survival = _stacked_fleets(
-                scenario, stack.reshape(-1, n, n_markets), phi, kd
-            )
-            survival = survival.reshape(g, -1)
+                columns = np.broadcast_to(template, (*inside.shape[:2], *template.shape)).copy()
+                columns[..., crossings, free] = 1.0 - np.where(inside, t, 0.0)
+                shares = 1.0 - columns
+            stack = np.where(own, columns[..., None], rates[:, None, None])
+            fleets, survival = _stacked_fleets(scenario, stack.reshape(-1, n, n_markets), phi, kd)
+            survival = survival.reshape(stack.shape[:3])
             value = survival * (
-                p[part, None]
-                * ((1.0 - columns) * fleets.reshape(columns.shape)).sum(axis=-1)
+                p[part, None] * (shares * fleets.reshape(stack.shape[:4])).sum(axis=-1)
             )
             feasible = (0.0 <= survival) & (survival <= 1.0)
             if not vertex_only:
-                feasible[:, n_vertices:] &= inside
+                feasible[..., n_vertices:] &= inside
             value = np.where(feasible, value, -np.inf)
-            for k in range(g):
-                best = value[k].max()
-                if best == -np.inf:
-                    # Feasible columns are those with share >= phi > 0, so
-                    # the zero-tax vertex (largest share) is feasible if any
-                    # column is. None is, the incoming column included:
-                    # this raises.
-                    solve_equilibrium(scenario, TaxSchedule.from_array(rates), abatement)
-                tied = columns[k][value[k] >= best - BEST_RESPONSE_VALUE_TIE]
-                responses[:, lo + k] = tied[np.lexsort(tied.T[::-1])[0]]
-        return responses
+            best = value.max(axis=-1, keepdims=True)
+            # Feasible columns are those with share >= phi > 0, so the
+            # zero-tax vertex (largest share) is feasible if any column is.
+            # Where none is, the incoming column included, the solve at
+            # that schedule raises.
+            empty |= (best == -np.inf).any(axis=(1, 2))
+            tied = value >= best - BEST_RESPONSE_VALUE_TIE
+            # The lexicographically smallest tied column.
+            if vertex_only:
+                chosen = columns[order[np.argmax(tied[..., order], axis=-1)]]
+            else:
+                first = np.lexsort((*np.moveaxis(columns, -1, 0)[::-1], ~tied), axis=-1)
+                chosen = np.take_along_axis(columns, first[..., :1, None], axis=2)[:, :, 0]
+            responses[..., part] = np.swapaxes(chosen, 1, 2)
+        return responses, empty
 
     return respond
 
@@ -345,33 +369,63 @@ def regulatory_equilibrium(
     Non-convergence is reported honestly in the returned record rather
     than raised: the existence argument is non-constructive, so a failed
     search is a diagnostic, not a bug. A physically invalid start raises
-    its PhysicallyInvalidError before any step. Each step evaluates every
-    market's best response in one stacked pass (see
-    :func:`best_response_taxes`).
+    its PhysicallyInvalidError before any step.
+
+    While the best responses ``b`` stay the same, the steps are repeated
+    blends toward ``b``. So the loop blends a run of K iterates toward the
+    last response, takes every market's best response at all of them in
+    one stacked pass (see :func:`best_response_taxes`), and keeps the
+    iterates up to the first whose response is not ``b``. K doubles after
+    a run that keeps them all and falls back to 1 after one that does not,
+    and no pass stacks more than ``CANDIDATE_BUDGET`` tax rates. An iterate
+    past the first changed response is discarded unexamined, so the record
+    and any error are the one-step-at-a-time loop's, bit for bit.
     """
     solve_equilibrium(scenario, start, abatement)
     rates = start.as_array
     trace: list[float] = []
     converged = False
-    max_update = np.inf
-    iterations = 0
     if max_iterations > 0:  # no step, no best response and no budget check
         respond = _responder(scenario, abatement, range(scenario.n_markets))
-    for iterations in range(1, max_iterations + 1):
-        blended = (1.0 - DAMPING) * rates + DAMPING * respond(rates)
-        max_update = float(np.max(np.abs(blended - rates)))
-        trace.append(max_update)
-        rates = blended
-        if max_update < CONVERGENCE_TOLERANCE:
-            converged = True
-            break
+        # Iterates per pass: every market of each fits in the budget.
+        capacity = max(1, CANDIDATE_BUDGET // (_candidate_rates(scenario) * scenario.n_markets))
+        # The start has solved, so the solve an empty box calls for would
+        # not raise.
+        response, run = respond(rates[None])[0][0], 1
+    while not converged and len(trace) < max_iterations:
+        step = DAMPING * response
+        blends = [rates]
+        updates = []
+        for _ in range(min(run, max_iterations - len(trace))):
+            blends.append((1.0 - DAMPING) * blends[-1] + step)
+            updates.append(float(np.max(np.abs(blends[-1] - blends[-2]))))
+            if updates[-1] < CONVERGENCE_TOLERANCE:
+                break
+        # The response is needed at every blend the loop goes on from.
+        ends = updates[-1] < CONVERGENCE_TOLERANCE or len(trace) + len(updates) == max_iterations
+        asked = blends[1:-1] if ends else blends[1:]
+        if asked:
+            responses, empty = respond(np.array(asked))
+        for k, update in enumerate(updates):
+            rates = blends[k + 1]
+            trace.append(update)
+            converged = update < CONVERGENCE_TOLERANCE
+            if k == len(asked):
+                break
+            if empty[k]:
+                solve_equilibrium(scenario, TaxSchedule.from_array(rates), abatement)
+            if (responses[k] != response).any():
+                response, run = responses[k], 1
+                break
+        else:
+            run = min(2 * run, capacity)
     taxes = TaxSchedule.from_array(rates)
     return RegulatoryEquilibrium(
         taxes=taxes,
         equilibrium=solve_equilibrium(scenario, taxes, abatement),
-        iterations=iterations,
+        iterations=len(trace),
         converged=converged,
-        max_update=max_update,
+        max_update=trace[-1] if trace else np.inf,
         update_trace=tuple(trace),
     )
 

@@ -433,6 +433,32 @@ class TestCommands:
         assert rows[1]["scenario.D0"] == 10.0
         assert rows[1]["error"] == "ActiveSetChangeError"
 
+    @pytest.mark.parametrize("override", ["scenario.X=1e308", "scenario.c=1e308"])
+    def test_treaty_json_is_strict_when_the_shortfall_overflows(self, capsys, override):
+        # 2 c X overflows, so each party's shortfall is infinite and its raw
+        # response qbar - shortfall is -inf: written as null.
+        code, out, err = run_cli(
+            capsys, "treaty", "--scenario", str(FIXTURE), "--set", override
+        )
+        assert code == 0, err
+        report = json.loads(out, parse_constant=_reject_constant)
+
+        def nulls(value, path=()):
+            if value is None:
+                yield path
+            elif isinstance(value, dict):
+                for key, item in value.items():
+                    yield from nulls(item, (*path, key))
+            elif isinstance(value, list):
+                for index, item in enumerate(value):
+                    yield from nulls(item, (*path, index))
+
+        assert sorted(nulls(report)) == [
+            ("variants", variant, "responses", party, "raw")
+            for variant in sorted(report["variants"])
+            for party in range(2)
+        ]
+
     def test_treaty_needs_no_debris_headroom_beyond_zero_abatement(self, capsys):
         # Debris stock 20/27 at zero abatement: probing welfare at
         # abatement 1 or 2 would drive it below zero.

@@ -1,7 +1,9 @@
 import math
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,9 +33,11 @@ from orbituse.regulation import (
     _box_edges,
     _responder,
 )
+from orbituse.reporting import bundle_from_data
 from orbituse.sampling import sample_scenario
 from orbituse.verification import certify_regulatory_equilibrium
 
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 ZERO2 = TaxSchedule.zeros(2, 2)
 ZERO1 = TaxSchedule.zeros(1, 1)
 
@@ -239,6 +243,20 @@ def outcome(function, *args, **kwargs):
     return repr(result)
 
 
+def rule_rows(scenario, stack, abatement, markets):
+    """One pass of the stacked rule over ``stack``, row by row as ``outcome``
+    gives a one-schedule call: the columns, or the error of the solve the
+    rule calls for where a market has no feasible column."""
+    columns, empty = _responder(scenario, abatement, markets)(stack)
+
+    def row(k):
+        if empty[k]:
+            solve_equilibrium(scenario, TaxSchedule.from_array(stack[k]), abatement)
+        return columns[k]
+
+    return [outcome(row, k) for k in range(stack.shape[0])]
+
+
 def reference_responses(scenario, rates, abatement, markets):
     taxes = TaxSchedule.from_array(rates)
     return np.column_stack(
@@ -345,6 +363,127 @@ def binding_abatement(scenario, rates, u):
     untaxed = min(share(j, np.zeros(scenario.n_sectors)) for j in markets)
     phi = best + u * (untaxed - best)
     return legacy + (phi - 1.0) / scenario.collision_coeff
+
+
+@st.composite
+def loop_cases(draw):
+    """1-3 sectors, n or n + 1 markets, starts in {0, 1, U[0, 1]}, and a
+    ``max_iterations`` that stops the loop inside a run (0-6) or not (300).
+
+    Half the draws have Q = 0, so phi < 1 and every best response is a
+    vertex; half abate until phi = 1 + u kd sum rho at zero taxes, u in
+    [0, 1.2], where crossings enter and some boxes have no valid column.
+    """
+    n_s = draw(st.integers(1, 3))
+    n_m = n_s + draw(st.integers(0, 1))
+    log = st.floats(-3.0, 3.0)
+    prices = tuple(math.exp(draw(log)) for _ in range(n_m))
+    costs = tuple(math.exp(draw(log)) for _ in range(n_s))
+    k = math.exp(draw(st.floats(-4.0, 0.0)))
+    d = math.exp(draw(st.floats(-1.0, 1.0)))
+    legacy = draw(st.floats(0.0, 0.9)) / k
+    rate = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+    start = TaxSchedule(tuple(tuple(draw(rate) for _ in range(n_m)) for _ in range(n_s)))
+    abatement = 0.0
+    if draw(st.booleans()):
+        zero_tax_rho = sum(sum(prices) / m for m in costs)
+        abatement = legacy + draw(st.floats(0.0, 1.2)) * d * zero_tax_rho
+    scenario = Scenario(
+        n_markets=n_m,
+        n_sectors=n_s,
+        prices=prices,
+        costs=costs,
+        collision_coeff=k,
+        debris_per_sat=d,
+        legacy_debris=legacy,
+        catastrophe_threshold=2.0,
+        catastrophe_damages=1.0,
+        abatement_cost=1.0,
+    )
+    max_iterations = 300 if draw(st.booleans()) else draw(st.integers(0, 6))
+    return scenario, abatement, start, max_iterations
+
+
+def loop_case(prices, costs, k, d, legacy, abatement, start):
+    """A ``loop_cases`` case run to 300 iterations."""
+    scenario = Scenario(
+        n_markets=len(prices),
+        n_sectors=len(costs),
+        prices=prices,
+        costs=costs,
+        collision_coeff=k,
+        debris_per_sat=d,
+        legacy_debris=legacy,
+        catastrophe_threshold=2.0,
+        catastrophe_damages=1.0,
+        abatement_cost=1.0,
+    )
+    return scenario, abatement, TaxSchedule.from_array(start), 300
+
+
+# Blends of valid schedules can leave the stock negative: some market then
+# has no valid column. In the first two a run blends past such iterates
+# after its first iterate's response changed, so the loop never reaches
+# them; in the third it does, and raises.
+UNREACHED_EMPTY_BOXES = (
+    loop_case(
+        (1.3516062461306662, 0.0632245308926948, 3.0666944136947225, 9.625335744224417),
+        (0.8238439003426397, 0.28373460436916953, 0.19136312463540545),
+        0.4888555081475184, 1.5282391793779382, 0.9941693320341388, 130.36258650616514,
+        [[0.0, 0.0, 0.0, 0.7115917185623403],
+         [0.44755934450183743, 0.0, 0.3721146559877764, 0.760572209864896],
+         [0.0, 0.17284373149860643, 0.0, 0.008429418348838813]],
+    ),
+    loop_case(
+        (0.18077461641055623, 17.33595005183375, 17.534942467569994),
+        (3.267299410503647, 0.42403993503127746, 0.3821930714166187),
+        0.06462064430847587, 1.691077078184602, 3.5305354041737034, 183.08721997552348,
+        [[0.9451932047609326, 0.0, 0.024488265591669278],
+         [0.0, 0.0, 0.0],
+         [0.48038053713449114, 0.8883537794429889, 0.0]],
+    ),
+)
+REACHED_EMPTY_BOX = loop_case(
+    (11.978226117426962, 0.08620197272366391, 1.7429173237844762, 0.24506655796585508),
+    (0.21190263472204704, 0.06936729478505498, 0.19772573773741395),
+    0.07566854820676318, 0.9224868558933826, 8.219193075621936, 199.18107727470277,
+    [[0.0, 0.77181143958896, 0.8180809135494663, 0.0],
+     [0.19187878110042134, 0.0, 0.08921235521807602, 0.037335612555407516],
+     [0.8855493292136839, 0.0, 0.9804977156685545, 0.8855842550080495]],
+)
+
+
+def counted_passes(monkeypatch):
+    """Record each best-response pass's columns and empty-box flags."""
+    passes = []
+    build = regulation._responder
+
+    def responder(scenario, abatement, markets):
+        respond = build(scenario, abatement, markets)
+
+        def recorded(rates):
+            columns, empty = respond(rates)
+            passes.append((columns, empty))
+            return columns, empty
+
+        return recorded
+
+    monkeypatch.setattr(regulation, "_responder", responder)
+    return passes
+
+
+@pytest.fixture(scope="module")
+def regulate_pool():
+    # Read-only use of the benchmark's inputs: leave no bytecode beside them.
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(BENCHMARKS))
+    try:
+        import inputs
+    finally:
+        sys.path.remove(str(BENCHMARKS))
+        sys.dont_write_bytecode = saved
+    return [bundle_from_data(bundle) for op in inputs.regulate_pool() for bundle in op["files"].values()]
 
 
 class TestNationalWelfare:
@@ -564,7 +703,7 @@ class TestStackedBestResponses:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(regulation, "_stacked_fleets", recorded)
-            assert outcome(lambda: _responder(scenario, abatement, markets)(rates)) == reference
+            assert rule_rows(scenario, rates[None], abatement, markets) == [reference]
         # A pass stacks only the 2^n vertices when no crossing can lie in
         # (0, 1): the crossing bound is below 1 and no rate is above 1.
         phi, _ = _phi(scenario, abatement)
@@ -579,6 +718,12 @@ class TestStackedBestResponses:
         assert outcome(
             best_response_taxes, scenario, TaxSchedule.from_array(rates), abatement, market
         ) == single
+        # Stacked with other schedules, each row keeps its own result, also
+        # where one row's rate above 1 puts the whole pass on the crossings.
+        stack = np.stack([0.5 * rates, rates, 0.5 * rates + 0.5])
+        assert rule_rows(scenario, stack, abatement, markets) == [
+            outcome(reference_responses, scenario, row, abatement, markets) for row in stack
+        ]
 
     @pytest.mark.parametrize("n, k, draws", [(8, 0.3, 30), (12, 0.1, 1)])
     def test_matches_the_reference_from_eight_sectors(self, n, k, draws):
@@ -593,9 +738,9 @@ class TestStackedBestResponses:
             binding = binding_abatement(scenario, rates, 0.05)
             for abatement in (0.0, binding):
                 reference = outcome(reference_responses, scenario, rates, abatement, markets)
-                assert outcome(lambda: _responder(scenario, abatement, markets)(rates)) == reference
+                assert rule_rows(scenario, rates[None], abatement, markets) == [reference]
             if reference[0] is not PhysicallyInvalidError:
-                columns = _responder(scenario, binding, markets)(rates)
+                columns = _responder(scenario, binding, markets)(rates[None])[0][0]
                 crossings += bool(np.any((0.0 < columns) & (columns < 1.0)))
         assert crossings >= min(draws, 5)
 
@@ -604,7 +749,7 @@ class TestStackedBestResponses:
         n, m = scenario.n_sectors, scenario.n_markets
         rates = taxes.as_array
         abatements = (0.0, binding_abatement(scenario, rates, 0.05))
-        expected = [outcome(lambda: _responder(scenario, q, range(m))(rates)) for q in abatements]
+        expected = [rule_rows(scenario, rates[None], q, range(m)) for q in abatements]
         loop = outcome(regulatory_equilibrium, scenario, 0.0, taxes)
         stacked = []
 
@@ -615,10 +760,14 @@ class TestStackedBestResponses:
         budget = (n + 2) * 2 ** (n - 1) * n * m
         monkeypatch.setattr(regulation, "CANDIDATE_BUDGET", budget)
         monkeypatch.setattr(regulation, "_stacked_fleets", recorded)
-        assert [outcome(lambda: _responder(scenario, q, range(m))(rates)) for q in abatements] == expected
+        assert [rule_rows(scenario, rates[None], q, range(m)) for q in abatements] == expected
         # At Q = 0 phi < 1 and each pass stacks only the vertices.
         assert stacked == [2**n * n * m] * m + [budget] * m
+        before = len(stacked)
         assert outcome(regulatory_equilibrium, scenario, 0.0, taxes) == loop
+        # The budget holds one market of one iterate, so every pass of the
+        # loop stacks one iterate's vertices for one market.
+        assert set(stacked[before:]) == {2**n * n * m}
         assert max(stacked) == budget
 
 
@@ -687,7 +836,7 @@ class TestRegulatoryEquilibrium:
             reference = outcome(reference_regulatory_equilibrium, scenario, abatement, taxes)
             assert outcome(regulatory_equilibrium, scenario, abatement, taxes) == reference
 
-    def test_the_one_third_cycle_is_kept(self):
+    def test_the_one_third_cycle_is_kept(self, monkeypatch):
         # Best responses flip between denial and access each step, so the
         # damped schedule cycles between rates 1/3 and 2/3.
         scenario = replace(
@@ -698,10 +847,71 @@ class TestRegulatoryEquilibrium:
             debris_per_sat=1.2221910648329655,
         )
         args = (scenario, 2.8740931074830227, TaxSchedule(((1.0, 0.0), (1.0, 0.0))))
+        reference = outcome(reference_regulatory_equilibrium, *args, max_iterations=200)
+        passes = counted_passes(monkeypatch)
         result = regulatory_equilibrium(*args, max_iterations=200)
         assert not result.converged
         assert result.update_trace[-1] == 0.33333333333333337
-        assert repr(result) == outcome(reference_regulatory_equilibrium, *args, max_iterations=200)
+        assert repr(result) == reference
+        # A run that changes its response at its first iterate costs one
+        # pass per step, no more.
+        assert len(passes) <= result.iterations + 1
+
+    @pytest.mark.parametrize("scenario", [SYM2, HIDEB], ids=["SYM2", "HIDEB"])
+    @pytest.mark.parametrize("rate", [0.0, 1.0])
+    def test_unchanged_responses_are_checked_in_doubling_runs(self, scenario, rate, monkeypatch):
+        # From zero taxes both stop after one step; from full taxes the
+        # response is zero taxes throughout, 27 steps.
+        start = TaxSchedule.from_array(np.full((2, 2), rate))
+        reference = outcome(reference_regulatory_equilibrium, scenario, 0.0, start)
+        passes = counted_passes(monkeypatch)
+        result = regulatory_equilibrium(scenario, 0.0, start)
+        assert repr(result) == reference
+        assert result.converged
+        assert len(passes) <= math.ceil(math.log2(result.iterations + 1)) + 2
+
+    def test_pool_scenarios_match_the_per_market_loop(self, regulate_pool):
+        # The benchmark's regulate inputs: every pool op runs this loop.
+        for bundle in regulate_pool:
+            args = (bundle.scenario, bundle.abatement, bundle.taxes)
+            reference = outcome(reference_regulatory_equilibrium, *args)
+            assert outcome(regulatory_equilibrium, *args) == reference
+
+    def test_runs_match_the_per_market_loop(self):
+        changed, unreached = [], []
+
+        @given(loop_cases())
+        @example(UNREACHED_EMPTY_BOXES[0])
+        @example(UNREACHED_EMPTY_BOXES[1])
+        @example(REACHED_EMPTY_BOX)
+        @settings(max_examples=150, deadline=None)
+        def check(case):
+            scenario, abatement, start, max_iterations = case
+            reference = outcome(
+                reference_regulatory_equilibrium,
+                scenario, abatement, start, max_iterations=max_iterations,
+            )
+            with pytest.MonkeyPatch.context() as patch:
+                passes = counted_passes(patch)
+                assert outcome(
+                    regulatory_equilibrium,
+                    scenario, abatement, start, max_iterations=max_iterations,
+                ) == reference
+            # A run whose response changes partway: the rest of it is
+            # discarded and the next run starts at one iterate.
+            changed.extend(
+                len(columns) > 1 and bool((columns[:-1] != columns[1:]).any())
+                for columns, _ in passes
+            )
+            unreached.append(
+                not isinstance(reference, tuple) and any(empty.any() for _, empty in passes)
+            )
+
+        check()
+        assert any(changed)
+        assert sum(unreached) >= 2
+        reached = outcome(regulatory_equilibrium, *REACHED_EMPTY_BOX[:3])
+        assert reached[0] is PhysicallyInvalidError
 
     def test_errors_match_the_per_market_loop(self):
         invalid = TaxSchedule.from_array([[0.5, 0.5], [0.0, 0.0]])
