@@ -34,8 +34,7 @@ from .scenario import Scenario, ScenarioRows, TaxSchedule
 BEST_RESPONSE_VALUE_TIE = 1e-10
 # Most tax rates one best-response pass may stack, (n + 2) 2^(n-1) n m per
 # market and iterate: twelve sectors fit up to 24 markets, thirteen never
-# do. A pass stacks iterates times markets, so a pass of several iterates
-# holds every market of each.
+# do. A pass of several iterates holds every market of each.
 CANDIDATE_BUDGET = 2**23
 # The stock = 0 crossing is taken where share = phi (1 + CROSSING_MARGIN).
 CROSSING_MARGIN = 64.0 * np.finfo(float).eps
@@ -253,10 +252,10 @@ def _responder(scenario: Scenario, abatement: float, markets):
     The rule maps rates ``(K, n, m)`` to the columns ``(K, n, len(markets))``
     and a ``(K,)`` flag, set where some market has no feasible column; the
     caller then makes the solve that raises. Each iterate's columns are
-    those of its own one-schedule call, bit for bit. A pass stacks every
-    iterate with as many markets as fit in ``CANDIDATE_BUDGET`` tax rates
-    for one iterate, so callers stack more than one only when every market
-    fits K times over. Each edge keeps a crossing row, at its start vertex
+    those of its own one-schedule call, bit for bit. A pass stacks all K
+    iterates with as many markets as fit one iterate in
+    ``CANDIDATE_BUDGET`` tax rates, so callers stack K > 1 only when every
+    market fits K times. Each edge keeps a crossing row, at its start vertex
     and masked out where the crossing is not in (0, 1): fixed shapes keep
     every value bitwise. A pass that no crossing can enter (crossing bound
     below 1, no rate above 1) stacks the 2^n vertex rows alone, with the
@@ -293,12 +292,14 @@ def _responder(scenario: Scenario, abatement: float, markets):
     kept = 1.0 - template[:n_vertices]
     markets = np.asarray(markets)
     p = scenario.price_array[markets]
-    p_starts = p[:, None, None] * starts
-    slopes = kd * p[:, None] / costs[free]
-    parts = [slice(lo, lo + group) for lo in range(0, markets.size, group)]
-    # Where each market of a part puts its candidate column: a
-    # (markets, 1, 1, m) mask over the (K, markets, candidates, n, m) stack.
-    owns = [(markets[part, None] == np.arange(n_markets))[:, None, None] for part in parts]
+    p_starts = p[:, None, None, None] * starts
+    slopes = (kd * p[:, None] / costs[free])[:, None]
+    # Each pass's markets, with the row and the own column where each puts
+    # its candidates in the (markets, K, candidates, n, m) stack.
+    parts = []
+    for lo in range(0, markets.size, group):
+        ms = markets[lo:lo + group]
+        parts.append((slice(lo, lo + group), np.arange(ms.size), ms))
 
     def respond(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         count = rates.shape[0]
@@ -307,14 +308,16 @@ def _responder(scenario: Scenario, abatement: float, markets):
         vertex_only = prunable and not (rates > 1.0).any()
         responses = np.empty((count, n, markets.size))
         empty = np.zeros(count, dtype=bool)
-        for part, own in zip(parts, owns):
+        for part, own, ms in parts:
             if vertex_only:
                 columns, shares = template[:n_vertices], kept
             else:
                 # Revenue from the other markets as (1 - rates, own column
                 # zeroed) @ p: the total less the own market's term rounds
                 # differently.
-                a = np.where(own[:, 0], 0.0, (1.0 - rates)[:, None]) @ scenario.price_array
+                other = np.repeat((1.0 - rates)[None], own.size, axis=0)
+                other[own, :, :, ms] = 0.0
+                a = other @ scenario.price_array
                 # Sums run over every sector. When phi > 0 the inactive ones
                 # have rho = 0 and add nothing; when phi <= 0 survival
                 # phi/share is 0 or negative whatever the share, and no
@@ -323,14 +326,17 @@ def _responder(scenario: Scenario, abatement: float, markets):
                 with np.errstate(divide="ignore", invalid="ignore"):
                     t = (bound - e0) / slopes[part]
                 inside = (t > 0.0) & (t < 1.0)
-                columns = np.broadcast_to(template, (*inside.shape[:2], *template.shape)).copy()
+                columns = np.empty((*inside.shape[:2], *template.shape))
+                columns[...] = template
                 columns[..., crossings, free] = 1.0 - np.where(inside, t, 0.0)
                 shares = 1.0 - columns
-            stack = np.where(own, columns[..., None], rates[:, None, None])
+            stack = np.empty((own.size, count, *columns.shape[-2:], n_markets))
+            stack[...] = rates[:, None]
+            stack[own, :, :, :, ms] = columns
             fleets, survival = _stacked_fleets(scenario, stack.reshape(-1, n, n_markets), phi, kd)
             survival = survival.reshape(stack.shape[:3])
             value = survival * (
-                p[part, None] * (shares * fleets.reshape(stack.shape[:4])).sum(axis=-1)
+                p[part, None, None] * (shares * fleets.reshape(stack.shape[:4])).sum(axis=-1)
             )
             feasible = (0.0 <= survival) & (survival <= 1.0)
             if not vertex_only:
@@ -341,15 +347,18 @@ def _responder(scenario: Scenario, abatement: float, markets):
             # zero-tax vertex (largest share) is feasible if any column is.
             # Where none is, the incoming column included, the solve at
             # that schedule raises.
-            empty |= (best == -np.inf).any(axis=(1, 2))
+            empty |= (best == -np.inf).any(axis=(0, 2))
             tied = value >= best - BEST_RESPONSE_VALUE_TIE
             # The lexicographically smallest tied column.
             if vertex_only:
                 chosen = columns[order[np.argmax(tied[..., order], axis=-1)]]
             else:
-                first = np.lexsort((*np.moveaxis(columns, -1, 0)[::-1], ~tied), axis=-1)
-                chosen = np.take_along_axis(columns, first[..., :1, None], axis=2)[:, :, 0]
-            responses[..., part] = np.swapaxes(chosen, 1, 2)
+                for c in range(n):
+                    coordinate = columns[..., c]
+                    least = np.where(tied, coordinate, np.inf).min(axis=-1, keepdims=True)
+                    tied &= coordinate == least
+                chosen = columns[own[:, None], np.arange(count), np.argmax(tied, axis=-1)]
+            responses[..., part] = chosen.transpose(1, 2, 0)
         return responses, empty
 
     return respond

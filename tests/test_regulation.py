@@ -365,6 +365,24 @@ def binding_abatement(scenario, rates, u):
     return legacy + (phi - 1.0) / scenario.collision_coeff
 
 
+def loop_case(prices, costs, k, d, legacy, abatement, start, max_iterations=300):
+    """Arguments of one ``regulatory_equilibrium`` call on a Scenario with
+    these prices, costs, k, d and D0."""
+    scenario = Scenario(
+        n_markets=len(prices),
+        n_sectors=len(costs),
+        prices=prices,
+        costs=costs,
+        collision_coeff=k,
+        debris_per_sat=d,
+        legacy_debris=legacy,
+        catastrophe_threshold=2.0,
+        catastrophe_damages=1.0,
+        abatement_cost=1.0,
+    )
+    return scenario, abatement, TaxSchedule.from_array(start), max_iterations
+
+
 @st.composite
 def loop_cases(draw):
     """1-3 sectors, n or n + 1 markets, starts in {0, 1, U[0, 1]}, and a
@@ -383,42 +401,13 @@ def loop_cases(draw):
     d = math.exp(draw(st.floats(-1.0, 1.0)))
     legacy = draw(st.floats(0.0, 0.9)) / k
     rate = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
-    start = TaxSchedule(tuple(tuple(draw(rate) for _ in range(n_m)) for _ in range(n_s)))
+    start = [[draw(rate) for _ in range(n_m)] for _ in range(n_s)]
     abatement = 0.0
     if draw(st.booleans()):
         zero_tax_rho = sum(sum(prices) / m for m in costs)
         abatement = legacy + draw(st.floats(0.0, 1.2)) * d * zero_tax_rho
-    scenario = Scenario(
-        n_markets=n_m,
-        n_sectors=n_s,
-        prices=prices,
-        costs=costs,
-        collision_coeff=k,
-        debris_per_sat=d,
-        legacy_debris=legacy,
-        catastrophe_threshold=2.0,
-        catastrophe_damages=1.0,
-        abatement_cost=1.0,
-    )
     max_iterations = 300 if draw(st.booleans()) else draw(st.integers(0, 6))
-    return scenario, abatement, start, max_iterations
-
-
-def loop_case(prices, costs, k, d, legacy, abatement, start):
-    """A ``loop_cases`` case run to 300 iterations."""
-    scenario = Scenario(
-        n_markets=len(prices),
-        n_sectors=len(costs),
-        prices=prices,
-        costs=costs,
-        collision_coeff=k,
-        debris_per_sat=d,
-        legacy_debris=legacy,
-        catastrophe_threshold=2.0,
-        catastrophe_damages=1.0,
-        abatement_cost=1.0,
-    )
-    return scenario, abatement, TaxSchedule.from_array(start), 300
+    return loop_case(prices, costs, k, d, legacy, abatement, start, max_iterations)
 
 
 # Blends of valid schedules can leave the stock negative: some market then
