@@ -347,16 +347,19 @@ def _responder(scenario: Scenario, abatement: float, markets):
             # zero-tax vertex (largest share) is feasible if any column is.
             # Where none is, the incoming column included, the solve at
             # that schedule raises.
-            empty |= (best == -np.inf).any(axis=(0, 2))
+            empty |= (best[..., 0] == -np.inf).any(axis=0)
             tied = value >= best - BEST_RESPONSE_VALUE_TIE
             # The lexicographically smallest tied column.
             if vertex_only:
                 chosen = columns[order[np.argmax(tied[..., order], axis=-1)]]
             else:
-                for c in range(n):
-                    coordinate = columns[..., c]
-                    least = np.where(tied, coordinate, np.inf).min(axis=-1, keepdims=True)
-                    tied &= coordinate == least
+                # Most rows tie at one column only; the others narrow to
+                # their least first coordinate, then second, and so on.
+                if (tied.sum(axis=-1) > 1).any():
+                    for c in range(n):
+                        coordinate = columns[..., c]
+                        least = np.where(tied, coordinate, np.inf).min(axis=-1, keepdims=True)
+                        tied &= coordinate == least
                 chosen = columns[own[:, None], np.arange(count), np.argmax(tied, axis=-1)]
             responses[..., part] = chosen.transpose(1, 2, 0)
         return responses, empty
