@@ -225,13 +225,14 @@ def best_response_taxes(
     share is at least 1, so none lies inside its edge and only the 2^n
     vertices are evaluated. Otherwise there are up to (n + 2) 2^(n-1)
     candidates for n sectors. The cost grows exponentially: on one core of
-    a 2-vCPU x86-64 host a call takes about 0.1 ms up to three sectors at
-    phi < 1, 0.13 ms at six and 2 ms at ten; at phi > 1 it takes 0.14 ms at
-    three, 0.24 ms at six and 11 ms at ten. This is the one-schedule call of
-    the rule :func:`regulatory_equilibrium` runs on stacks of iterates, every
-    market at once. BudgetExceededError is raised, before anything is
-    built, when one market's candidates could hold more than
-    ``CANDIDATE_BUDGET`` tax rates.
+    a 2-vCPU x86-64 host, with as many markets as sectors, a call takes
+    about 0.06 ms up to three sectors at phi < 1, 0.07 ms at six and 1.1 ms
+    at ten; at phi > 1 it takes 0.08 ms at three, 0.14 ms at six and 6 ms
+    at ten. This is the one-schedule call of the rule
+    :func:`regulatory_equilibrium` runs on stacks of iterates, every market
+    at once. BudgetExceededError is raised, before anything is built, when
+    one market's candidates could hold more than ``CANDIDATE_BUDGET`` tax
+    rates.
     """
     columns, empty = _responder(scenario, abatement, (market,))(taxes.as_array[None])
     if empty[0]:
