@@ -1,10 +1,28 @@
+import importlib
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from orbituse import SYM2, TaxSchedule
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def benchmark_modules(*names):
+    """The benchmark's own modules, imported read-only: no bytecode is
+    written beside them."""
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(BENCHMARKS))
+    try:
+        return [importlib.import_module(name) for name in names]
+    finally:
+        sys.path.remove(str(BENCHMARKS))
+        sys.dont_write_bytecode = saved
 
 
 @pytest.fixture

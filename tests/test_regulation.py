@@ -1,9 +1,7 @@
 import math
-import sys
 import time
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +35,8 @@ from orbituse.reporting import bundle_from_data
 from orbituse.sampling import sample_scenario
 from orbituse.verification import certify_regulatory_equilibrium
 
-BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+from conftest import benchmark_modules
+
 ZERO2 = TaxSchedule.zeros(2, 2)
 ZERO1 = TaxSchedule.zeros(1, 1)
 
@@ -463,15 +462,7 @@ def counted_passes(monkeypatch):
 
 @pytest.fixture(scope="module")
 def regulate_pool():
-    # Read-only use of the benchmark's inputs: leave no bytecode beside them.
-    saved = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, str(BENCHMARKS))
-    try:
-        import inputs
-    finally:
-        sys.path.remove(str(BENCHMARKS))
-        sys.dont_write_bytecode = saved
+    (inputs,) = benchmark_modules("inputs")
     return [bundle_from_data(bundle) for op in inputs.regulate_pool() for bundle in op["files"].values()]
 
 

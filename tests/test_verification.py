@@ -10,7 +10,6 @@ included, and raise the same error as the lowest-index failing bundle.
 import gzip
 import json
 import math
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -49,7 +48,7 @@ from orbituse.verification import (
     run_verification,
 )
 
-BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+from conftest import BENCHMARKS, benchmark_modules
 
 
 # -- the per-bundle checkers the batch ones replaced --------------------------
@@ -673,16 +672,7 @@ def _reject_constant(name):
 
 @pytest.fixture(scope="module")
 def verify_pool():
-    # Read-only use of the benchmark's modules: leave no bytecode beside them.
-    saved = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, str(BENCHMARKS))
-    try:
-        import inputs
-        import outputs
-    finally:
-        sys.path.remove(str(BENCHMARKS))
-        sys.dont_write_bytecode = saved
+    inputs, outputs = benchmark_modules("inputs", "outputs")
     with gzip.open(BENCHMARKS / "reference.json.gz", "rt") as handle:
         recorded = json.load(handle)["workloads"]["verify"]["ops"]
     pool = {op["id"]: op for op in inputs.verify_pool()}
