@@ -6,11 +6,11 @@ the others, and cleans the orbital environment; the three channels are
 exposed separately and their sum is held to the finite-difference
 derivative of welfare. Markets best-respond with box-constrained tax
 columns, and the global regulatory equilibrium is the fixed point of
-damped simultaneous best responses. One stacked numpy pass evaluates
-every market's candidate columns at a run of damped iterates, all
-blended toward the same responses; the run is kept up to the first
-iterate whose responses change. Markets are grouped, and runs capped, so
-that no pass stacks more than ``CANDIDATE_BUDGET`` tax rates.
+damped simultaneous best responses. One call of the stacked rule
+evaluates every market's candidate columns at a run of damped iterates,
+all blended toward the same responses; the run is kept up to the first
+iterate whose responses change. The rule splits its stack into passes of
+at most ``CANDIDATE_BUDGET`` tax rates.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .scenario import Scenario, ScenarioRows, TaxSchedule
 BEST_RESPONSE_VALUE_TIE = 1e-10
 # Most tax rates one best-response pass may stack, (n + 2) 2^(n-1) n m per
 # market and iterate: twelve sectors fit up to 24 markets, thirteen never
-# do. A pass of several iterates holds every market of each.
+# do.
 CANDIDATE_BUDGET = 2**23
 # The stock = 0 crossing is taken where share = phi (1 + CROSSING_MARGIN).
 CROSSING_MARGIN = 64.0 * np.finfo(float).eps
@@ -240,12 +240,6 @@ def best_response_taxes(
     return columns[0, :, 0]
 
 
-def _candidate_rates(scenario: Scenario) -> int:
-    """Most tax rates one market's best-response candidates stack."""
-    n = scenario.n_sectors
-    return (n + 2) * 2 ** (n - 1) * n * scenario.n_markets
-
-
 def _responder(scenario: Scenario, abatement: float, markets):
     """Check the budget, build what no schedule changes, and return the rule
     of :func:`best_response_taxes` on a stack of schedules.
@@ -253,17 +247,18 @@ def _responder(scenario: Scenario, abatement: float, markets):
     The rule maps rates ``(K, n, m)`` to the columns ``(K, n, len(markets))``
     and a ``(K,)`` flag, set where some market has no feasible column; the
     caller then makes the solve that raises. Each iterate's columns are
-    those of its own one-schedule call, bit for bit. A pass stacks all K
-    iterates with as many markets as fit one iterate in
-    ``CANDIDATE_BUDGET`` tax rates, so callers stack K > 1 only when every
-    market fits K times. Each edge keeps a crossing row, at its start vertex
+    those of its own one-schedule call, bit for bit. The rule splits the
+    stack into passes of at most ``CANDIDATE_BUDGET`` tax rates: as many
+    iterates as fit with all the markets, or else one iterate with as many
+    markets as fit. Each edge keeps a crossing row, at its start vertex
     and masked out where the crossing is not in (0, 1): fixed shapes keep
     every value bitwise. A pass that no crossing can enter (crossing bound
     below 1, no rate above 1) stacks the 2^n vertex rows alone, with the
     same values.
     """
     n, n_markets = scenario.n_sectors, scenario.n_markets
-    size = _candidate_rates(scenario)
+    # Tax rates one market's candidates stack at one iterate.
+    size = (n + 2) * 2 ** (n - 1) * n * n_markets
     if size > CANDIDATE_BUDGET:
         raise BudgetExceededError(
             f"{n}-sector best responses could stack {size} tax rates, "
@@ -287,31 +282,28 @@ def _responder(scenario: Scenario, abatement: float, markets):
     # each pass moves to that edge's crossing.
     template = 1.0 - np.concatenate([vertices, starts])
     crossings = n_vertices + np.arange(starts.shape[0])
-    # The vertex-only pass: its columns in lexicographic order, and their
-    # kept shares.
-    order = np.lexsort(template[:n_vertices].T[::-1])
-    kept = 1.0 - template[:n_vertices]
     markets = np.asarray(markets)
+    iterates = max(1, group // markets.size)    # per pass
     p = scenario.price_array[markets]
     p_starts = p[:, None, None, None] * starts
     slopes = (kd * p[:, None] / costs[free])[:, None]
-    # Each pass's markets, with the row and the own column where each puts
-    # its candidates in the (markets, K, candidates, n, m) stack.
-    parts = []
-    for lo in range(0, markets.size, group):
-        ms = markets[lo:lo + group]
-        parts.append((slice(lo, lo + group), np.arange(ms.size), ms))
 
-    def respond(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        count = rates.shape[0]
-        # rates > 1 is false for NaN: a crossing that reads a NaN rate has a
-        # NaN e0, and one that does not has e0 >= 1.
-        vertex_only = prunable and not (rates > 1.0).any()
-        responses = np.empty((count, n, markets.size))
-        empty = np.zeros(count, dtype=bool)
-        for part, own, ms in parts:
+    def respond(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        responses = np.empty((stacked.shape[0], n, markets.size))
+        empty = np.zeros(stacked.shape[0], dtype=bool)
+        passes = itertools.product(range(0, stacked.shape[0], iterates), range(0, markets.size, group))
+        for lo, first in passes:
+            rows, part = slice(lo, lo + iterates), slice(first, first + group)
+            rates, ms = stacked[rows], markets[part]
+            # Market ms[own] puts its candidates at row own of the
+            # (markets, K, candidates, n, m) stack.
+            count, own = rates.shape[0], np.arange(ms.size)
+            # rates > 1 is false for NaN: a crossing that reads a NaN rate has
+            # a NaN e0, and one that does not has e0 >= 1.
+            vertex_only = prunable and not (rates > 1.0).any()
             if vertex_only:
-                columns, shares = template[:n_vertices], kept
+                columns = np.broadcast_to(template[:n_vertices], (own.size, count, n_vertices, n))
+                shares = vertices
             else:
                 # Revenue from the other markets as (1 - rates, own column
                 # zeroed) @ p: the total less the own market's term rounds
@@ -348,21 +340,18 @@ def _responder(scenario: Scenario, abatement: float, markets):
             # zero-tax vertex (largest share) is feasible if any column is.
             # Where none is, the incoming column included, the solve at
             # that schedule raises.
-            empty |= (best[..., 0] == -np.inf).any(axis=0)
+            empty[rows] |= (best[..., 0] == -np.inf).any(axis=0)
             tied = value >= best - BEST_RESPONSE_VALUE_TIE
-            # The lexicographically smallest tied column.
-            if vertex_only:
-                chosen = columns[order[np.argmax(tied[..., order], axis=-1)]]
-            else:
-                # Most rows tie at one column only; the others narrow to
-                # their least first coordinate, then second, and so on.
-                if (tied.sum(axis=-1) > 1).any():
-                    for c in range(n):
-                        coordinate = columns[..., c]
-                        least = np.where(tied, coordinate, np.inf).min(axis=-1, keepdims=True)
-                        tied &= coordinate == least
-                chosen = columns[own[:, None], np.arange(count), np.argmax(tied, axis=-1)]
-            responses[..., part] = chosen.transpose(1, 2, 0)
+            # The lexicographically smallest tied column. Most rows tie at
+            # one column only; the others narrow to their least first
+            # coordinate, then second, and so on.
+            if (tied.sum(axis=-1) > 1).any():
+                for c in range(n):
+                    coordinate = columns[..., c]
+                    least = np.where(tied, coordinate, np.inf).min(axis=-1, keepdims=True)
+                    tied &= coordinate == least
+            chosen = columns[own[:, None], np.arange(count), np.argmax(tied, axis=-1)]
+            responses[rows, ..., part] = chosen.transpose(1, 2, 0)
         return responses, empty
 
     return respond
@@ -385,14 +374,16 @@ def regulatory_equilibrium(
     its PhysicallyInvalidError before any step.
 
     While the best responses ``b`` stay the same, the steps are repeated
-    blends toward ``b``. So the loop blends a run of K iterates toward the
+    blends toward ``b``. So the loop blends a run of iterates toward the
     last response, takes every market's best response at all of them in
-    one stacked pass (see :func:`best_response_taxes`), and keeps the
-    iterates up to the first whose response is not ``b``. K doubles after
-    a run that keeps them all and falls back to 1 after one that does not,
-    and no pass stacks more than ``CANDIDATE_BUDGET`` tax rates. An iterate
-    past the first changed response is discarded unexamined, so the record
-    and any error are the one-step-at-a-time loop's, bit for bit.
+    one call of the stacked rule (see :func:`best_response_taxes`), and
+    keeps the iterates up to the first whose response is not ``b``. After
+    a change the next run is one step; after a run whose responses all
+    held, it blends until an update converges or ``max_iterations`` is
+    reached. The loop ends on such an iterate without reading its
+    response, and discards unexamined every iterate past the first changed
+    response, so the record and any error are the one-step-at-a-time
+    loop's, bit for bit.
     """
     solve_equilibrium(scenario, start, abatement)
     rates = start.as_array
@@ -400,8 +391,6 @@ def regulatory_equilibrium(
     converged = False
     if max_iterations > 0:  # no step, no best response and no budget check
         respond = _responder(scenario, abatement, range(scenario.n_markets))
-        # Iterates per pass: every market of each fits in the budget.
-        capacity = max(1, CANDIDATE_BUDGET // (_candidate_rates(scenario) * scenario.n_markets))
         # The start has solved, so the solve an empty box calls for would
         # not raise.
         response, run = respond(rates[None])[0][0], 1
@@ -414,24 +403,19 @@ def regulatory_equilibrium(
             updates.append(float(np.max(np.abs(blends[-1] - blends[-2]))))
             if updates[-1] < CONVERGENCE_TOLERANCE:
                 break
-        # The response is needed at every blend the loop goes on from.
-        ends = updates[-1] < CONVERGENCE_TOLERANCE or len(trace) + len(updates) == max_iterations
-        asked = blends[1:-1] if ends else blends[1:]
-        if asked:
-            responses, empty = respond(np.array(asked))
+        responses, empty = respond(np.array(blends[1:]))
+        run = max_iterations    # after a run that holds, blend to convergence
         for k, update in enumerate(updates):
             rates = blends[k + 1]
             trace.append(update)
             converged = update < CONVERGENCE_TOLERANCE
-            if k == len(asked):
+            if converged or len(trace) == max_iterations:
                 break
             if empty[k]:
                 solve_equilibrium(scenario, TaxSchedule.from_array(rates), abatement)
             if (responses[k] != response).any():
                 response, run = responses[k], 1
                 break
-        else:
-            run = min(2 * run, capacity)
     taxes = TaxSchedule.from_array(rates)
     return RegulatoryEquilibrium(
         taxes=taxes,
