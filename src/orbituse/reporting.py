@@ -70,7 +70,7 @@ def _parse_value(raw: str):
     raise OverrideError(f"cannot parse value {raw!r}")
 
 
-def _apply_override(data: dict, key: str, raw_value: str) -> None:
+def _apply_override(data: dict, tax_overrides: list, key: str, raw_value: str) -> None:
     value = _parse_value(raw_value)
     parts = key.split(".")
     if parts[0] == "scenario" and len(parts) == 2:
@@ -87,7 +87,7 @@ def _apply_override(data: dict, key: str, raw_value: str) -> None:
         if sector < 0 or market < 0:
             raise OverrideError(f"tax override indices are 1-based: {key!r}")
         rate = _number(value, key, OverrideError)
-        data.setdefault("_tax_overrides", []).append((sector, market, rate))
+        tax_overrides.append((sector, market, rate))
         return
     if parts[0] == "abatement" and len(parts) == 1:
         data["abatement"] = _number(value, key, OverrideError)
@@ -104,7 +104,7 @@ def load_scenario(path: str | Path, overrides: list[str] | None = None) -> Loade
         raise ScenarioParseError(f"scenario file not found: {path}") from error
     except json.JSONDecodeError as error:
         raise ScenarioParseError(f"malformed JSON in {path}: {error}") from error
-    if not isinstance(data, dict) or "scenario" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("scenario"), dict):
         raise ScenarioParseError(f"{path} must contain a 'scenario' object")
     return bundle_from_data(data, overrides)
 
@@ -112,13 +112,14 @@ def load_scenario(path: str | Path, overrides: list[str] | None = None) -> Loade
 def bundle_from_data(data: dict, overrides: list[str] | None = None) -> LoadedBundle:
     """Apply overrides to an in-memory bundle dict, then validate."""
     data = json.loads(json.dumps(data))  # deep copy, JSON-typed
+    tax_overrides: list[tuple[int, int, float]] = []
     for item in overrides or []:
         if "=" not in item:
             raise OverrideError(f"override {item!r} must look like key=value")
         key, raw_value = item.split("=", 1)
-        _apply_override(data, key.strip(), raw_value.strip())
+        _apply_override(data, tax_overrides, key.strip(), raw_value.strip())
 
-    block = dict(data["scenario"])
+    block = data["scenario"]
     unknown = set(block) - SCENARIO_FIELDS
     if unknown:
         raise ScenarioParseError(f"unknown scenario fields: {sorted(unknown)}")
@@ -155,7 +156,7 @@ def bundle_from_data(data: dict, overrides: list[str] | None = None) -> LoadedBu
         taxes = TaxSchedule.from_array(rates)
     else:
         taxes = TaxSchedule.zeros(scenario.n_sectors, scenario.n_markets)
-    for sector, market, value in data.get("_tax_overrides", []):
+    for sector, market, value in tax_overrides:
         if sector >= scenario.n_sectors or market >= scenario.n_markets:
             raise OverrideError(
                 f"tax override ({sector + 1}, {market + 1}) outside the "

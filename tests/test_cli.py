@@ -232,6 +232,18 @@ class TestCommands:
         payload = json.loads(line, parse_constant=_reject_constant)
         assert payload["error"] == "ScenarioParseError"
 
+    @pytest.mark.parametrize("value", [[[0, 0, 0.5]], [[0, 0, "x"]], [[0, 0]]])
+    def test_a_file_key_cannot_inject_tax_overrides(self, capsys, tmp_path, value):
+        # Tax overrides come from --set alone: the loader keeps them apart
+        # from the file's keys.
+        data = json.loads(FIXTURE.read_text())
+        data["_tax_overrides"] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "solve", "--scenario", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["inputs"]["taxes"] == [[0.0, 0.0], [0.0, 0.0]]
+
     def test_strict_assumption_violation_exits_4(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -273,12 +285,28 @@ class TestCommands:
                 '{"error": "PhysicallyInvalidError", "message": "survival probability '
                 '1.038462 outside [0, 1] at debris stock -0.384615"}',
             ),
+            # A scenario value that is not an object, read from FILE.
+            *(
+                (
+                    ["solve", {"scenario": value}, "--set", "scenario.k=0.2"],
+                    2,
+                    '{"error": "ScenarioParseError", "message": "FILE must contain a '
+                    "'scenario' object\"}",
+                )
+                for value in ("x", None, [1], [["n_markets", 2]])
+            ),
         ],
-        ids=["missing-seed", "strict", "validation", "runtime"],
+        ids=["missing-seed", "strict", "validation", "runtime",
+             "scenario-text", "scenario-null", "scenario-list", "scenario-pairs"],
     )
-    def test_every_error_is_one_pinned_json_line(self, capsys, argv, code, line):
+    def test_every_error_is_one_pinned_json_line(self, capsys, tmp_path, argv, code, line):
         command, *rest = argv
-        assert run_cli(capsys, command, "--scenario", str(FIXTURE), *rest) == (code, "", line + "\n")
+        path = FIXTURE
+        if rest and isinstance(rest[0], dict):
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(rest.pop(0)))
+            line = line.replace("FILE", json.dumps(str(path))[1:-1])
+        assert run_cli(capsys, command, "--scenario", str(path), *rest) == (code, "", line + "\n")
 
     @pytest.mark.parametrize("debris_per_sat", ["1e140", "1e150", "1e250", "1e297"])
     def test_treaty_arithmetic_past_the_float_range_is_one_json_line(self, capsys, debris_per_sat):
