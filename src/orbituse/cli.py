@@ -40,7 +40,7 @@ from .open_access import (
     required_abatement,
     solve_equilibrium,
 )
-from .regulation import national_welfare, regulatory_equilibrium
+from .regulation import _welfare_report, regulatory_equilibrium
 from .reporting import (
     LoadedBundle,
     bundle_from_data,
@@ -103,7 +103,7 @@ def _report_text(report: dict, output_format: str) -> str:
 
 def _solve_report(bundle: LoadedBundle) -> tuple[dict, int]:
     equilibrium = solve_equilibrium(bundle.scenario, bundle.taxes, bundle.abatement)
-    welfare = national_welfare(bundle.scenario, bundle.taxes, bundle.abatement)
+    welfare = _welfare_report(bundle.scenario, bundle.taxes, equilibrium)
     flags = check_assumptions(bundle.scenario, bundle.taxes)
     report = {"inputs": dump_bundle(bundle)}
     report.update(equilibrium_report(equilibrium, welfare, flags))
@@ -112,7 +112,7 @@ def _solve_report(bundle: LoadedBundle) -> tuple[dict, int]:
 
 def _regulate_report(bundle: LoadedBundle) -> tuple[dict, int]:
     result = regulatory_equilibrium(bundle.scenario, bundle.abatement, bundle.taxes)
-    welfare = national_welfare(bundle.scenario, result.taxes, bundle.abatement)
+    welfare = _welfare_report(bundle.scenario, result.taxes, result.equilibrium)
     flags = check_assumptions(bundle.scenario, result.taxes)
     report = {
         "inputs": dump_bundle(bundle),
@@ -187,7 +187,7 @@ def _sweep_rows(bundle: LoadedBundle, axis) -> tuple[list[str], list[list]]:
             data_override = f"{key}={format_csv_value(float(value))}"
             probe = bundle_from_data(base, [data_override])
             equilibrium = solve_equilibrium(probe.scenario, probe.taxes, probe.abatement)
-            welfare = national_welfare(probe.scenario, probe.taxes, probe.abatement)
+            welfare = _welfare_report(probe.scenario, probe.taxes, equilibrium)
             model, closed = _both_variants(probe.scenario, probe.taxes)
             row += [float(f) for f in equilibrium.fleets]
             row += [equilibrium.debris.stock, equilibrium.debris.survival]

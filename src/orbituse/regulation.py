@@ -6,17 +6,21 @@ the others, and cleans the orbital environment; the three channels are
 exposed separately and their sum is held to the finite-difference
 derivative of welfare. Markets best-respond with box-constrained tax
 columns, and the global regulatory equilibrium is the fixed point of
-damped simultaneous best responses. One call of the stacked rule
-evaluates every market's candidate columns at a run of damped iterates,
-all blended toward the same responses; the run is kept up to the first
-iterate whose responses change. The rule splits its stack into passes of
-at most ``CANDIDATE_BUDGET`` tax rates.
+damped simultaneous best responses. The iterates of a run are blended
+toward the same responses on Python floats, and one call of the stacked
+rule evaluates every market's candidate columns at all of them; the run
+is kept up to the first iterate whose responses change. A response that
+never changes costs two calls, one at the start and one for the run that
+converges. The rule splits its stack into passes of at most
+``CANDIDATE_BUDGET`` tax rates.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,7 +119,13 @@ def national_welfare(
     Catastrophe damages are deliberately excluded: a market acting alone
     does not internalize them.
     """
-    equilibrium = solve_equilibrium(scenario, taxes, abatement)
+    return _welfare_report(scenario, taxes, solve_equilibrium(scenario, taxes, abatement))
+
+
+def _welfare_report(
+    scenario: Scenario, taxes: TaxSchedule, equilibrium: OpenAccessEquilibrium
+) -> WelfareReport:
+    """:func:`national_welfare` read off ``equilibrium``, the solve at ``taxes``."""
     gross = _stacked_gross(scenario, taxes.as_array[None], equilibrium.fleet_array[None])[0]
     survival = equilibrium.debris.survival
     return WelfareReport(
@@ -357,6 +367,26 @@ def _responder(scenario: Scenario, abatement: float, markets):
     return respond
 
 
+def _blend_run(rates: np.ndarray, response: np.ndarray, count: int) -> tuple[np.ndarray, list]:
+    """Up to ``count`` steps ``(1 - DAMPING) x + DAMPING b`` from ``rates``
+    toward ``response``, to the first whose update ``max |new - x|``
+    converges: the blends ``(K, n, m)`` and the updates. The same IEEE
+    operations on Python floats give the numpy loop's values bit for bit; a
+    non-finite rate stays so and makes every update NaN, as ``np.max`` does."""
+    keep, step = 1.0 - DAMPING, (DAMPING * response).ravel().tolist()
+    x = rates.ravel().tolist()
+    finite = all(map(math.isfinite, x))
+    rows, updates = [], []
+    while len(rows) < count:
+        new = [keep * a + s for a, s in zip(x, step)]
+        updates.append(max(map(abs, map(operator.sub, new, x))) if finite else math.nan)
+        rows.append(new)
+        x = new
+        if updates[-1] < CONVERGENCE_TOLERANCE:
+            break
+    return np.array(rows).reshape(-1, *rates.shape), updates
+
+
 def regulatory_equilibrium(
     scenario: Scenario,
     abatement: float,
@@ -377,45 +407,46 @@ def regulatory_equilibrium(
     blends toward ``b``. So the loop blends a run of iterates toward the
     last response, takes every market's best response at all of them in
     one call of the stacked rule (see :func:`best_response_taxes`), and
-    keeps the iterates up to the first whose response is not ``b``. After
-    a change the next run is one step; after a run whose responses all
-    held, it blends until an update converges or ``max_iterations`` is
-    reached. The loop ends on such an iterate without reading its
-    response, and discards unexamined every iterate past the first changed
-    response, so the record and any error are the one-step-at-a-time
-    loop's, bit for bit.
+    keeps the iterates up to the first whose response is not ``b``. The
+    run from the start's response, and a run after one whose responses
+    all held, blends until an update converges or ``max_iterations`` is
+    reached; the run after a change is one step. The loop ends on such an
+    iterate, so the rule is not asked for its response, and a run that is
+    only that iterate makes no call: a response that never changes costs
+    two calls, and a start already at its fixed point one. Every iterate
+    past the first changed response is discarded unexamined, so the
+    record and any error are the one-step-at-a-time loop's, bit for bit.
     """
     solve_equilibrium(scenario, start, abatement)
     rates = start.as_array
     trace: list[float] = []
     converged = False
+    held = True     # the start's run blends to convergence, as after a run that held
     if max_iterations > 0:  # no step, no best response and no budget check
         respond = _responder(scenario, abatement, range(scenario.n_markets))
         # The start has solved, so the solve an empty box calls for would
         # not raise.
-        response, run = respond(rates[None])[0][0], 1
+        response = respond(rates[None])[0][0]
     while not converged and len(trace) < max_iterations:
-        step = DAMPING * response
-        blends = [rates]
-        updates = []
-        for _ in range(min(run, max_iterations - len(trace))):
-            blends.append((1.0 - DAMPING) * blends[-1] + step)
-            updates.append(float(np.max(np.abs(blends[-1] - blends[-2]))))
-            if updates[-1] < CONVERGENCE_TOLERANCE:
-                break
-        responses, empty = respond(np.array(blends[1:]))
-        run = max_iterations    # after a run that holds, blend to convergence
-        for k, update in enumerate(updates):
-            rates = blends[k + 1]
-            trace.append(update)
-            converged = update < CONVERGENCE_TOLERANCE
-            if converged or len(trace) == max_iterations:
-                break
-            if empty[k]:
-                solve_equilibrium(scenario, TaxSchedule.from_array(rates), abatement)
-            if (responses[k] != response).any():
-                response, run = responses[k], 1
-                break
+        remaining = max_iterations - len(trace)
+        blends, updates = _blend_run(rates, response, remaining if held else 1)
+        # The last blend ends the loop if it converged or used the last
+        # iteration: its response is never read.
+        asked = len(updates) - (updates[-1] < CONVERGENCE_TOLERANCE or len(updates) == remaining)
+        held = True
+        if asked:
+            responses, empty = respond(blends[:asked])
+            changed = (responses != response).any(axis=(1, 2))
+            for k in np.flatnonzero(empty | changed):
+                if empty[k]:
+                    solve_equilibrium(scenario, TaxSchedule.from_array(blends[k]), abatement)
+                if changed[k]:
+                    blends, updates = blends[: k + 1], updates[: k + 1]
+                    response, held = responses[k], False
+                    break
+        rates = blends[-1]
+        trace += updates
+        converged = trace[-1] < CONVERGENCE_TOLERANCE
     taxes = TaxSchedule.from_array(rates)
     return RegulatoryEquilibrium(
         taxes=taxes,

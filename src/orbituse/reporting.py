@@ -2,10 +2,11 @@
 
 Scenario files are JSON objects with a ``scenario`` block mirroring the
 :class:`~orbituse.scenario.Scenario` fields, an optional ``taxes`` matrix
-(default all-zero), and an optional ``abatement`` level (default 0).
-Floats round-trip at full binary precision. Override keys are dotted:
-``scenario.<field>`` (short aliases accepted), ``tax.<sector>.<market>``
-with 1-based indices, and ``abatement``.
+(default all-zero), and an optional ``abatement`` level (default 0); a
+file with any other key is refused. Floats round-trip at full binary
+precision. Override keys are dotted: ``scenario.<field>`` (short aliases
+accepted), ``tax.<sector>.<market>`` with 1-based indices, and
+``abatement``.
 """
 
 from __future__ import annotations
@@ -106,12 +107,20 @@ def load_scenario(path: str | Path, overrides: list[str] | None = None) -> Loade
         raise ScenarioParseError(f"malformed JSON in {path}: {error}") from error
     if not isinstance(data, dict) or not isinstance(data.get("scenario"), dict):
         raise ScenarioParseError(f"{path} must contain a 'scenario' object")
-    return bundle_from_data(data, overrides)
+    unknown = set(data) - {"scenario", "taxes", "abatement"}
+    if unknown:
+        raise ScenarioParseError(f"{path} has unknown top-level keys: {sorted(unknown)}")
+    return _bundle(data, overrides)  # freshly parsed: nothing else holds it
 
 
 def bundle_from_data(data: dict, overrides: list[str] | None = None) -> LoadedBundle:
-    """Apply overrides to an in-memory bundle dict, then validate."""
-    data = json.loads(json.dumps(data))  # deep copy, JSON-typed
+    """Apply overrides to an in-memory bundle dict, then validate; ``data``
+    is left as it was."""
+    return _bundle(json.loads(json.dumps(data)), overrides)  # deep copy, JSON-typed
+
+
+def _bundle(data: dict, overrides: list[str] | None) -> LoadedBundle:
+    """:func:`bundle_from_data` on a JSON-typed dict it may modify."""
     tax_overrides: list[tuple[int, int, float]] = []
     for item in overrides or []:
         if "=" not in item:
@@ -176,7 +185,8 @@ def bundle_from_data(data: dict, overrides: list[str] | None = None) -> LoadedBu
 def dump_bundle(bundle: LoadedBundle) -> dict:
     """Serializable form of a bundle; load(dump(x)) is value-identical."""
     return {
-        "scenario": asdict(bundle.scenario),
+        # asdict without its deep copy: every field holds numbers, tuples or None.
+        "scenario": {field.name: getattr(bundle.scenario, field.name) for field in fields(Scenario)},
         "taxes": [list(row) for row in bundle.taxes.rates],
         "abatement": bundle.abatement,
     }

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -11,9 +12,10 @@ import pytest
 from orbituse import HIDEB, OverrideError, ScenarioValidationError, national_welfare
 from orbituse import cli
 from orbituse.cli import main
-from orbituse.reporting import dump_bundle, load_scenario
+from orbituse.regulation import regulatory_equilibrium
+from orbituse.reporting import bundle_from_data, dump_bundle, load_scenario
 
-from conftest import assert_exact, exact_rho_form
+from conftest import assert_exact, benchmark_modules, exact_rho_form
 
 FIXTURE = Path(__file__).resolve().parent.parent / "scenarios" / "sym2.json"
 SOLO_FIXTURE = FIXTURE.with_name("solo.json")
@@ -49,6 +51,11 @@ class TestLoadScenario:
         assert reloaded.taxes == bundle.taxes
         assert reloaded.abatement == bundle.abatement
 
+    def test_dump_is_asdict_in_field_order(self):
+        bundle = load_scenario(FIXTURE, ["scenario.parties=2"])
+        dumped = dump_bundle(bundle)["scenario"]
+        assert list(dumped.items()) == list(dataclasses.asdict(bundle.scenario).items())
+
     def test_round_trip_preserves_full_float_precision(self, tmp_path):
         bundle = load_scenario(FIXTURE, ["scenario.k=0.30000000000000004"])
         echo = tmp_path / "echo.json"
@@ -72,6 +79,23 @@ class TestLoadScenario:
         with pytest.raises(ScenarioValidationError) as exc:
             load_scenario(broken)
         assert any("costs" in line for line in exc.value.violations)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [[], ["scenario.k=0.25", "tax.1.2=0.5", "abatement=0.125"], ["scenario.p=3,4"]],
+    )
+    def test_a_file_loads_as_its_parsed_dict(self, overrides):
+        # load_scenario skips bundle_from_data's copy, not its checks.
+        text = FIXTURE.read_text()
+        expected = bundle_from_data(json.loads(text), overrides)
+        assert repr(load_scenario(FIXTURE, overrides)) == repr(expected)
+
+    def test_bundle_from_data_leaves_the_callers_dict_as_it_was(self):
+        data = json.loads(FIXTURE.read_text())
+        before = json.dumps(data)
+        bundle = bundle_from_data(data, ["scenario.k=0.25", "scenario.p=3,4", "abatement=1"])
+        assert bundle.scenario.prices == (3.0, 4.0) and bundle.abatement == 1.0
+        assert json.dumps(data) == before
 
     def test_unknown_override_key(self):
         with pytest.raises(OverrideError):
@@ -234,15 +258,19 @@ class TestCommands:
 
     @pytest.mark.parametrize("value", [[[0, 0, 0.5]], [[0, 0, "x"]], [[0, 0]]])
     def test_a_file_key_cannot_inject_tax_overrides(self, capsys, tmp_path, value):
-        # Tax overrides come from --set alone: the loader keeps them apart
-        # from the file's keys.
+        # Tax overrides come from --set alone: a file key of that name is
+        # an unknown top-level key, refused before anything is applied.
         data = json.loads(FIXTURE.read_text())
         data["_tax_overrides"] = value
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(data))
         code, out, err = run_cli(capsys, "solve", "--scenario", str(path))
-        assert (code, err) == (0, "")
-        assert json.loads(out)["inputs"]["taxes"] == [[0.0, 0.0], [0.0, 0.0]]
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "error": "ScenarioParseError",
+            "message": f"{path} has unknown top-level keys: ['_tax_overrides']",
+        }
 
     def test_strict_assumption_violation_exits_4(self, capsys):
         code, _, err = run_cli(
@@ -295,9 +323,17 @@ class TestCommands:
                 )
                 for value in ("x", None, [1], [["n_markets", 2]])
             ),
+            # A misspelt top-level key is refused, not solved at zero taxes.
+            (
+                ["regulate", {**json.loads(FIXTURE.read_text()), "taxs": [[0.5, 0.0], [0.0, 0.0]]}],
+                2,
+                '{"error": "ScenarioParseError", "message": "FILE has unknown top-level '
+                "keys: ['taxs']\"}",
+            ),
         ],
         ids=["missing-seed", "strict", "validation", "runtime",
-             "scenario-text", "scenario-null", "scenario-list", "scenario-pairs"],
+             "scenario-text", "scenario-null", "scenario-list", "scenario-pairs",
+             "unknown-key"],
     )
     def test_every_error_is_one_pinned_json_line(self, capsys, tmp_path, argv, code, line):
         command, *rest = argv
@@ -334,6 +370,22 @@ class TestCommands:
         code, out, err = run_cli(capsys, *sweep, "--format", "csv")
         assert (code, err) == (0, "")
         assert [row["error"] for row in csv.DictReader(io.StringIO(out))] == expected
+
+    def test_reports_read_welfare_off_their_own_solve(self):
+        # solve and regulate take welfare from the equilibrium they report,
+        # bit for bit national_welfare's own solve.
+        (inputs,) = benchmark_modules("inputs")
+        bundles = [load_scenario(FIXTURE), load_scenario(FIXTURE, ["tax.1.2=0.5", "abatement=0.5"])]
+        bundles += [bundle_from_data(b) for op in inputs.regulate_pool() for b in op["files"].values()]
+        for bundle in bundles:
+            scenario, abatement = bundle.scenario, bundle.abatement
+            taxes = regulatory_equilibrium(scenario, abatement, bundle.taxes).taxes
+            for build, at in ((cli._regulate_report, taxes), (cli._solve_report, bundle.taxes)):
+                report = build(bundle)[0]
+                report = report.get("equilibrium", report)
+                welfare = national_welfare(scenario, at, abatement)
+                assert repr(report["welfare"]) == repr(list(welfare.welfare))
+                assert repr(report["gross_value"]) == repr(list(welfare.gross_value))
 
     def test_regulate_converges(self, capsys):
         code, out, _ = run_cli(capsys, "regulate", "--scenario", str(FIXTURE))

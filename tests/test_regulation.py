@@ -441,6 +441,21 @@ REACHED_EMPTY_BOX = loop_case(
 )
 
 
+# Best responses flip between denial and access each step, so the damped
+# schedule cycles between rates 1/3 and 2/3.
+ONE_THIRD_CYCLE = (
+    replace(
+        SYM2,
+        prices=(1.7456358594859416, 1.9723762546357726),
+        costs=(0.25168967781691304, 0.30662579956092023),
+        collision_coeff=0.6111056137478023,
+        debris_per_sat=1.2221910648329655,
+    ),
+    2.8740931074830227,
+    TaxSchedule(((1.0, 0.0), (1.0, 0.0))),
+)
+
+
 def counted_passes(monkeypatch):
     """Record each best-response pass's columns and empty-box flags."""
     passes = []
@@ -842,16 +857,7 @@ class TestRegulatoryEquilibrium:
             assert outcome(regulatory_equilibrium, scenario, abatement, taxes) == reference
 
     def test_the_one_third_cycle_is_kept(self, monkeypatch):
-        # Best responses flip between denial and access each step, so the
-        # damped schedule cycles between rates 1/3 and 2/3.
-        scenario = replace(
-            SYM2,
-            prices=(1.7456358594859416, 1.9723762546357726),
-            costs=(0.25168967781691304, 0.30662579956092023),
-            collision_coeff=0.6111056137478023,
-            debris_per_sat=1.2221910648329655,
-        )
-        args = (scenario, 2.8740931074830227, TaxSchedule(((1.0, 0.0), (1.0, 0.0))))
+        args = ONE_THIRD_CYCLE
         reference = outcome(reference_regulatory_equilibrium, *args, max_iterations=200)
         passes = counted_passes(monkeypatch)
         result = regulatory_equilibrium(*args, max_iterations=200)
@@ -864,18 +870,89 @@ class TestRegulatoryEquilibrium:
 
     @pytest.mark.parametrize("scenario", [SYM2, HIDEB], ids=["SYM2", "HIDEB"])
     @pytest.mark.parametrize("rate", [0.0, 1.0])
-    def test_a_held_response_is_checked_in_at_most_three_passes(self, scenario, rate, monkeypatch):
+    def test_a_held_response_is_checked_in_at_most_two_passes(self, scenario, rate, monkeypatch):
         # From zero taxes both stop after one step; from full taxes the
         # response is zero taxes throughout, 27 steps: one pass at the
-        # start, one at the first step, and one for the run that blends to
-        # convergence.
+        # start and one for the run that blends to convergence, which does
+        # not ask for the response at its converged last step.
         start = TaxSchedule.from_array(np.full((2, 2), rate))
         reference = outcome(reference_regulatory_equilibrium, scenario, 0.0, start)
         passes = counted_passes(monkeypatch)
         result = regulatory_equilibrium(scenario, 0.0, start)
         assert repr(result) == reference
         assert result.converged
-        assert len(passes) <= 3
+        assert len(passes) <= 2
+
+    @pytest.mark.parametrize("scenario", [SYM2, HIDEB], ids=["SYM2", "HIDEB"])
+    def test_a_start_at_its_fixed_point_makes_one_pass(self, scenario, monkeypatch):
+        # Zero taxes answer zero taxes: the first step converges, so only
+        # the start's response is asked.
+        reference = outcome(reference_regulatory_equilibrium, scenario, 0.0, ZERO2)
+        passes = counted_passes(monkeypatch)
+        result = regulatory_equilibrium(scenario, 0.0, ZERO2)
+        assert repr(result) == reference
+        assert (result.iterations, len(passes)) == (1, 1)
+
+    def test_restarting_at_an_endpoint_matches_the_per_market_loop(self, monkeypatch):
+        # A start that is already the fixed point, up to the tolerance: the
+        # endpoints of converged runs from nonzero starts.
+        hot = replace(SYM2, collision_coeff=0.4)
+        for scenario in (SYM2, hot, HIDEB):
+            ones = TaxSchedule.from_array(np.ones((2, 2)))
+            endpoint = regulatory_equilibrium(scenario, 0.0, ones).taxes
+            reference = outcome(reference_regulatory_equilibrium, scenario, 0.0, endpoint)
+            with pytest.MonkeyPatch.context() as patch:
+                passes = counted_passes(patch)
+                result = regulatory_equilibrium(scenario, 0.0, endpoint)
+            assert repr(result) == reference
+            assert (result.converged, result.iterations, len(passes)) == (True, 1, 1)
+
+    @pytest.mark.parametrize(
+        "scenario, start",
+        [
+            (SYM2, TaxSchedule.from_array(np.ones((2, 2)))),
+            (SYM2, TaxSchedule.from_array([[0.3, 0.2], [0.1, 0.4]])),
+            (HIDEB, TaxSchedule.from_array([[1.0, 0.0], [0.25, 0.5]])),
+        ],
+    )
+    def test_a_cap_at_the_converging_step_matches_the_per_market_loop(self, scenario, start):
+        # max_iterations one below, at and one above the step that
+        # converges: the cap ends the run at the step before it, at it, or
+        # not at all.
+        steps = regulatory_equilibrium(scenario, 0.0, start).iterations
+        assert steps > 2
+        for cap in (steps - 1, steps, steps + 1):
+            reference = outcome(
+                reference_regulatory_equilibrium, scenario, 0.0, start, max_iterations=cap
+            )
+            assert outcome(regulatory_equilibrium, scenario, 0.0, start, max_iterations=cap) == reference
+        capped = regulatory_equilibrium(scenario, 0.0, start, max_iterations=steps - 1)
+        assert not capped.converged and capped.iterations == steps - 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_a_non_finite_start_rate_matches_the_per_market_loop(self, rate):
+        # The rate stays non-finite, so every update is NaN wherever it sits
+        # in the schedule, and the loop runs to its cap.
+        for index in ((0, 0), (1, 1)):
+            rates = np.zeros((2, 2))
+            rates[index] = rate
+            args = (SYM2, 0.0, TaxSchedule.from_array(rates))
+            reference = outcome(reference_regulatory_equilibrium, *args, max_iterations=6)
+            result = regulatory_equilibrium(*args, max_iterations=6)
+            assert repr(result) == reference
+            assert all(math.isnan(update) for update in result.update_trace)
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_the_one_third_cycle_under_a_small_cap(self, cap, monkeypatch):
+        reference = outcome(reference_regulatory_equilibrium, *ONE_THIRD_CYCLE, max_iterations=cap)
+        passes = counted_passes(monkeypatch)
+        result = regulatory_equilibrium(*ONE_THIRD_CYCLE, max_iterations=cap)
+        assert repr(result) == reference
+        assert (result.converged, result.iterations) == (False, cap)
+        # The start's response, and one more per step that the cap does
+        # not end.
+        assert len(passes) == cap
 
     def test_pool_scenarios_match_the_per_market_loop(self, regulate_pool):
         # The benchmark's regulate inputs: every pool op runs this loop.
@@ -883,6 +960,14 @@ class TestRegulatoryEquilibrium:
             args = (bundle.scenario, bundle.abatement, bundle.taxes)
             reference = outcome(reference_regulatory_equilibrium, *args)
             assert outcome(regulatory_equilibrium, *args) == reference
+
+    def test_pool_scenarios_take_about_two_passes(self, regulate_pool, monkeypatch):
+        # Most pool responses never change: the start's pass and one for
+        # the run that converges.
+        passes = counted_passes(monkeypatch)
+        for bundle in regulate_pool:
+            regulatory_equilibrium(bundle.scenario, bundle.abatement, bundle.taxes)
+        assert len(passes) / len(regulate_pool) <= 2.1
 
     def test_runs_match_the_per_market_loop(self):
         changed, unreached = [], []
