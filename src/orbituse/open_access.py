@@ -34,7 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ActiveSetChangeError, PhysicallyInvalidError, ScenarioShapeError
+from .errors import (
+    ActiveSetChangeError, PhysicallyInvalidError, ScenarioShapeError, ScenarioValidationError,
+)
 from .oracle import interior_open_access, pivot_open_access
 from .scenario import (
     DebrisState,
@@ -163,18 +165,24 @@ def _equilibrium(
 
 
 def _stacked_share(scenario: Scenario | ScenarioRows, rates: np.ndarray, phi, kd):
-    """``rho`` where active, else 0, ``(B, n)`` and ``share`` ``(B, 1)`` of a ``(B, n, m)`` stack.
+    """:func:`_revenue_share` ``(B, n)`` and ``(B, 1)`` of a ``(B, n, m)``
+    stack's revenue, the kernel's stacked ``(1 - rates) @ p``.
 
     ``scenario`` is one scenario for every row or a :class:`ScenarioRows`
     with one per row; ``phi`` and ``kd`` are floats or ``(B, 1)`` columns.
-    The arithmetic is the kernel's: revenue by the stacked
-    ``(1 - rates) @ p``, the active mask ``phi > 0 and rho > 0``, and
-    ``sum rho`` left to right by ``cumsum``, as the kernel's Python ``sum``
-    adds.
     """
-    rho = ((1.0 - rates) @ scenario.price_array[..., None])[..., 0] / scenario.cost_array
+    revenue = ((1.0 - rates) @ scenario.price_array[..., None])[..., 0]
+    return _revenue_share(scenario, revenue, phi, kd)
+
+
+def _revenue_share(scenario: Scenario | ScenarioRows, revenue: np.ndarray, phi, kd):
+    """``rho`` where active, else 0, and ``share`` of revenue rows ``(..., n)``,
+    by the kernel's arithmetic: the active mask ``phi > 0 and rho > 0``, and
+    ``sum rho`` left to right by ``cumsum``, as the kernel's Python ``sum``
+    adds; ``share`` keeps the last axis at length 1."""
+    rho = revenue / scenario.cost_array
     on = np.maximum(rho, 0.0) * (phi > 0.0)
-    return on, 1.0 + kd * on.cumsum(axis=1)[:, -1:]
+    return on, 1.0 + kd * on.cumsum(axis=-1)[..., -1:]
 
 
 def _stacked_fleets(scenario: Scenario | ScenarioRows, rates: np.ndarray, phi, kd):
@@ -257,9 +265,14 @@ def solve_equilibrium(
     ``share/prod(1 + kd rho)`` over the active set, or over every sector
     when ``phi == 0`` and every fleet is zero at full rank. It is positive
     for every validated input and never raised on. Raises
-    PhysicallyInvalidError when survival falls outside [0, 1].
+    PhysicallyInvalidError when survival falls outside [0, 1], and
+    ScenarioValidationError at a non-finite tax rate.
     """
     revenue, rho, phi, kd = _rho_form(scenario, taxes, abatement)
+    # A non-finite rate makes its sector's revenue non-finite. Finite rates
+    # outside [0, 1] are solved: derivative stencils probe them.
+    if not math.isfinite(sum(revenue)) and not np.isfinite(taxes.as_array).all():
+        raise ScenarioValidationError([f"tax rates must be finite, got {taxes.as_array.tolist()}"])
     return _equilibrium(scenario, abatement, revenue, scenario.costs, rho, phi, kd)
 
 

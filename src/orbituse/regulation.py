@@ -11,34 +11,33 @@ toward the same responses on Python floats, and one call of the stacked
 rule evaluates every market's candidate columns at all of them; the run
 is kept up to the first iterate whose responses change. A response that
 never changes costs two calls, one at the start and one for the run that
-converges. The rule splits its stack into passes of at most
-``CANDIDATE_BUDGET`` tax rates.
+converges. :func:`best_response_taxes` and :func:`regulatory_equilibrium`
+refuse what validation rejects.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ScenarioValidationError
 from .open_access import (
     OpenAccessEquilibrium,
     _phi,
-    _stacked_fleets,
+    _revenue_share,
     sensitivities,
     solve_equilibrium,
 )
-from .scenario import Scenario, ScenarioRows, TaxSchedule
+from .scenario import Scenario, ScenarioRows, TaxSchedule, validate_scenario, validate_taxes
 
 BEST_RESPONSE_VALUE_TIE = 1e-10
-# Most tax rates one best-response pass may stack, (n + 2) 2^(n-1) n m per
-# market and iterate: twelve sectors fit up to 24 markets, thirteen never
-# do.
+# Bound on a best-response pass, (n + 2) 2^(n-1) n m per market and iterate:
+# 12 sectors fit up to 24 markets, 13 up to 10, 14 up to 4, 15 up to 2. A
+# valid scenario has at least n markets, so 13 or more sectors never run.
 CANDIDATE_BUDGET = 2**23
 # The stock = 0 crossing is taken where share = phi (1 + CROSSING_MARGIN).
 CROSSING_MARGIN = 64.0 * np.finfo(float).eps
@@ -209,6 +208,14 @@ def _box_edges(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return arrays
 
 
+def _refuse_invalid(scenario: Scenario, taxes: TaxSchedule) -> None:
+    """Raise ScenarioValidationError with what :func:`validate_scenario`, or
+    else :func:`validate_taxes`, rejects."""
+    violations = validate_scenario(scenario) or validate_taxes(scenario, taxes)
+    if violations:
+        raise ScenarioValidationError(violations)
+
+
 def best_response_taxes(
     scenario: Scenario,
     taxes: TaxSchedule,
@@ -221,29 +228,25 @@ def best_response_taxes(
     ``x = 1 - tau`` and, on each of the n 2^(n-1) box edges, the stock = 0
     crossing when it lies inside the edge, taken 64 ulps inside the bound
     (``share = phi (1 + 64 eps)``). README's "Best responses" proves that
-    the best response is one of them.
+    the best response is one of them, and gives per-call times. When
+    ``phi (1 + 64 eps) < 1`` no crossing lies inside its edge, and only the
+    vertices are evaluated.
 
-    Every candidate is evaluated at once by the kernel's stacked form
-    (fleets ``phi rho/share``, survival ``phi/share``, with the arithmetic
-    of :func:`solve_equilibrium`), so a column judged feasible here is
-    feasible for that solve. Ties within 1e-10 of the best value break
-    toward the lexicographically smallest column. If no column is feasible,
-    the PhysicallyInvalidError that :func:`solve_equilibrium` raises at the
-    incoming schedule is raised.
-
-    When ``phi (1 + 64 eps) < 1`` and no rate is above 1, every crossing's
-    share is at least 1, so none lies inside its edge and only the 2^n
-    vertices are evaluated. Otherwise there are up to (n + 2) 2^(n-1)
-    candidates for n sectors. The cost grows exponentially: on one core of
-    a 2-vCPU x86-64 host, with as many markets as sectors, a call takes
-    about 0.06 ms up to three sectors at phi < 1, 0.07 ms at six and 1.1 ms
-    at ten; at phi > 1 it takes 0.08 ms at three, 0.14 ms at six and 6 ms
-    at ten. This is the one-schedule call of the rule
-    :func:`regulatory_equilibrium` runs on stacks of iterates, every market
-    at once. BudgetExceededError is raised, before anything is built, when
-    one market's candidates could hold more than ``CANDIDATE_BUDGET`` tax
-    rates.
+    Sector i's revenue is read off the kernel's ``(1 - rates) @ p`` with
+    column j's kept shares at 0 (``a_i``) or at 1, as the vertex has them,
+    so a vertex judged feasible here is feasible for
+    :func:`solve_equilibrium`. A crossing's free sector takes
+    ``a_i + p_j x_i``, whose rounding the 64-ulp margin absorbs. Ties within
+    1e-10 of the best value break toward the lexicographically smallest
+    column. If no column is feasible, the PhysicallyInvalidError that
+    :func:`solve_equilibrium` raises at the incoming schedule is raised. A
+    scenario or schedule that validation rejects raises
+    ScenarioValidationError, and one whose candidates count more than
+    ``CANDIDATE_BUDGET`` BudgetExceededError, before anything is built.
+    This is the one-schedule call of the rule :func:`regulatory_equilibrium`
+    runs on stacks of iterates.
     """
+    _refuse_invalid(scenario, taxes)
     columns, empty = _responder(scenario, abatement, (market,))(taxes.as_array[None])
     if empty[0]:
         solve_equilibrium(scenario, taxes, abatement)
@@ -252,22 +255,19 @@ def best_response_taxes(
 
 def _responder(scenario: Scenario, abatement: float, markets):
     """Check the budget, build what no schedule changes, and return the rule
-    of :func:`best_response_taxes` on a stack of schedules.
+    of :func:`best_response_taxes` on a stack of validated schedules.
 
     The rule maps rates ``(K, n, m)`` to the columns ``(K, n, len(markets))``
     and a ``(K,)`` flag, set where some market has no feasible column; the
     caller then makes the solve that raises. Each iterate's columns are
     those of its own one-schedule call, bit for bit. The rule splits the
-    stack into passes of at most ``CANDIDATE_BUDGET`` tax rates: as many
-    iterates as fit with all the markets, or else one iterate with as many
-    markets as fit. Each edge keeps a crossing row, at its start vertex
-    and masked out where the crossing is not in (0, 1): fixed shapes keep
-    every value bitwise. A pass that no crossing can enter (crossing bound
-    below 1, no rate above 1) stacks the 2^n vertex rows alone, with the
-    same values.
+    stack into passes within ``CANDIDATE_BUDGET``: as many iterates as fit
+    with all the markets, or else one iterate with as many markets as fit.
+    A pass values ``(markets, K, candidates)`` at once. Each edge keeps a
+    crossing row, at its start vertex and masked out where the crossing is
+    not in (0, 1): fixed shapes keep every value bitwise.
     """
     n, n_markets = scenario.n_sectors, scenario.n_markets
-    # Tax rates one market's candidates stack at one iterate.
     size = (n + 2) * 2 ** (n - 1) * n * n_markets
     if size > CANDIDATE_BUDGET:
         raise BudgetExceededError(
@@ -277,26 +277,23 @@ def _responder(scenario: Scenario, abatement: float, markets):
     group = CANDIDATE_BUDGET // size
     phi, kd = _phi(scenario, abatement)
     bound = phi * (1.0 + CROSSING_MARGIN)
-    costs = scenario.cost_array
-    # A crossing's edge starts at share e0 = 1 + kd sum((a + p_j x)/m) >= 1
-    # when kd and the prices are >= 0, the costs > 0 and no rate is above 1.
-    # No crossing then lies in (0, 1) if bound < 1: the pass stacks the
-    # vertices alone.
-    prunable = bool(
-        bound < 1.0 and kd >= 0.0
-        and (scenario.price_array >= 0.0).all() and (costs > 0.0).all()
-    )
+    # Validation keeps kd >= 0, prices and costs > 0 and rates in [0, 1], so
+    # a crossing's edge starts at share e0 = 1 + kd sum((a + p_j x)/m) >= 1:
+    # none lies in (0, 1) if bound < 1.
+    vertex_only = bound < 1.0
     vertices, starts, free = _box_edges(n)
+    # Candidate kept shares: the vertices, then one row per edge, which each
+    # pass moves to that edge's crossing.
+    shares = vertices if vertex_only else np.concatenate([vertices, starts])
+    template = 1.0 - shares
     n_vertices = vertices.shape[0]
-    # Candidate columns 1 - x: the vertices, then one row per edge, which
-    # each pass moves to that edge's crossing.
-    template = 1.0 - np.concatenate([vertices, starts])
     crossings = n_vertices + np.arange(starts.shape[0])
     markets = np.asarray(markets)
     iterates = max(1, group // markets.size)    # per pass
     p = scenario.price_array[markets]
     p_starts = p[:, None, None, None] * starts
-    slopes = (kd * p[:, None] / costs[free])[:, None]
+    slopes = (kd * p[:, None] / scenario.cost_array[free])[:, None]
+    ends = np.array([[0.0], [1.0]])     # the own column's kept shares in the two rows
 
     def respond(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         responses = np.empty((stacked.shape[0], n, markets.size))
@@ -305,42 +302,34 @@ def _responder(scenario: Scenario, abatement: float, markets):
         for lo, first in passes:
             rows, part = slice(lo, lo + iterates), slice(first, first + group)
             rates, ms = stacked[rows], markets[part]
-            # Market ms[own] puts its candidates at row own of the
-            # (markets, K, candidates, n, m) stack.
             count, own = rates.shape[0], np.arange(ms.size)
-            # rates > 1 is false for NaN: a crossing that reads a NaN rate has
-            # a NaN e0, and one that does not has e0 >= 1.
-            vertex_only = prunable and not (rates > 1.0).any()
-            if vertex_only:
-                columns = np.broadcast_to(template[:n_vertices], (own.size, count, n_vertices, n))
-                shares = vertices
-            else:
-                # Revenue from the other markets as (1 - rates, own column
-                # zeroed) @ p: the total less the own market's term rounds
-                # differently.
-                other = np.repeat((1.0 - rates)[None], own.size, axis=0)
-                other[own, :, :, ms] = 0.0
-                a = other @ scenario.price_array
+            # Market ms[own] keeps its own column at 0, then at 1, in row own.
+            kept = np.empty((own.size, count, 2, n, n_markets))
+            kept[...] = (1.0 - rates)[:, None]
+            kept[own, :, :, :, ms] = ends
+            revenue = (kept @ scenario.price_array[:, None])[..., 0]
+            a, p_own = revenue[:, :, :1], p[part, None, None]
+            columns = np.broadcast_to(template, (own.size, count, *template.shape))
+            x, unkept = shares, a
+            if not vertex_only:
                 # Sums run over every sector. When phi > 0 the inactive ones
                 # have rho = 0 and add nothing; when phi <= 0 survival
                 # phi/share is 0 or negative whatever the share, and no
                 # crossing lies in (0, 1).
-                e0 = 1.0 + kd * ((a[..., None, :] + p_starts[part]) / costs).sum(axis=-1)
+                e0 = 1.0 + kd * ((a + p_starts[part]) / scenario.cost_array).sum(axis=-1)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     t = (bound - e0) / slopes[part]
                 inside = (t > 0.0) & (t < 1.0)
-                columns = np.empty((*inside.shape[:2], *template.shape))
-                columns[...] = template
+                columns = columns.copy()
                 columns[..., crossings, free] = 1.0 - np.where(inside, t, 0.0)
-                shares = 1.0 - columns
-            stack = np.empty((own.size, count, *columns.shape[-2:], n_markets))
-            stack[...] = rates[:, None]
-            stack[own, :, :, :, ms] = columns
-            fleets, survival = _stacked_fleets(scenario, stack.reshape(-1, n, n_markets), phi, kd)
-            survival = survival.reshape(stack.shape[:3])
-            value = survival * (
-                p[part, None, None] * (shares * fleets.reshape(stack.shape[:4])).sum(axis=-1)
-            )
+                x = 1.0 - columns
+                unkept = a + p_own[..., None] * x   # a where x = 0
+            # A sector's revenue is the kernel's row at its kept share 1 or 0,
+            # and a crossing's free sector takes a + p_j x.
+            revenue = np.where(shares, revenue[:, :, 1:], unkept)
+            on, share = _revenue_share(scenario, revenue, phi, kd)
+            survival = (phi / share)[..., 0]
+            value = survival * (p_own * (x * (phi * on / share)).sum(axis=-1))
             feasible = (0.0 <= survival) & (survival <= 1.0)
             if not vertex_only:
                 feasible[..., n_vertices:] &= inside
@@ -371,15 +360,13 @@ def _blend_run(rates: np.ndarray, response: np.ndarray, count: int) -> tuple[np.
     """Up to ``count`` steps ``(1 - DAMPING) x + DAMPING b`` from ``rates``
     toward ``response``, to the first whose update ``max |new - x|``
     converges: the blends ``(K, n, m)`` and the updates. The same IEEE
-    operations on Python floats give the numpy loop's values bit for bit; a
-    non-finite rate stays so and makes every update NaN, as ``np.max`` does."""
+    operations on Python floats give the numpy loop's values bit for bit."""
     keep, step = 1.0 - DAMPING, (DAMPING * response).ravel().tolist()
     x = rates.ravel().tolist()
-    finite = all(map(math.isfinite, x))
     rows, updates = [], []
     while len(rows) < count:
         new = [keep * a + s for a, s in zip(x, step)]
-        updates.append(max(map(abs, map(operator.sub, new, x))) if finite else math.nan)
+        updates.append(max(map(abs, map(operator.sub, new, x))))
         rows.append(new)
         x = new
         if updates[-1] < CONVERGENCE_TOLERANCE:
@@ -400,8 +387,9 @@ def regulatory_equilibrium(
     (``DAMPING``), until no rate moves by ``CONVERGENCE_TOLERANCE`` or more.
     Non-convergence is reported honestly in the returned record rather
     than raised: the existence argument is non-constructive, so a failed
-    search is a diagnostic, not a bug. A physically invalid start raises
-    its PhysicallyInvalidError before any step.
+    search is a diagnostic, not a bug. A scenario or start that validation
+    rejects raises ScenarioValidationError, and a physically invalid start
+    its PhysicallyInvalidError, before any step.
 
     While the best responses ``b`` stay the same, the steps are repeated
     blends toward ``b``. So the loop blends a run of iterates toward the
@@ -417,6 +405,7 @@ def regulatory_equilibrium(
     past the first changed response is discarded unexamined, so the
     record and any error are the one-step-at-a-time loop's, bit for bit.
     """
+    _refuse_invalid(scenario, start)
     solve_equilibrium(scenario, start, abatement)
     rates = start.as_array
     trace: list[float] = []

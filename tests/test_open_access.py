@@ -10,6 +10,7 @@ from orbituse import (
     ActiveSetChangeError,
     PhysicallyInvalidError,
     Scenario,
+    ScenarioValidationError,
     SingularSystemError,
     TaxSchedule,
     check_assumptions,
@@ -187,6 +188,21 @@ class TestSolveEquilibrium:
         hot = replace(SYM2, legacy_debris=8.0, collision_coeff=0.3)
         with pytest.raises(PhysicallyInvalidError):
             solve_equilibrium(hot, ZERO2, 0.0)
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_rate_is_refused(self, rate):
+        # -inf used to give a NaN fleet with physically_valid=True.
+        for i, j in ((0, 1), (1, 0)):
+            rates = [[0.0, 0.0], [0.0, 0.0]]
+            rates[i][j] = rate
+            with pytest.raises(ScenarioValidationError) as raised:
+                solve_equilibrium(SYM2, TaxSchedule(rates), 0.0)
+            assert raised.value.violations == [f"tax rates must be finite, got {rates}"]
+
+    def test_finite_rates_outside_the_box_are_solved(self):
+        # Derivative stencils probe just outside [0, 1].
+        taxes = ZERO2.with_rate(0, 1, -1e-6).with_rate(1, 0, 1.0 + 1e-6)
+        assert solve_equilibrium(SYM2, taxes, 0.0).debris.physically_valid
 
     def test_tiny_determinant_is_reported_not_raised(self):
         # Six sectors with kd*rho = 600 each: det = 3601/601^6 = 7.7e-14.

@@ -15,6 +15,7 @@ from orbituse import (
     OrbitUseError,
     PhysicallyInvalidError,
     Scenario,
+    ScenarioValidationError,
     TaxSchedule,
     best_response_taxes,
     check_assumption_three,
@@ -23,7 +24,7 @@ from orbituse import (
     welfare_channels,
 )
 import orbituse.regulation as regulation
-from orbituse.open_access import _phi, _stacked_fleets, solve_equilibrium
+from orbituse.open_access import _phi, _revenue_share, _stacked_fleets, solve_equilibrium
 from orbituse.oracle import grid_maximize
 from orbituse.regulation import (
     BEST_RESPONSE_VALUE_TIE,
@@ -278,9 +279,8 @@ def response_cases(draw):
     decides whether a pass stacks the crossings. Half of those draws tax
     every market but one fully, so that one market's all-taxed column has
     share exactly 1 and a crossing lies just inside its edges once the
-    bound passes 1; a third raise one rate a little above 1 on the
-    unvalidated schedule, so that shares below 1 (and crossings below the
-    bound) exist at phi < 1 too.
+    bound passes 1; a third raise one rate a little above 1, which the
+    public calls must refuse.
     """
     n_s = draw(st.integers(1, 4))
     n_m = n_s + draw(st.integers(0, 1))
@@ -324,6 +324,27 @@ def response_cases(draw):
         step = draw(st.sampled_from((-2.0, 0.0, 2.0))) * CROSSING_MARGIN
         abatement = legacy + step / k
     return scenario, rates, abatement
+
+
+# Market 0's zero-tax vertex sits exactly on the stock bound: its kernel
+# revenue gives survival 1.0, while a + p_j x as its revenue would give
+# 1.0000000000000002 and an empty box.
+VERTEX_ON_THE_BOUND = (
+    Scenario(
+        n_markets=3,
+        n_sectors=3,
+        prices=(0.10748643838203188, 1.61300105492955, 1.0),
+        costs=(1.0, 1.0, 0.3823109204985996),
+        collision_coeff=0.01831563888873418,
+        debris_per_sat=2.718281828459045,
+        legacy_debris=0.0,
+        catastrophe_threshold=2.0,
+        catastrophe_damages=1.0,
+        abatement_cost=1.0,
+    ),
+    np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0]]),
+    15.561606996850584,
+)
 
 
 def near_d0(steps, above=None):
@@ -669,6 +690,24 @@ class TestCandidateBudget:
         assert time.perf_counter() - start < 1.0
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("n, m", [(1, 2), (2, 2), (2, 3)])
+    def test_the_budget_admits_exactly_its_size(self, n, m, monkeypatch):
+        scenario = replace(self.symmetric(n), n_markets=m, prices=(1.0,) * m)
+        taxes = TaxSchedule.zeros(n, m)
+        size = (n + 2) * 2 ** (n - 1) * n * m
+        monkeypatch.setattr(regulation, "CANDIDATE_BUDGET", size)
+        assert best_response_taxes(scenario, taxes, 0.0, 0).tolist() == [0.0] * n
+        assert regulatory_equilibrium(scenario, 0.0, taxes).converged
+        monkeypatch.setattr(regulation, "CANDIDATE_BUDGET", size - 1)
+        message = f"{n}-sector best responses could stack {size} tax rates, over the {size - 1} budget"
+        for call in (
+            lambda: best_response_taxes(scenario, taxes, 0.0, 0),
+            lambda: regulatory_equilibrium(scenario, 0.0, taxes),
+        ):
+            with pytest.raises(BudgetExceededError) as raised:
+                call()
+            assert str(raised.value) == message
+
     def test_twelve_sectors_still_run(self):
         scenario = self.symmetric(12)
         column = best_response_taxes(scenario, TaxSchedule.zeros(12, 12), 0.0, 0)
@@ -685,36 +724,41 @@ class TestStackedBestResponses:
     @example(near_d0(-2.0, above=np.nextafter(1.0, 2.0)))
     @example((replace(SYM2, collision_coeff=0.0), np.array([[0.0, 1.0], [0.5, 1.0]]), 0.0))
     @example((replace(SYM2, legacy_debris=10.0), np.array([[0.0, 1.0], [0.5, 1.0]]), 0.0))
+    @example(VERTEX_ON_THE_BOUND)
     @settings(max_examples=500, deadline=None)
     def test_matches_the_per_market_reference_bitwise(self, case):
         scenario, rates, abatement = case
         markets = range(scenario.n_markets)
+        market = scenario.n_markets - 1
+        taxes = TaxSchedule.from_array(rates)
+        if (rates > 1.0).any():
+            # The public calls refuse the rate before any best response.
+            for call in (
+                lambda: best_response_taxes(scenario, taxes, abatement, market),
+                lambda: regulatory_equilibrium(scenario, abatement, taxes),
+            ):
+                with pytest.raises(ScenarioValidationError, match=r"outside \[0, 1\]"):
+                    call()
+            return
         reference = outcome(reference_responses, scenario, rates, abatement, markets)
         rows = []
 
-        def recorded(scenario, stack, phi, kd):
-            rows.append(stack.shape[0] // len(markets))
-            return _stacked_fleets(scenario, stack, phi, kd)
+        def recorded(scenario, revenue, phi, kd):
+            rows.append(revenue.shape[-2])
+            return _revenue_share(scenario, revenue, phi, kd)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(regulation, "_stacked_fleets", recorded)
+            patch.setattr(regulation, "_revenue_share", recorded)
             assert rule_rows(scenario, rates[None], abatement, markets) == [reference]
-        # A pass stacks only the 2^n vertices when no crossing can lie in
-        # (0, 1): the crossing bound is below 1 and no rate is above 1.
+        # A pass has only the 2^n vertex rows when no crossing can lie in
+        # (0, 1): the crossing bound is below 1.
         phi, _ = _phi(scenario, abatement)
         n = scenario.n_sectors
-        vertex_only = phi * (1.0 + CROSSING_MARGIN) < 1.0 and (rates <= 1.0).all()
+        vertex_only = phi * (1.0 + CROSSING_MARGIN) < 1.0
         assert rows == [2**n if vertex_only else (n + 2) * 2 ** (n - 1)]
-        market = scenario.n_markets - 1
-        single = outcome(
-            reference_best_response_taxes,
-            scenario, TaxSchedule.from_array(rates), abatement, market,
-        )
-        assert outcome(
-            best_response_taxes, scenario, TaxSchedule.from_array(rates), abatement, market
-        ) == single
-        # Stacked with other schedules, each row keeps its own result, also
-        # where one row's rate above 1 puts the whole pass on the crossings.
+        single = outcome(reference_best_response_taxes, scenario, taxes, abatement, market)
+        assert outcome(best_response_taxes, scenario, taxes, abatement, market) == single
+        # Stacked with other schedules, each row keeps its own result.
         stack = np.stack([0.5 * rates, rates, 0.5 * rates + 0.5])
         assert rule_rows(scenario, stack, abatement, markets) == [
             outcome(reference_responses, scenario, row, abatement, markets) for row in stack
@@ -769,26 +813,26 @@ class TestStackedBestResponses:
         loop = outcome(regulatory_equilibrium, scenario, 0.0, taxes)
         stacked = []
 
-        def recorded(scenario, rates, phi, kd):
-            stacked.append(rates.size)
-            return _stacked_fleets(scenario, rates, phi, kd)
+        def recorded(scenario, revenue, phi, kd):
+            stacked.append(revenue.shape[:-1])      # (markets, iterates, candidates)
+            return _revenue_share(scenario, revenue, phi, kd)
 
         budget = (n + 2) * 2 ** (n - 1) * n * m
         monkeypatch.setattr(regulation, "CANDIDATE_BUDGET", budget)
-        monkeypatch.setattr(regulation, "_stacked_fleets", recorded)
+        monkeypatch.setattr(regulation, "_revenue_share", recorded)
         assert [rule_rows(scenario, rates[None], q, range(m)) for q in abatements] == expected
-        # At Q = 0 phi < 1 and each pass stacks only the vertices.
-        assert stacked == [2**n * n * m] * m + [budget] * m
+        # At Q = 0 phi < 1 and each pass has only the vertices.
+        vertices, candidates = (1, 1, 2**n), (1, 1, (n + 2) * 2 ** (n - 1))
+        assert stacked == [vertices] * m + [candidates] * m
         before = len(stacked)
         assert outcome(regulatory_equilibrium, scenario, 0.0, taxes) == loop
         # The budget holds one market of one iterate, so every pass of the
-        # loop stacks one iterate's vertices for one market.
-        assert set(stacked[before:]) == {2**n * n * m}
-        assert max(stacked) == budget
+        # loop has one iterate's vertices for one market.
+        assert set(stacked[before:]) == {vertices}
         # The rule splits a stack of iterates into passes itself.
         del stacked[:]
         assert rule_rows(scenario, np.stack([rates] * 3), 0.0, range(m)) == expected[0] * 3
-        assert stacked == [2**n * n * m] * (3 * m)
+        assert stacked == [vertices] * (3 * m)
 
 
 class TestRegulatoryEquilibrium:
@@ -929,19 +973,16 @@ class TestRegulatoryEquilibrium:
         capped = regulatory_equilibrium(scenario, 0.0, start, max_iterations=steps - 1)
         assert not capped.converged and capped.iterations == steps - 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("rate", [math.nan, math.inf])
-    def test_a_non_finite_start_rate_matches_the_per_market_loop(self, rate):
-        # The rate stays non-finite, so every update is NaN wherever it sits
-        # in the schedule, and the loop runs to its cap.
-        for index in ((0, 0), (1, 1)):
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_start_rate_is_refused(self, rate):
+        # Validation rejects the rate wherever it sits, before any step.
+        for i, j in ((0, 0), (1, 1)):
             rates = np.zeros((2, 2))
-            rates[index] = rate
-            args = (SYM2, 0.0, TaxSchedule.from_array(rates))
-            reference = outcome(reference_regulatory_equilibrium, *args, max_iterations=6)
-            result = regulatory_equilibrium(*args, max_iterations=6)
-            assert repr(result) == reference
-            assert all(math.isnan(update) for update in result.update_trace)
+            rates[i, j] = rate
+            start = TaxSchedule.from_array(rates)
+            with pytest.raises(ScenarioValidationError) as raised:
+                regulatory_equilibrium(SYM2, 0.0, start, max_iterations=6)
+            assert raised.value.violations == [f"tax rate [{i}][{j}]={rate} outside [0, 1]"]
 
     @pytest.mark.parametrize("cap", [1, 2])
     def test_the_one_third_cycle_under_a_small_cap(self, cap, monkeypatch):
