@@ -11,16 +11,16 @@ every equilibrium quantity follows from one identity:
 * debris falls in abatement with slope exactly ``-1/share``.
 
 This module evaluates that identity (``_rho_form`` and ``_share``; for a
-stack of schedules at once, ``_stacked_fleets`` and ``_stacked_equilibrium``
-with the same arithmetic, bit for bit, on one scenario or on a
-``ScenarioRows`` stack with one scenario per row), collapses
-any number of sectors to an exact two-player game by aggregating the rest of
-the world into one ``rho``, splits fleets into the abatement-sensitive and
-abatement-free factors, and differentiates everything with respect to taxes
-and abatement (one bundle, or a stack of them by ``_analytic_rows`` and
-``_fd_rows``). No linear system is assembled here: the determinant
-``share/prod(1 + kd rho_i)`` of the fleet system
-``(diag(1+s) - s 1^T) f = phi r`` (``r_i = rev_i/(kd rev_i + m_i)``,
+stack of schedules at once, ``_stacked_equilibrium``, whose :class:`Solved`
+record holds every per-row quantity, with the same arithmetic, bit for
+bit, on one scenario or on a ``ScenarioRows`` stack with one scenario per
+row), collapses any number of sectors to an exact two-player game by
+aggregating the rest of the world into one ``rho``, splits fleets into the
+abatement-sensitive and abatement-free factors, and differentiates
+everything with respect to taxes and abatement (one bundle, or a stack of
+them by ``_analytic_rows`` and ``_fd_rows``). No linear system is
+assembled here: the determinant ``share/prod(1 + kd rho_i)`` of the fleet
+system ``(diag(1+s) - s 1^T) f = phi r`` (``r_i = rev_i/(kd rev_i + m_i)``,
 ``s = -kd r``) is positive for every validated input, so it is reported
 but never a failure. The dense solves live in :mod:`orbituse.oracle` as
 the independent reference: the pivoting one per call, and a stacked one
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -164,17 +165,6 @@ def _equilibrium(
     )
 
 
-def _stacked_share(scenario: Scenario | ScenarioRows, rates: np.ndarray, phi, kd):
-    """:func:`_revenue_share` ``(B, n)`` and ``(B, 1)`` of a ``(B, n, m)``
-    stack's revenue, the kernel's stacked ``(1 - rates) @ p``.
-
-    ``scenario`` is one scenario for every row or a :class:`ScenarioRows`
-    with one per row; ``phi`` and ``kd`` are floats or ``(B, 1)`` columns.
-    """
-    revenue = ((1.0 - rates) @ scenario.price_array[..., None])[..., 0]
-    return _revenue_share(scenario, revenue, phi, kd)
-
-
 def _revenue_share(scenario: Scenario | ScenarioRows, revenue: np.ndarray, phi, kd):
     """``rho`` where active, else 0, and ``share`` of revenue rows ``(..., n)``,
     by the kernel's arithmetic: the active mask ``phi > 0 and rho > 0``, and
@@ -185,40 +175,47 @@ def _revenue_share(scenario: Scenario | ScenarioRows, revenue: np.ndarray, phi, 
     return on, 1.0 + kd * on.cumsum(axis=-1)[..., -1:]
 
 
-def _stacked_fleets(scenario: Scenario | ScenarioRows, rates: np.ndarray, phi, kd):
-    """Fleets ``phi rho/share`` ``(B, n)`` and survival ``phi/share`` ``(B, 1)``
-    of a ``(B, n, m)`` stack, by :func:`_stacked_share`."""
-    on, share = _stacked_share(scenario, rates, phi, kd)
-    return phi * on / share, phi / share
+class Solved(NamedTuple):
+    """Every per-row quantity of :func:`_stacked_equilibrium` on ``B`` rows.
 
-
-def _stacked_factors(scenario: Scenario | ScenarioRows, rates: np.ndarray, fleets, survival, kd):
-    """The rest of :func:`solve_equilibrium`'s report on a ``(B, n, m)`` stack.
-
-    From the fleets ``(B, n)`` and survival ``(B, 1)`` of
-    :func:`_stacked_fleets`: sigma, r and each sector's zero-profit
-    residual, ``(B, n)`` each, by ``_equilibrium``'s arithmetic; the
-    report's ``max_profit_residual`` is the row's Python ``max``.
+    ``phi`` and ``share`` are ``(B, 1)`` columns, ``kd`` is a float or a
+    ``(B, 1)`` column, ``revenue``, ``on`` (``rho`` where active, else 0)
+    and ``fleets`` are ``(B, n)``, and ``survival`` and ``stock`` ``(B,)``.
     """
-    revenue = ((1.0 - rates) @ scenario.price_array[..., None])[..., 0]
-    costs = scenario.cost_array
-    r = revenue / (kd * revenue + costs)
+
+    phi: np.ndarray
+    kd: np.ndarray | float
+    revenue: np.ndarray
+    on: np.ndarray
+    share: np.ndarray
+    fleets: np.ndarray
+    survival: np.ndarray
+    stock: np.ndarray
+
+
+def _stacked_factors(scenario: Scenario | ScenarioRows, solved: Solved):
+    """The rest of :func:`solve_equilibrium`'s report on a stacked solve.
+
+    sigma, r and each sector's zero-profit residual, ``(B, n)`` each, by
+    ``_equilibrium``'s arithmetic; the report's ``max_profit_residual`` is
+    the row's Python ``max``.
+    """
+    revenue, fleets, costs = solved.revenue, solved.fleets, scenario.cost_array
+    r = revenue / (solved.kd * revenue + costs)
     sigma = np.divide(fleets, r, out=np.zeros_like(fleets), where=r > 0.0)
-    return sigma, r, np.abs(survival * revenue * fleets - costs * (fleets * fleets))
+    return sigma, r, np.abs(solved.survival[:, None] * revenue * fleets - costs * (fleets * fleets))
 
 
-def _stacked_pairs(scenario: Scenario | ScenarioRows, rates: np.ndarray, phi, kd):
-    """Every sector's two-player reduction of a ``(B, n, m)`` stack.
-
-    Returns ``on`` and ``share`` of :func:`_stacked_share`, then ``(B, n)``
-    each: ``rho_rest``, the other sectors' active ``rho`` summed left to
+def _stacked_pairs(solved: Solved):
+    """Every sector's two-player reduction of a stacked solve: ``(B, n)``
+    each, ``rho_rest``, the other sectors' active ``rho`` summed left to
     right by ``cumsum`` as :func:`reduce_two_player`'s Python ``sum`` adds
     them, and the pair's share ``1 + kd (rho_i + rho_rest)``.
     """
-    on, share = _stacked_share(scenario, rates, phi, kd)
+    on = solved.on
     n = on.shape[1]
     rest = (on[:, None, :] * ~np.eye(n, dtype=bool)).cumsum(axis=2)[:, :, -1]
-    return on, share, rest, 1.0 + kd * (on + rest)
+    return rest, 1.0 + solved.kd * (on + rest)
 
 
 def _one_rate_probes(rates: np.ndarray, moved: np.ndarray) -> np.ndarray:
@@ -236,22 +233,26 @@ def _one_rate_probes(rates: np.ndarray, moved: np.ndarray) -> np.ndarray:
 
 def _stacked_equilibrium(
     scenario: Scenario | ScenarioRows, rates: np.ndarray, abatement: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fleets ``(B, n)``, survival ``(B,)`` and stock ``(B,)`` of a stack of schedules.
+) -> Solved:
+    """The :class:`Solved` record of a stack of schedules.
 
     Row b is :func:`solve_equilibrium` at ``rates[b]`` (a ``(B, n, m)``
     stack), ``abatement[b]`` and the scenario of row b (one for every row,
     or a :class:`ScenarioRows`) by the same arithmetic, so it matches that
-    solve bit for bit; the fleet total is summed left to right by
-    ``cumsum`` too. Nothing is raised: rows whose survival leaves [0, 1] are
+    solve bit for bit: revenue is the stacked ``(1 - rates) @ p``, ``on``
+    and ``share`` are :func:`_revenue_share`'s, fleets ``phi rho/share``,
+    survival ``phi/share``, and the fleet total is summed left to right by
+    ``cumsum``. Nothing is raised: rows whose survival leaves [0, 1] are
     the caller's to refuse (where phi < 0 their fleets are -0.0, not 0.0).
     """
     abatement = abatement[:, None]
     phi, kd = _phi(scenario, abatement)
-    fleets, survival = _stacked_fleets(scenario, rates, phi, kd)
+    revenue = ((1.0 - rates) @ scenario.price_array[..., None])[..., 0]
+    on, share = _revenue_share(scenario, revenue, phi, kd)
+    fleets = phi * on / share
     total = fleets.cumsum(axis=1)[:, -1:]
     stock = scenario.debris_per_sat * total + scenario.legacy_debris - abatement
-    return fleets, survival[:, 0], stock[:, 0]
+    return Solved(phi, kd, revenue, on, share, fleets, (phi / share)[:, 0], stock[:, 0])
 
 
 def solve_equilibrium(
@@ -295,7 +296,8 @@ def reduce_two_player(
     if not 0 <= sector < scenario.n_sectors:
         raise IndexError(f"sector index {sector} out of range")
     revenue, rho, phi, kd = _rho_form(scenario, taxes, abatement)
-    rho_rest = float(_stacked_pairs(scenario, taxes.as_array[None], phi, kd)[2][0, sector])
+    solved = _stacked_equilibrium(scenario, taxes.as_array[None], np.array([abatement], dtype=float))
+    rho_rest = float(_stacked_pairs(solved)[0][0, sector])
     return _equilibrium(
         scenario,
         abatement,
@@ -338,14 +340,13 @@ def _analytic_rows(rows: ScenarioRows, rates: np.ndarray, abatement: np.ndarray)
     Returns ``dfleet_dtax`` ``(B, n, n, m)``, ``dfleet_dabatement``
     ``(B, n)``, ``ddebris_dabatement`` ``(B,)`` and ``drequired_dtax``
     ``(B, n, m)``; ``interior`` ``(B,)``: survival in [0, 1] and every
-    fleet positive, the rows that have them; and the fleets ``(B, n)`` and
-    survival ``(B,)`` of :func:`_stacked_equilibrium`. Each row is the
+    fleet positive, the rows that have them; and the
+    :func:`_stacked_equilibrium` record it differentiates. Each row is the
     one-bundle arithmetic bit for bit.
     """
     n = rates.shape[1]
-    phi, kd = _phi(rows, abatement[:, None])
-    on, share = _stacked_share(rows, rates, phi, kd)
-    fleets, survival = phi * on / share, (phi / share)[:, 0]
+    solved = _stacked_equilibrium(rows, rates, abatement)
+    phi, kd, share, fleets, survival = solved.phi, solved.kd, solved.share, solved.fleets, solved.survival
     interior = (0.0 <= survival) & (survival <= 1.0) & np.all(fleets > 0.0, axis=1)
     # f = phi rho/share and d rho_i/d tau_ij = -p_j/m_i, so
     # d f_a/d tau_ij = -(p_j/m_i)(phi delta_ai - kd f_a)/share.
@@ -355,8 +356,8 @@ def _analytic_rows(rows: ScenarioRows, rates: np.ndarray, abatement: np.ndarray)
     )
     drequired = rows.debris_per_sat[:, :, None] * dfleet_dtax.sum(axis=1)
     # On interior rows every rho is active, so it is its own ``on``.
-    report = (dfleet_dtax, rows.collision_coeff * on / share, -1.0 / share[:, 0], drequired)
-    return report, interior, fleets, survival
+    report = (dfleet_dtax, rows.collision_coeff * solved.on / share, -1.0 / share[:, 0], drequired)
+    return report, interior, solved
 
 
 def _fd_rows(rows: ScenarioRows, rates: np.ndarray, abatement: np.ndarray):
@@ -420,7 +421,7 @@ def sensitivities(
         raise ScenarioShapeError(scenario, taxes.shape)
     stack = ScenarioRows.of([scenario]), taxes.as_array[None], np.array([abatement], dtype=float)
     if method == ANALYTIC:
-        report, interior, _, _ = _analytic_rows(*stack)
+        report, interior, _ = _analytic_rows(*stack)
         if not interior[0]:
             solve_equilibrium(scenario, taxes, abatement)   # raises if survival leaves [0, 1]
             raise ActiveSetChangeError(

@@ -242,11 +242,14 @@ def best_response_taxes(
     :func:`solve_equilibrium` raises at the incoming schedule is raised. A
     scenario or schedule that validation rejects raises
     ScenarioValidationError, and one whose candidates count more than
-    ``CANDIDATE_BUDGET`` BudgetExceededError, before anything is built.
-    This is the one-schedule call of the rule :func:`regulatory_equilibrium`
-    runs on stacks of iterates.
+    ``CANDIDATE_BUDGET`` BudgetExceededError, and a ``market`` outside
+    ``[0, n_markets)`` IndexError, before anything is built. This is the
+    one-schedule call of the rule :func:`regulatory_equilibrium` runs on
+    stacks of iterates.
     """
     _refuse_invalid(scenario, taxes)
+    if not 0 <= market < scenario.n_markets:
+        raise IndexError(f"market index {market} out of range [0, {scenario.n_markets})")
     columns, empty = _responder(scenario, abatement, (market,))(taxes.as_array[None])
     if empty[0]:
         solve_equilibrium(scenario, taxes, abatement)

@@ -90,13 +90,14 @@ def sample_scenario(
     sector_range: tuple[int, int] = (1, 6),
     collision_range: tuple[float, float] = COLLISION_RANGE,
     with_taxes: bool = False,
-    require_interior: bool = True,
     require_kessler_risk: bool = False,
 ) -> tuple[Scenario, TaxSchedule]:
     """Draw one scenario (and tax schedule) passing the validity filters.
 
-    Draws are filtered at zero abatement. ``with_taxes`` draws every rate
-    from ``TAX_RANGE`` instead of leaving the schedule at zero. After
+    Draws are filtered at zero abatement, and every sector of a draw is
+    interior: active, with a fleet above ``INTERIOR_MARGIN`` times the
+    larger of 1 and the largest fleet. ``with_taxes`` draws every rate from
+    ``TAX_RANGE`` instead of leaving the schedule at zero. After
     ``MAX_TRIES`` rejected draws, SamplingExhausted is raised.
 
     ``require_kessler_risk`` places the catastrophe threshold strictly
@@ -152,10 +153,7 @@ def sample_scenario(
         except OrbitUseError:
             continue
         fleets = equilibrium.fleet_array
-        if require_interior and (
-            not all(equilibrium.active)
-            or fleets.min() <= INTERIOR_MARGIN * max(1.0, fleets.max())
-        ):
+        if not all(equilibrium.active) or fleets.min() <= INTERIOR_MARGIN * max(1.0, fleets.max()):
             continue
         survival = equilibrium.debris.survival
         if not SURVIVAL_MARGIN <= survival <= 1.0:

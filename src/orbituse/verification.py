@@ -31,10 +31,8 @@ from .open_access import (
     _analytic_rows,
     _fd_rows,
     _one_rate_probes,
-    _phi,
     _stacked_equilibrium,
     _stacked_factors,
-    _stacked_fleets,
     _stacked_pairs,
     reduce_two_player,
     sensitivities,
@@ -101,16 +99,14 @@ def _batched(bundles: list[Bundle], evaluate) -> list[tuple]:
 def _stencil(group, rows, probes, levels, refuse):
     """Stacked equilibria of each bundle's probes ``(G, P, n, m)`` at ``levels`` ``(G, P)``.
 
-    Returns fleets ``(G, P, n)``, survival and stock ``(G, P)``. A bundle
-    with a probe whose survival leaves [0, 1] is refused with the
-    :func:`solve_equilibrium` re-solve of its first such probe, which raises
-    its PhysicallyInvalidError.
+    Returns the :func:`_stacked_equilibrium` record with one row per probe,
+    ``G P`` rows in bundle-then-probe order. A bundle with a probe whose
+    survival leaves [0, 1] is refused with the :func:`solve_equilibrium`
+    re-solve of its first such probe, which raises its PhysicallyInvalidError.
     """
     count, size, n, n_markets = probes.shape
-    fleets, survival, stock = _stacked_equilibrium(
-        rows.repeat(size), probes.reshape(-1, n, n_markets), levels.ravel()
-    )
-    invalid = ~((0.0 <= survival) & (survival <= 1.0)).reshape(count, size)
+    solved = _stacked_equilibrium(rows.repeat(size), probes.reshape(-1, n, n_markets), levels.ravel())
+    invalid = ~((0.0 <= solved.survival) & (solved.survival <= 1.0)).reshape(count, size)
     for g in np.flatnonzero(invalid.any(axis=1)).tolist():
         row = int(np.argmax(invalid[g]))
         refuse(g, partial(
@@ -119,7 +115,7 @@ def _stencil(group, rows, probes, levels, refuse):
             TaxSchedule.from_array(probes[g, row]),
             float(levels[g, row]),
         ))
-    return fleets.reshape(count, size, n), survival.reshape(count, size), stock.reshape(count, size)
+    return solved
 
 
 def _fold(target: str, entries: list, bound: float) -> OracleReport:
@@ -143,11 +139,11 @@ def check_equilibrium_agreement(bundles: list[Bundle]) -> OracleReport:
     """
 
     def evaluate(group, rows, rates, abatement, refuse):
-        phi, kd = _phi(rows, abatement[:, None])
-        fleets, survival = _stacked_fleets(rows, rates, phi, kd)
-        valid = ((0.0 <= survival) & (survival <= 1.0))[:, 0]
+        solved = _stacked_equilibrium(rows, rates, abatement)
+        fleets, survival = solved.fleets, solved.survival
+        valid = (0.0 <= survival) & (survival <= 1.0)
         # The solve's own profit residual, and sector_profit's.
-        _, _, residual = _stacked_factors(rows, rates, fleets, survival, kd)
+        _, _, residual = _stacked_factors(rows, solved)
         profit = np.abs(_stacked_profit(rows, rates, fleets, abatement))
         entries = [[] for _ in group]
         for g, bundle in enumerate(group):
@@ -192,14 +188,14 @@ def check_reduction(bundles: list[Bundle]) -> OracleReport:
 
     def evaluate(group, rows, rates, abatement, refuse):
         n = rates.shape[1]
-        phi, kd = _phi(rows, abatement[:, None])
-        on, share, rest, pair_share = _stacked_pairs(rows, rates, phi, kd)
-        fleets = phi * on / share
-        own_gap = np.abs(phi * on / pair_share - fleets)
+        solved = _stacked_equilibrium(rows, rates, abatement)
+        rest, pair_share = _stacked_pairs(solved)
+        phi, fleets = solved.phi, solved.fleets
+        own_gap = np.abs(phi * solved.on / pair_share - fleets)
         rest_gap = np.abs(phi * rest / pair_share - (fleets.sum(axis=1)[:, None] - fleets))
         residual = np.where(rest_gap > own_gap, rest_gap, own_gap)
         # The full game's survival and every pair's, as each solve checks it.
-        survival = phi / np.concatenate([share, pair_share], axis=1)
+        survival = phi / np.concatenate([solved.share, pair_share], axis=1)
         fails = ~np.all((0.0 <= survival) & (survival <= 1.0), axis=1)
         for g in np.flatnonzero(fails | (n < 2)).tolist():
             refuse(g, partial(_reduce_each_sector, *group[g]))
@@ -217,18 +213,12 @@ def check_decomposition(bundles: list[Bundle]) -> OracleReport:
     """
 
     def evaluate(group, rows, rates, abatement, refuse):
-        count, n, n_markets = rates.shape
+        count, n, _ = rates.shape
         probes = np.repeat(rates[:, None], 3, axis=1)
         levels = np.stack([abatement, abatement + 0.35, abatement + 0.7], axis=1)
-        fleets, survival, _ = _stencil(group, rows, probes, levels, refuse)
-        tripled = rows.repeat(3)
-        sigma, r, _ = _stacked_factors(
-            tripled,
-            probes.reshape(-1, n, n_markets),
-            fleets.reshape(-1, n),
-            survival.reshape(-1, 1),
-            tripled.collision_coeff * tripled.debris_per_sat,
-        )
+        solved = _stencil(group, rows, probes, levels, refuse)
+        sigma, r, _ = _stacked_factors(rows.repeat(3), solved)
+        fleets = solved.fleets.reshape(count, 3, n)
         sigma, r = sigma.reshape(count, 3, n), r.reshape(count, 3, n)
         same_r = np.all(r[:, 1:] == r[:, :1], axis=(1, 2))
         recon = np.max(np.abs(sigma * r - fleets), axis=2).tolist()
@@ -269,7 +259,7 @@ def check_sensitivity_agreement(bundles: list[Bundle]) -> OracleReport:
 
     def evaluate(group, rows, rates, abatement, refuse):
         count = len(group)
-        analytic, interior, _, _ = _analytic_rows(rows, rates, abatement)
+        analytic, interior, _ = _analytic_rows(rows, rates, abatement)
         numeric, ok, _, _ = _fd_rows(rows, rates, abatement)
         # Every entry of the four arrays side by side, in the order of
         # _SENSITIVITY_NAMES; each array's gap is the max over its columns.
@@ -319,13 +309,14 @@ def check_sign_suite(bundles: list[Bundle]) -> OracleReport:
         )
         base = rates[:, None]
         pattern = np.stack([abatement, abatement, up, down, up, down], axis=1)
-        fleets, _, stock = _stencil(
+        solved = _stencil(
             group,
             rows,
             np.concatenate([base, base, _one_rate_probes(rates, moved)], axis=1),
             np.concatenate([up[:, None], down[:, None], np.tile(pattern, n * n_markets)], axis=1),
             refuse,
         )
+        fleets, stock = solved.fleets.reshape(count, -1, n), solved.stock.reshape(count, -1)
         slope = (2.0 * h_ab)[:, None]
         abatement_fails = ~np.all((fleets[:, 0] - fleets[:, 1]) / slope > 0.0, axis=1)
         debris_fails = (stock[:, 0] - stock[:, 1]) / (2.0 * h_ab) >= 0.0
@@ -374,7 +365,7 @@ def check_channel_identity(bundles: list[Bundle]) -> OracleReport:
 
     def evaluate(group, rows, rates, abatement, refuse):
         count, n, n_markets = rates.shape
-        (dfleet_dtax, _, _, _), interior, fleets, survival = _analytic_rows(rows, rates, abatement)
+        (dfleet_dtax, _, _, _), interior, solved = _analytic_rows(rows, rates, abatement)
         for g in np.flatnonzero(~interior).tolist():
             refuse(g, partial(sensitivities, *group[g]))
         h = 1e-3 * np.maximum(1.0, np.abs(rates))
@@ -384,12 +375,9 @@ def check_channel_identity(bundles: list[Bundle]) -> OracleReport:
         )
         size = probes.shape[1]
         levels = np.repeat(abatement[:, None], size, axis=1)
-        probe_fleets, probe_survival, _ = _stencil(group, rows, probes, levels, refuse)
+        probed = _stencil(group, rows, probes, levels, refuse)
         welfare = _stacked_welfare(
-            rows.repeat(size),
-            probes.reshape(-1, n, n_markets),
-            probe_fleets.reshape(-1, n),
-            probe_survival.ravel(),
+            rows.repeat(size), probes.reshape(-1, n, n_markets), probed.fleets, probed.survival
         )
         g, i, j = np.indices((count, n, n_markets), sparse=True)
         own = welfare.reshape(count, n, n_markets, 4, n_markets)[g, i, j, :, j]
@@ -397,7 +385,9 @@ def check_channel_identity(bundles: list[Bundle]) -> OracleReport:
             4.0 * ((own[..., 0] - own[..., 1]) / (2.0 * half))
             - (own[..., 2] - own[..., 3]) / (2.0 * h)
         ) / 3.0
-        cleanup, expansion, reduction = _stacked_channels(rows, rates, dfleet_dtax, fleets, survival)
+        cleanup, expansion, reduction = _stacked_channels(
+            rows, rates, dfleet_dtax, solved.fleets, solved.survival
+        )
         gaps = np.abs(cleanup + expansion - reduction - fd).tolist()
         return [
             [(sector, market, gap) for sector, row in enumerate(table) for market, gap in enumerate(row)]
@@ -417,9 +407,9 @@ def check_welfare_quadratic(bundles: list[Bundle]) -> OracleReport:
         count, n, n_markets = rates.shape
         levels = abatement[:, None] + 0.5 * np.arange(5)
         probes = np.repeat(rates[:, None], 5, axis=1)
-        fleets, survival, _ = _stencil(group, rows, probes, levels, refuse)
+        solved = _stencil(group, rows, probes, levels, refuse)
         welfare = _stacked_welfare(
-            rows.repeat(5), probes.reshape(-1, n, n_markets), fleets.reshape(-1, n), survival.ravel()
+            rows.repeat(5), probes.reshape(-1, n, n_markets), solved.fleets, solved.survival
         ).reshape(count, 5, n_markets)
         second = welfare[:, :3] - 2.0 * welfare[:, 1:4] + welfare[:, 2:]
         second = np.swapaxes(second, 1, 2).tolist()      # (G, m, 3)

@@ -29,6 +29,7 @@ from orbituse.scenario import ScenarioRows, debris_stock
 
 from conftest import assert_exact, exact_rho_form
 from test_properties import reference_slopes
+from test_sampling import reference_sample_scenario
 
 ZERO2 = TaxSchedule.zeros(2, 2)
 ZERO1 = TaxSchedule.zeros(1, 1)
@@ -168,7 +169,7 @@ class TestSolveEquilibrium:
         from orbituse import sector_profit
 
         for _ in range(25):
-            scenario, taxes = sample_scenario(rng, with_taxes=True, require_interior=False)
+            scenario, taxes = reference_sample_scenario(rng, with_taxes=True, require_interior=False)
             eq = solve_equilibrium(scenario, taxes, 0.0)
             for i in range(scenario.n_sectors):
                 if eq.active[i]:

@@ -24,7 +24,7 @@ from orbituse import (
     welfare_channels,
 )
 import orbituse.regulation as regulation
-from orbituse.open_access import _phi, _revenue_share, _stacked_fleets, solve_equilibrium
+from orbituse.open_access import _phi, _revenue_share, _stacked_equilibrium, solve_equilibrium
 from orbituse.oracle import grid_maximize
 from orbituse.regulation import (
     BEST_RESPONSE_VALUE_TIE,
@@ -40,6 +40,8 @@ from conftest import benchmark_modules
 
 ZERO2 = TaxSchedule.zeros(2, 2)
 ZERO1 = TaxSchedule.zeros(1, 1)
+# Market 1 denies sector 1 access at zero taxes; market 0 taxes nothing.
+LOPSIDED = replace(HIDEB, prices=(1.0, 9.0), costs=(1.0, 5.0), collision_coeff=0.3, legacy_debris=0.0)
 
 
 def fd_welfare(scenario, taxes, abatement, sector, market, h=1e-6):
@@ -185,8 +187,8 @@ def reference_best_response_taxes(scenario, taxes, abatement, market):
 
     rates = np.repeat(taxes.as_array[None], columns.shape[0], axis=0)
     rates[:, :, market] = columns
-    fleets, survival = _stacked_fleets(scenario, rates, phi, kd)
-    survival = survival[:, 0]
+    solved = _stacked_equilibrium(scenario, rates, np.full(rates.shape[0], float(abatement)))
+    fleets, survival = solved.fleets, solved.survival
     value = survival * (p_j * ((1.0 - columns) * fleets).sum(axis=1))
     value = np.where((0.0 <= survival) & (survival <= 1.0), value, -np.inf)
 
@@ -638,6 +640,23 @@ class TestBestResponse:
             best_response_taxes(SYM2, ZERO2, 5.0, 0)
         assert str(raised.value) == str(expected.value)
 
+    @pytest.mark.parametrize("market", [-1, 2])
+    def test_a_market_index_out_of_range_is_refused(self, market, monkeypatch):
+        # -1 used to answer for the last market, and 2 raised numpy's bare
+        # IndexError from inside the rule; now neither builds the rule.
+        monkeypatch.setattr(regulation, "_responder", None)
+        with pytest.raises(IndexError, match=rf"^market index {market} out of range \[0, 2\)$"):
+            best_response_taxes(LOPSIDED, ZERO2, 0.0, market)
+
+    def test_a_valid_market_index_answers_for_that_market(self):
+        columns = [best_response_taxes(LOPSIDED, ZERO2, 0.0, market) for market in range(2)]
+        for market, column in enumerate(columns):
+            reference = reference_best_response_taxes(LOPSIDED, ZERO2, 0.0, market)
+            assert column.tobytes() == reference.tobytes()
+        # The two markets answer differently, so an index read as another
+        # market's would show.
+        assert [column.tolist() for column in columns] == [[0.0, 0.0], [0.0, 1.0]]
+
     def test_phi_zero_returns_the_zero_tax_column(self):
         # k*D0 = 1: phi = 0, every fleet is zero and every column is worth 0.
         edge = replace(SYM2, legacy_debris=10.0)
@@ -1080,16 +1099,16 @@ class TestAssumptionThree:
             fd = fd_welfare(scenario, ZERO2, 0.0, 0, 1)
             assert report.holds == (fd > 0.0)
 
-    def test_legacy_debris_sweep_flips_at_most_once(self):
-        flags = []
-        for legacy in np.linspace(0.0, 8.0, 17):
-            scenario = replace(SYM2, legacy_debris=float(legacy))
-            try:
-                flags.append(check_assumption_three(scenario, 0.0, 0, 1).holds)
-            except Exception:
-                break
+    def test_legacy_debris_sweep_never_flips(self):
+        # For 0 < phi <= 1 welfare is phi^2 times a function of the taxes,
+        # so no amount of legacy debris changes the verdict; every point of
+        # the sweep keeps phi > 0 and evaluates without raising.
+        flags = [
+            check_assumption_three(replace(SYM2, legacy_debris=float(legacy)), 0.0, 0, 1).holds
+            for legacy in np.linspace(0.0, 8.0, 17)
+        ]
         switches = sum(1 for a, b in zip(flags, flags[1:]) if a != b)
-        assert switches <= 1
+        assert switches == 0
 
     def test_semi_elasticity_is_negative(self, rng):
         for _ in range(10):

@@ -351,6 +351,61 @@ class TestSelfEnforcement:
         assert not analysis.self_enforcing
 
 
+# Pool game 40 of the benchmark's regulate inputs, written out.
+GAME_40 = Scenario(
+    n_markets=2,
+    n_sectors=2,
+    prices=(4.213338983985405, 7.36918525223694),
+    costs=(7.06463134190936, 0.8572707966657303),
+    collision_coeff=0.14124506760235153,
+    debris_per_sat=0.9057380867490437,
+    legacy_debris=0.08328684297076538,
+    catastrophe_threshold=3.552650031385889,
+    catastrophe_damages=1.776954646799185,
+    abatement_cost=2.453189855185395,
+)
+GAME_40_TAXES = TaxSchedule(
+    ((0.23255666399909727, 0.14355076728278823), (0.292483933870707, 0.118737432638447))
+)
+VERDICTS = (
+    "zero_profile_is_nash",
+    "symmetric_profile_is_nash",
+    "averting_sustainable",
+    "condition27",
+    "self_enforcing",
+    "payoff_prefers_treaty",
+)
+
+
+class TestCurrencyUnit:
+    def test_only_the_closed_form_verdicts_depend_on_it(self):
+        # Prices, costs, X and c in a currency worth half as much. The
+        # model-derived alpha and beta are welfare, which doubles with the
+        # rest; the closed-form alpha carries no money unit, so against the
+        # doubled X and c its verdicts move.
+        doubled = replace(
+            GAME_40,
+            prices=tuple(2.0 * p for p in GAME_40.prices),
+            costs=tuple(2.0 * m for m in GAME_40.costs),
+            catastrophe_damages=2.0 * GAME_40.catastrophe_damages,
+            abatement_cost=2.0 * GAME_40.abatement_cost,
+        )
+        (model, closed), (model_doubled, closed_doubled) = (
+            [{name: getattr(analysis, name) for name in VERDICTS} for analysis in pair]
+            for pair in (
+                treaty._both_variants(GAME_40, GAME_40_TAXES),
+                treaty._both_variants(doubled, GAME_40_TAXES),
+            )
+        )
+        assert model_doubled == model
+        assert closed == dict(
+            zip(VERDICTS, (True, False, False, (True, False), False, (True, False)))
+        )
+        assert closed_doubled == dict(
+            zip(VERDICTS, (True, True, True, (True, True), True, (True, True)))
+        )
+
+
 class TestBetaSensitivity:
     def test_sym2_fd_signs(self):
         # Finite differences of the closed form: both own-revenue

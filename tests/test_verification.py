@@ -7,6 +7,7 @@ references: the batch ones must return equal reports, residual floats
 included, and raise the same error as the lowest-index failing bundle.
 """
 
+import ast
 import gzip
 import json
 import math
@@ -131,7 +132,8 @@ def bundle_sensitivity_agreement(bundles):
 
 def bundle_stencil(scenario, rates, abatement):
     """One bundle's stacked stencil, refusing it as the per-probe loop would."""
-    fleets, survival, stock = _stacked_equilibrium(scenario, rates, abatement)
+    solved = _stacked_equilibrium(scenario, rates, abatement)
+    fleets, survival, stock = solved.fleets, solved.survival, solved.stock
     invalid = np.flatnonzero(~((0.0 <= survival) & (survival <= 1.0)))
     if invalid.size:
         row = invalid[0]
@@ -363,10 +365,10 @@ def test_stacked_rows_equal_the_scalar_kernel_bit_for_bit(case):
     if len(set(owners)) == 1:
         stacks.append(owners[0])
     for stack in stacks:
-        fleets, survival, stock = _stacked_equilibrium(stack, rates, abatement)
+        record = _stacked_equilibrium(stack, rates, abatement)
+        fleets, survival, stock = record.fleets, record.survival, record.stock
         welfare = _stacked_welfare(stack, rates, fleets, survival)
-        kd = stack.collision_coeff * stack.debris_per_sat
-        sigma, r, residual = _stacked_factors(stack, rates, fleets, survival[:, None], kd)
+        sigma, r, residual = _stacked_factors(stack, record)
         for row, scenario in enumerate(owners):
             taxes = TaxSchedule.from_array(rates[row])
             q = float(abatement[row])
@@ -386,6 +388,20 @@ def test_stacked_rows_equal_the_scalar_kernel_bit_for_bit(case):
             assert bits(solved.sigma) == bits(sigma[row])
             assert bits(solved.r) == bits(r[row])
             assert bits([solved.max_profit_residual]) == bits([max(residual[row].tolist(), default=0.0)])
+
+
+def test_the_checkers_import_none_of_the_kernel_arithmetic():
+    # The stacked record carries phi, kd, revenue, on and share, so phi and
+    # the revenue-to-share step are spelled in open_access alone.
+    tree = ast.parse(Path(verification.__file__).read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("open_access")
+        for alias in node.names
+    }
+    assert "_stacked_equilibrium" in imported
+    assert not imported & {"_phi", "_revenue_share"}
 
 
 def test_stacked_revenue_rounds_as_the_one_schedule_product():
@@ -621,9 +637,9 @@ def test_masked_sign_suite_counts_a_nan_rebound_as_failing(monkeypatch):
     stencil, one_bundle = verification._stencil, bundle_stencil
 
     def poisoned(*args):
-        fleets, survival, stock = stencil(*args)
-        fleets[:, 2::6, 1] = np.nan     # sector 1 at every rate + h probe
-        return fleets, survival, stock
+        solved = stencil(*args)
+        solved.fleets[2::6, 1] = np.nan     # sector 1 at every rate + h probe
+        return solved
 
     def poisoned_bundle(scenario, rates, abatement):
         fleets, survival, stock = one_bundle(scenario, rates, abatement)
